@@ -4,10 +4,6 @@ Subcommands: build the generator images and permutation files, run a
 verification suite, emit measurement tables as CSV, classify planted
 partitions, and demonstrate induction.  Exit codes: 0 all checks passed,
 1 a check failed, 2 usage error, 3 resource refusal.
-
-Thread count comes from SOFICLAB_THREADS (default: the machine's CPU
-count) and is recorded in reports; parallelism never changes exact
-results.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from .groups import (
     build_hom_specs,
     hom_family_to_json,
 )
-from .perms import thread_count, write_perm
+from .perms import write_perm
 from .report import RunReport, jsonable
 from .sofic import build_sigma, build_tilde_sigma
 from .suites import (
@@ -64,8 +60,7 @@ def cmd_build(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(
         "build",
-        {"p": args.p, "m": args.m, "k": args.k, "seed": args.seed,
-         "threads": thread_count()},
+        {"p": args.p, "m": args.m, "k": args.k, "seed": args.seed},
     )
     family = build_hom_specs(args.p, args.m, args.k)
     report.parameters["r_p"] = family.r_p
@@ -123,7 +118,6 @@ def cmd_verify(args) -> int:
     if args.suite in ("four-conditions", "soficity", "partition") and args.p:
         kwargs["p"] = args.p
     report = suite(**kwargs)
-    report.parameters["threads"] = thread_count()
     _write_report(report, args.out)
     _print_report(report)
     return report.exit_code
@@ -194,7 +188,6 @@ def cmd_partition(args) -> int:
 
 def cmd_induce(args) -> int:
     report = suite_induction(seed=args.seed)
-    report.parameters["threads"] = thread_count()
     _write_report(report, args.out)
     _print_report(report)
     return report.exit_code

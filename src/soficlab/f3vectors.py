@@ -350,17 +350,20 @@ def invariant_closure_dim(x: ApVector, generators=None) -> int:
     return len(basis)
 
 
-# -- vectorized helpers for enumerable p ---------------------------------
+# -- vectorized helpers ---------------------------------------------------
+#
+# Coordinate arrays carry the p+1 coordinates of each vector on their last
+# axis; every helper works on any leading shape.
 
 def decode_indices(idx: np.ndarray, p: int) -> np.ndarray:
-    """Coordinate rows (n, p+1) for a batch of A(p) indices."""
+    """Coordinates (..., p+1) of an array of A(p) indices."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = np.empty((len(idx), p + 1), dtype=np.uint8)
+    out = np.empty(idx.shape + (p + 1,), dtype=np.uint8)
     rem = idx
     for i in range(p):
-        out[:, i] = rem % 3
+        out[..., i] = rem % 3
         rem = rem // 3
-    out[:, p] = (-out[:, :p].sum(axis=1, dtype=np.int64)) % 3
+    out[..., p] = (-out[..., :p].sum(axis=-1, dtype=np.int64)) % 3
     return out
 
 
@@ -373,26 +376,25 @@ def coords_matrix(p: int) -> np.ndarray:
 
 
 def encode_coords(mat: np.ndarray) -> np.ndarray:
-    """Indices of rows of a (n, p+1) coordinate matrix."""
-    p = mat.shape[1] - 1
-    weights = np.array(_POW3[:p], dtype=np.int64)
-    return mat[:, :p].astype(np.int64) @ weights
+    """Indices of the vectors along the last axis of a coordinate array,
+    accumulated by Horner's rule over the first p coordinates."""
+    p = mat.shape[-1] - 1
+    out = np.zeros(mat.shape[:-1], dtype=np.int64)
+    for i in range(p - 1, -1, -1):
+        out *= 3
+        out += mat[..., i]
+    return out
 
 
 def sp_mask(coords: np.ndarray) -> np.ndarray:
-    """Boolean S(p) membership for each row of a coordinate matrix."""
-    n1 = np.count_nonzero(coords == 1, axis=1)
-    n0 = np.count_nonzero(coords == 0, axis=1)
-    n2 = coords.shape[1] - n0 - n1
+    """Boolean S(p) membership of each vector of a coordinate array."""
+    n1 = np.count_nonzero(coords == 1, axis=-1)
+    n0 = np.count_nonzero(coords == 0, axis=-1)
+    n2 = coords.shape[-1] - n0 - n1
     return (n1 > n0 + 2) & (n1 > n2 + 2)
 
 
 def shifted_index_map(coords: np.ndarray, w: ApVector) -> np.ndarray:
-    """Index map a -> index(a + w) over all rows of a coordinate matrix."""
+    """Index map a -> index(a + w) over all vectors of a coordinate array."""
     wv = np.array(w.coords, dtype=np.uint8)
     return encode_coords((coords + wv) % 3)
-
-
-def permuted_index_map(coords: np.ndarray, src) -> np.ndarray:
-    """Index map a -> index(h . a) for a position permutation src."""
-    return encode_coords(coords[:, np.array(src)])

@@ -45,7 +45,9 @@ class GenerationCheckError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A closure computation exceeded its configured element budget."""
+    """A computation was refused for its size: a closure exceeded its
+    configured element budget, or a G(p) needs vector indices past the
+    int64 range (3^p > 2^63 - 1: every admissible p from 43 on)."""
 
 
 def free_family_matrix(i: int):

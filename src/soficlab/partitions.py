@@ -17,14 +17,12 @@ domain.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .perms import ExactPerm
+from .perms import ExactPerm, read_binary, write_binary
 
 FACTOR_ORDER = ("a", "h", "y")
 
@@ -317,30 +315,13 @@ PARTITION_VERSION = 1
 
 def write_partition(path, partition: LabeledPartition, sidecar: dict = None):
     ids = np.ascontiguousarray(partition.block_ids, dtype="<u4")
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(
-                "<4sIQQ", PARTITION_MAGIC, PARTITION_VERSION,
-                partition.size, partition.n_blocks,
-            )
-        )
-        fh.write(ids.tobytes())
-    if sidecar is not None:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_binary(path, PARTITION_MAGIC, PARTITION_VERSION,
+                 (partition.size, partition.n_blocks), ids, sidecar)
 
 
 def read_partition(path) -> LabeledPartition:
-    with open(path, "rb") as fh:
-        magic, version, n, blocks = struct.unpack("<4sIQQ", fh.read(24))
-        if magic != PARTITION_MAGIC:
-            raise ValueError("not a partition file")
-        if version != PARTITION_VERSION:
-            raise ValueError(f"unsupported partition format version {version}")
-        ids = np.frombuffer(fh.read(4 * n), dtype="<u4")
-        if len(ids) != n:
-            raise ValueError("truncated partition file")
+    (_, blocks), ids = read_binary(path, PARTITION_MAGIC, PARTITION_VERSION, 2,
+                                   "<u4", "partition")
     part = LabeledPartition(ids.astype(np.int64))
     if part.n_blocks != blocks:
         raise ValueError("block count in header does not match the data")

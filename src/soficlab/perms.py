@@ -17,9 +17,7 @@ Hoeffding radius.
 from __future__ import annotations
 
 import json
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log, sqrt
@@ -27,32 +25,6 @@ from math import log, sqrt
 import numpy as np
 
 EXACT_DOMAIN_BUDGET = 5_000_000
-_SHARD_THRESHOLD = 1 << 20
-
-
-def thread_count() -> int:
-    """Worker count for sharded exact comparisons, from SOFICLAB_THREADS
-    (default: the machine's CPU count).  Shards are summed in a fixed
-    order, so the count never changes exact results."""
-    env = os.environ.get("SOFICLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _mismatch_count(a: np.ndarray, b: np.ndarray) -> int:
-    n = len(a)
-    workers = thread_count()
-    if workers <= 1 or n < _SHARD_THRESHOLD:
-        return int(np.count_nonzero(a != b))
-    bounds = np.linspace(0, n, workers + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = pool.map(
-            lambda i: int(np.count_nonzero(a[bounds[i]:bounds[i + 1]]
-                                           != b[bounds[i]:bounds[i + 1]])),
-            range(workers),
-        )
-    return sum(counts)
 
 
 class FlatDomain:
@@ -284,7 +256,7 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None, confidence=0.99
                 agree *= 1 - d_hamming(f, g, mode="exact").value
             return DHEstimate(1 - agree, 0.0, 1.0, "exact")
         s, t = _materialize(sigma), _materialize(tau)
-        diff = _mismatch_count(s.images, t.images)
+        diff = int(np.count_nonzero(s.images != t.images))
         return DHEstimate(Fraction(diff, s.size), 0.0, 1.0, "exact")
     if mode == "sampled":
         if seed is None:
@@ -303,6 +275,38 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None, confidence=0.99
 
 
 # -- binary exchange format ----------------------------------------------
+#
+# Every binary file is a little-endian header (4-byte magic, u32 version,
+# u64 fields, the first of which is the entry count) followed by the
+# entries; provenance goes to a JSON sidecar next to the file.
+
+def write_binary(path, magic: bytes, version: int, fields, entries: np.ndarray,
+                 sidecar: dict = None):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f"<4sI{len(fields)}Q", magic, version, *fields))
+        fh.write(entries.tobytes())
+    if sidecar is not None:
+        with open(str(path) + ".json", "w") as fh:
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def read_binary(path, magic: bytes, version: int, n_fields: int, dtype, kind: str):
+    """The u64 header fields and the entries of a file, after checking its
+    magic, version and length; errors name the file kind."""
+    header = struct.Struct(f"<4sI{n_fields}Q")
+    with open(path, "rb") as fh:
+        got_magic, got_version, *fields = header.unpack(fh.read(header.size))
+        if got_magic != magic:
+            raise ValueError(f"not a {kind} file")
+        if got_version != version:
+            raise ValueError(f"unsupported {kind} format version {got_version}")
+        dtype = np.dtype(dtype)
+        entries = np.frombuffer(fh.read(dtype.itemsize * fields[0]), dtype=dtype)
+        if len(entries) != fields[0]:
+            raise ValueError(f"truncated {kind} file")
+    return fields, entries
+
 
 PERM_MAGIC = b"SPRM"
 PERM_VERSION = 1
@@ -312,25 +316,11 @@ def write_perm(path, perm: ExactPerm, sidecar: dict = None):
     """Write a permutation as SPRM: magic, u32 version, u64 N, N u64
     images, little-endian; provenance goes to a JSON sidecar."""
     images = np.ascontiguousarray(perm.images, dtype="<u8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", PERM_MAGIC, PERM_VERSION, perm.size))
-        fh.write(images.tobytes())
-    if sidecar is not None:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_binary(path, PERM_MAGIC, PERM_VERSION, (perm.size,), images, sidecar)
 
 
 def read_perm(path) -> ExactPerm:
-    with open(path, "rb") as fh:
-        magic, version, n = struct.unpack("<4sIQ", fh.read(16))
-        if magic != PERM_MAGIC:
-            raise ValueError("not a permutation file")
-        if version != PERM_VERSION:
-            raise ValueError(f"unsupported permutation format version {version}")
-        data = np.frombuffer(fh.read(8 * n), dtype="<u8")
-        if len(data) != n:
-            raise ValueError("truncated permutation file")
+    _, data = read_binary(path, PERM_MAGIC, PERM_VERSION, 1, "<u8", "permutation")
     return ExactPerm(data.astype(np.int64))
 
 
@@ -340,23 +330,9 @@ COVER_MAGIC = b"SCVR"
 def write_cover(path, theta: np.ndarray, sidecar: dict = None):
     """Fiber-map file: same header scheme, entries are base-point images."""
     arr = np.ascontiguousarray(np.asarray(theta), dtype="<u8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", COVER_MAGIC, PERM_VERSION, len(arr)))
-        fh.write(arr.tobytes())
-    if sidecar is not None:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_binary(path, COVER_MAGIC, PERM_VERSION, (len(arr),), arr, sidecar)
 
 
 def read_cover(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, version, n = struct.unpack("<4sIQ", fh.read(16))
-        if magic != COVER_MAGIC:
-            raise ValueError("not a cover file")
-        if version != PERM_VERSION:
-            raise ValueError(f"unsupported cover format version {version}")
-        data = np.frombuffer(fh.read(8 * n), dtype="<u8")
-        if len(data) != n:
-            raise ValueError("truncated cover file")
+    _, data = read_binary(path, COVER_MAGIC, PERM_VERSION, 1, "<u8", "cover")
     return data.astype(np.int64)

@@ -494,8 +494,7 @@ def measure_defect(primes=DEFAULT_PRIMES, m=5, k=3, samples=50_000, seed=17) -> 
     u = ProductWord(ReducedWord(), ReducedWord.gen(f"b{k}"))
     v = ProductWord(ReducedWord.gen("t"), ReducedWord())
     for p in primes:
-        family = build_hom_specs(p, m, k)
-        sigma = build_sigma(p, m, k, family=family)
+        sigma = build_sigma(p, m, k)
         if sigma.mode == "exact":
             est = hom_defect(sigma, u, v)
             rows.append({"p": p, "mode": "exact", "value": est.value,

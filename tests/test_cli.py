@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,37 @@ def test_build_writes_artifacts(tmp_path):
     assert perm.size == 367_416
     sidecar = json.loads((out / "sigma_t.sprm.json").read_text())
     assert sidecar["p"] == 7
+
+
+# sha256 of every file `build --p 7` writes, whatever the seed: the seed
+# reaches only the JSON sidecars.
+BUILD_P7_DIGESTS = {
+    "homspecs.json": "25cf57a5f7ba7a83f6107ef2a61f7c7ad4b2aa0d0ad6f47f5e302f31e6d21691",
+    "sigma_a1.sprm": "c12a20fd2ab9bf07da49b8250fbd06b46700d18a5e5b73f6fc399dcdbe4f61a9",
+    "sigma_a2.sprm": "6b0360113cf90bd3be2b6fd9faa09e87ab0978a2f83ff104377718d787df0970",
+    "sigma_a3.sprm": "5a9dd1fae24fb6399f957940d25bbd9084d7d51f4ffd3b73548db992b9316814",
+    "sigma_a4.sprm": "f8a986e49de60bcba0bc4024ecc65c3079d723214c93564ae9d4b40b7f0f9003",
+    "sigma_b1.sprm": "0278d018ca9d3ea1c1a374ac8df4bb5267e4773384fcde261f752c9e1c82bca5",
+    "sigma_b2.sprm": "94757b24543eebcd879509f5f77e02cf7aa21e4333509512b9b9472bed9bbfb2",
+    "sigma_b3.sprm": "2613b31eb65c69086dfbdb04ed091c4c02098b9e9e65fbee61c935845f4684be",
+    "sigma_t.sprm": "a8b072f915229d721b4cc8c06a03b5bd38ccde8063334af6044bc8c1c11fda7e",
+    "tilde_a1_second_factor.sprm": "b628e80990afd54dfbbcfa992590d8e16a1b16618233425c7665b2eb90bed682",
+    "tilde_a2_second_factor.sprm": "8c0f3c002fbc5a366ff88c07fc0b9ac34a7761a634a5421aa1d81ce850ac0903",
+    "tilde_a3_second_factor.sprm": "396c64db9614ffb1ea204f43f78085bbaa78c75e0495d42d5840b5a81df9c6b4",
+    "tilde_a4_second_factor.sprm": "943bd9b945255fc6db76c2cb69572b68094dbd74de007fc82dd3d57e5b057874",
+    "tilde_b1_second_factor.sprm": "a9656c681ec53410acbdc367735dfce4de458d90e5299a281bda526b974de3ae",
+    "tilde_b2_second_factor.sprm": "c4b05a7d53daffe3303c3dbf99e30102fd2cdc2b04dbfa84ce3ee52d6f9cee09",
+    "tilde_b3_second_factor.sprm": "a81210b88a0052f4a59d4b86f7d3d5a3fa663b89f0bfb9b02ffe4cd1da93e695",
+    "tilde_t_second_factor.sprm": "e0d0d37de44d08776b535894a63179312a31e04cac8162c83c8a254d53b3fb8a",
+}
+
+
+def test_build_files_match_reference_digests(tmp_path):
+    out = tmp_path / "build7"
+    assert main(["build", "--p", "7", "--seed", "3", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in BUILD_P7_DIGESTS}
+    assert digests == BUILD_P7_DIGESTS
 
 
 def test_build_rejects_bad_p(tmp_path, capsys):
@@ -78,6 +110,13 @@ def test_measure_defect_exact_refusal(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 3
     assert "refused" in capsys.readouterr().err
+
+
+def test_measure_defect_refuses_p_past_int64_indices(capsys):
+    # 3^43 vectors cannot be indexed in int64: refused before any table
+    code = main(["measure", "defect", "--primes", "43", "--samples", "1000"])
+    assert code == 3
+    assert "resource refusal" in capsys.readouterr().err
 
 
 def test_measure_rejects_bad_primes(capsys):

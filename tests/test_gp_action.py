@@ -1,0 +1,52 @@
+"""The G(p) action kernel against object-level GpElement arithmetic.
+
+Every p = 7 generator image, in exact and in implicit mode, is checked at
+drawn points against its definition: a_i acts by x -> phi(a_i) x, b_j by
+x -> x rho(b_j)^(-1), and t by the three-piece slab involution.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soficlab.algebra import PSL2Element
+from soficlab.f3vectors import a_shift_vector, sp_membership
+from soficlab.groups import GpElement, GpIndexer
+from soficlab.sofic import build_sigma
+
+GENERATORS = ("a1", "a2", "a3", "a4", "t", "b1", "b2", "b3")
+INDEXER = GpIndexer(7)
+
+
+@pytest.fixture(scope="module")
+def models(family7):
+    return {mode: build_sigma(7, 5, 3, family=family7, mode=mode)
+            for mode in ("exact", "implicit")}
+
+
+def expected_image(family, name, x: GpElement) -> GpElement:
+    if name == "t":
+        a0 = a_shift_vector(7)
+        g0 = GpElement(a0, PSL2Element(1, 1, 0, 1, 7))
+        if sp_membership(x.a):
+            return g0 * x
+        if sp_membership(x.a - a0):
+            return g0.inverse() * x
+        return x
+    if name.startswith("a"):
+        return family["phi"].image(name) * x
+    return x * family["rho"].image(name).inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(GENERATORS), i=st.integers(0, INDEXER.size - 1))
+def test_generator_images_match_group_arithmetic(models, family7, name, i):
+    want = INDEXER.index(expected_image(family7, name, INDEXER.unindex(i)))
+    assert models["exact"].images[name].images[i] == want
+    implicit = models["implicit"].images[name]
+    pair = (np.array([i // INDEXER.h_order]), np.array([i % INDEXER.h_order]))
+    a_idx, h_idx = implicit.apply(pair)
+    assert int(a_idx[0]) * INDEXER.h_order + int(h_idx[0]) == want
+    back_a, back_h = implicit.apply_inverse((a_idx, h_idx))
+    assert (int(back_a[0]), int(back_h[0])) == (int(pair[0][0]), int(pair[1][0]))
