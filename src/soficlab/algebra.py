@@ -41,6 +41,14 @@ def psl2_order(q: int) -> int:
     return q * (q * q - 1) // 2
 
 
+def _entry_mul(x, y):
+    """Entries of the 2x2 product of entry 4-tuples x and y, unreduced;
+    works on integers and on numpy arrays alike."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def _canon(a, b, c, d, q):
     # pick the representative whose first nonzero entry lies in 1..(q-1)//2
     half = (q - 1) // 2
@@ -76,14 +84,7 @@ class PSL2Element:
     def __mul__(self, other: "PSL2Element") -> "PSL2Element":
         if self.q != other.q:
             raise ValueError(f"modulus mismatch: {self.q} vs {other.q}")
-        q = self.q
-        return PSL2Element(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            q,
-        )
+        return PSL2Element(*_entry_mul(self.entries(), other.entries()), self.q)
 
     def inverse(self) -> "PSL2Element":
         return PSL2Element(self.d, -self.b, -self.c, self.a, self.q)
@@ -114,10 +115,6 @@ class PSL2Element:
 
 def psl2_mul(x: PSL2Element, y: PSL2Element) -> PSL2Element:
     return x * y
-
-
-def psl2_inv(x: PSL2Element) -> PSL2Element:
-    return x.inverse()
 
 
 class ProjectivePoint:
@@ -180,28 +177,26 @@ class PSL2Table:
 
     Enumeration order is lexicographic in the canonical entries and is
     fixed: reports and serialized permutations rely on its stability.
+    ``entries`` holds the canonical entries as a (4, n) int64 array with
+    columns in enumeration order, so the base-q keys of the columns ascend
+    with the index and a sorted search finds any element.
     """
 
     def __init__(self, q: int):
         if not is_prime(q) or q < 3:
             raise ValueError(f"{q} is not an odd prime")
         self.q = q
-        seen = set()
-        for a in range(q):
-            if a != 0:
-                a_inv = pow(a, -1, q)
-                for b in range(q):
-                    for c in range(q):
-                        d = (1 + b * c) * a_inv % q
-                        seen.add(_canon(a, b, c, d, q))
-            else:
-                # a = 0 forces bc = -1
-                for b in range(1, q):
-                    c = (-pow(b, -1, q)) % q
-                    for d in range(q):
-                        seen.add(_canon(0, b, c, d, q))
-        self.elements = [PSL2Element(*t, q) for t in sorted(seen)]
-        self._index = {g.entries(): i for i, g in enumerate(self.elements)}
+        # the determinant-1 matrices with first row (a, b) != 0 are
+        # (c0 + t a, d0 + t b), t in F_q, for one solution (c0, d0)
+        a, b, t = np.indices((q, q, q)).reshape(3, -1)
+        a, b, t = (x[(a != 0) | (b != 0)] for x in (a, b, t))
+        inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
+        c0 = np.where(a == 0, -inv[b], 0)
+        self._keys = np.unique(self._canonical_keys(a, b, c0 + t * a, inv[a] + t * b))
+        self.entries = np.stack(np.unravel_index(self._keys, (q,) * 4))
+        ordered = list(zip(*self.entries.tolist()))
+        self.elements = [PSL2Element(*e, q) for e in ordered]
+        self._index = {e: i for i, e in enumerate(ordered)}
 
     def __len__(self):
         return len(self.elements)
@@ -212,28 +207,32 @@ class PSL2Table:
     def __getitem__(self, i: int) -> PSL2Element:
         return self.elements[i]
 
+    def _canonical_keys(self, a, b, c, d) -> np.ndarray:
+        """Base-q keys ((a q + b) q + c) q + d of the canonical entries."""
+        q = self.q
+        a, b, c, d = a % q, b % q, c % q, d % q
+        # det 1 rules out a = b = 0, so the first nonzero entry is a or b
+        neg = np.where(a != 0, a, b) > (q - 1) // 2
+        return np.ravel_multi_index([np.where(neg, (q - x) % q, x) for x in (a, b, c, d)],
+                                    (q,) * 4)
+
+    def lookup(self, a, b, c, d) -> np.ndarray:
+        """Indices of the classes of determinant-1 matrices given entrywise
+        as integer arrays of one shape (any representatives mod q)."""
+        return np.searchsorted(self._keys, self._canonical_keys(a, b, c, d))
+
+    # Unused by the package; kept because perfbench/tracer.py wraps it.
     def mul_table(self) -> np.ndarray:
         """Dense index multiplication table; mul_table()[i, j] = index(e_i * e_j)."""
-        n = len(self)
-        out = np.empty((n, n), dtype=np.int32)
-        for i, g in enumerate(self.elements):
-            out[i, :] = [self._index[(g * h).entries()] for h in self.elements]
-        return out
+        return self.lookup(*_entry_mul(self.entries[:, :, None], self.entries[:, None, :]))
 
     def left_mul_perm(self, g: PSL2Element) -> np.ndarray:
         """Permutation array i -> index(g * e_i)."""
-        return np.array(
-            [self._index[(g * h).entries()] for h in self.elements], dtype=np.int64
-        )
+        return self.lookup(*_entry_mul(g.entries(), self.entries))
 
     def right_mul_perm(self, g: PSL2Element) -> np.ndarray:
         """Permutation array i -> index(e_i * g)."""
-        return np.array(
-            [self._index[(h * g).entries()] for h in self.elements], dtype=np.int64
-        )
-
-    def inverse_index(self, i: int) -> int:
-        return self._index[self.elements[i].inverse().entries()]
+        return self.lookup(*_entry_mul(self.entries, g.entries()))
 
 
 @lru_cache(maxsize=None)

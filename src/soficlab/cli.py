@@ -56,13 +56,17 @@ def _print_report(report: RunReport) -> None:
 
 
 def cmd_build(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(
         "build",
         {"p": args.p, "m": args.m, "k": args.k, "seed": args.seed},
     )
+    # build the whole model first: a refused build leaves no directory
     family = build_hom_specs(args.p, args.m, args.k)
+    sigma = build_sigma(args.p, args.m, args.k, family=family)
+    if sigma.mode == "exact":
+        tilde = build_tilde_sigma(args.p, args.m, args.k, family=family)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.parameters["r_p"] = family.r_p
     for name, check in family.checks.items():
         report.add_check(f"generation:{name}", check["order"], check["expected"],
@@ -71,10 +75,8 @@ def cmd_build(args) -> int:
     spec_path.write_text(hom_family_to_json(family) + "\n")
     report.add_artifact("homspecs.json", spec_path)
 
-    sigma = build_sigma(args.p, args.m, args.k, family=family)
     report.parameters["mode"] = sigma.mode
     if sigma.mode == "exact":
-        tilde = build_tilde_sigma(args.p, args.m, args.k, family=family)
         for name, perm in sigma.images.items():
             path = out_dir / f"sigma_{name}.sprm"
             write_perm(path, perm, sidecar={

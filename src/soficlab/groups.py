@@ -12,7 +12,10 @@ modulo p and r(p), decorated with zero-sum vectors on a few generators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .algebra import (
     PSL2Element,
@@ -45,9 +48,10 @@ class GenerationCheckError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A computation was refused for its size: a closure exceeded its
-    configured element budget, or a G(p) needs vector indices past the
-    int64 range (3^p > 2^63 - 1: every admissible p from 43 on)."""
+    """A computation was refused for its size: a closure's ambient group
+    exceeded its configured element budget, or a G(p) needs vector
+    indices past the int64 range (3^p > 2^63 - 1: every admissible p
+    from 43 on)."""
 
 
 def free_family_matrix(i: int):
@@ -197,62 +201,92 @@ def _identity_like(element):
     raise TypeError(f"no identity known for {type(element)!r}")
 
 
-def bfs_closure_order(generators, order_bound=None, max_elements=2_000_000) -> int:
-    """Size of the subgroup generated by the given elements, by breadth
-    first closure.  Early-exits once order_bound elements are seen; raises
-    ResourceBudgetError past max_elements."""
-    gens = [g for g in generators]
-    gens += [g.inverse() for g in gens]
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        if order_bound is not None and len(seen) >= order_bound:
-            return len(seen)
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > max_elements:
-                        raise ResourceBudgetError(
-                            f"closure exceeded {max_elements} elements"
-                        )
-        frontier = new
-    return len(seen)
+def _factors(g):
+    """The PSL2 parts of a closure generator: g itself, or both parts of
+    a PairElement."""
+    return (g.left, g.right) if isinstance(g, PairElement) else (g,)
 
 
-def bfs_closure_with_words(named_generators: dict, max_elements=2_000_000):
-    """Full closure together with one witnessing word per element.
+class Closure:
+    """Breadth-first closure of PSL2Elements, or of PairElements of two,
+    on the flat index of their ambient group (a pair's index is
+    left * |K| + right).
 
-    Returns {element: ReducedWord}; words are over the given generator
-    names (inverses included).  Intended for small, fully enumerable
-    targets; raises ResourceBudgetError past the budget.
+    The search starts at the identity and steps by right multiplication
+    with g1, g1^-1, g2, g2^-1, ... in that order, so every level is found
+    in the order an element-by-element search meets it.  len() is the
+    number of elements reached; closure[element] rebuilds the word of the
+    search path to element over the generator names.  Raises
+    ResourceBudgetError, before any search array is allocated, when the
+    ambient group has more than max_elements elements.
     """
-    words = {}
-    step = []
-    for name, g in named_generators.items():
-        step.append((g, ReducedWord.gen(name, 1)))
-        step.append((g.inverse(), ReducedWord.gen(name, -1)))
-    ident = _identity_like(next(iter(named_generators.values())))
-    words[ident] = ReducedWord.identity()
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            wx = words[x]
-            for g, wg in step:
-                y = x * g
-                if y not in words:
-                    words[y] = wx * wg
-                    new.append(y)
-                    if len(words) > max_elements:
-                        raise ResourceBudgetError(
-                            f"closure exceeded {max_elements} elements"
-                        )
-        frontier = new
-    return words
+
+    def __init__(self, generators, names=(), order_bound=None, max_elements=2_000_000):
+        self.letters = [(name, s) for name in names for s in (1, -1)]
+        self.tables = [psl2_table(f.q) for f in _factors(generators[0])]
+        self.shape = tuple(len(t) for t in self.tables)
+        n = math.prod(self.shape)
+        if n > max_elements:
+            raise ResourceBudgetError(
+                f"closure in a group of order {n} exceeds the budget of "
+                f"{max_elements} elements"
+            )
+        steps = []
+        for g in generators:
+            forward = [t.right_mul_perm(f) for t, f in zip(self.tables, _factors(g))]
+            backward = [np.empty_like(m) for m in forward]
+            for m, inv in zip(forward, backward):
+                inv[m] = np.arange(len(m))
+            steps += [forward, backward]
+        self.parent = np.full(n, -1, dtype=np.int64)
+        self.step = np.zeros(n, dtype=np.int64)
+        frontier = np.array([self._index([PSL2Element.identity(t.q) for t in self.tables])])
+        self.parent[frontier] = frontier
+        self.order = 1
+        while frontier.size and (order_bound is None or self.order < order_bound):
+            coords = np.unravel_index(frontier, self.shape)
+            # candidates x-major: row x holds x g1, x g1^-1, x g2, ...
+            cand = np.stack([np.ravel_multi_index([m[c] for m, c in zip(maps, coords)],
+                                                  self.shape)
+                             for maps in steps], axis=1).ravel()
+            fresh = np.flatnonzero(self.parent[cand] < 0)
+            _, first = np.unique(cand[fresh], return_index=True)
+            keep = fresh[np.sort(first)]
+            new = cand[keep]
+            self.parent[new] = frontier[keep // len(steps)]
+            self.step[new] = keep % len(steps)
+            self.order += len(new)
+            frontier = new
+
+    def _index(self, parts) -> int:
+        return int(np.ravel_multi_index([t.index(f) for t, f in zip(self.tables, parts)],
+                                        self.shape))
+
+    def __len__(self):
+        return self.order
+
+    def __getitem__(self, element) -> ReducedWord:
+        i = self._index(_factors(element))
+        if self.parent[i] < 0:
+            raise KeyError(element)
+        letters = []
+        while self.parent[i] != i:
+            letters.append(self.letters[self.step[i]])
+            i = self.parent[i]
+        return ReducedWord(tuple(reversed(letters)))
+
+
+def bfs_closure_order(generators, order_bound=None, max_elements=2_000_000) -> int:
+    """Order of the subgroup the generators generate (see Closure); the
+    search stops once order_bound elements are reached.  0 for no
+    generators."""
+    generators = list(generators)
+    return len(Closure(generators, (), order_bound, max_elements)) if generators else 0
+
+
+def bfs_closure_with_words(named_generators: dict, max_elements=2_000_000) -> Closure:
+    """Full closure with one witnessing word per element (see Closure)."""
+    return Closure(list(named_generators.values()), named_generators, None, max_elements)
 
 
 @dataclass
@@ -510,6 +544,26 @@ def _split_by_decoration(spec: HomSpec):
     return zero_gens, decorated
 
 
+def _matrix_part(img):
+    """The PSL2 part of a G(p) element, or the pair of PSL2 parts of a
+    G(p) x K element."""
+    return PairElement(img.left.h, img.right) if isinstance(img, PairElement) else img.h
+
+
+def _witness(spec, zero_gens, decorated, words) -> dict:
+    """The first decorated image times the undecorated word that cancels
+    its matrix part: the product is a pure vector, recorded with the
+    dimension of its invariant closure."""
+    name, img = next(iter(decorated.items()))
+    cancel = words[_matrix_part(img).inverse()]
+    zero_part = HomSpec("zero-part", tuple(zero_gens), tuple(zero_gens.values()), spec.target)
+    witness = img * hom_eval(zero_part, cancel)
+    assert _matrix_part(witness).is_identity()
+    vector = _gp_part(witness).a
+    return {"witness_generator": name, "cancelling_word": repr(cancel),
+            "witness_vector": vector.coords, "closure_dim": invariant_closure_dim(vector)}
+
+
 def _verify_onto_gp(spec: HomSpec, family: HomFamily) -> SurjectivityCertificate:
     p = family.p
     h_order = psl2_order(p)
@@ -524,30 +578,15 @@ def _verify_onto_gp(spec: HomSpec, family: HomFamily) -> SurjectivityCertificate
         details["reason"] = "all vector parts zero: image lies in the matrix factor"
         return SurjectivityCertificate(False, spec.target, "no-decoration", details)
 
-    words = bfs_closure_with_words({g: img.h for g, img in zero_gens.items()})
+    words = bfs_closure_with_words({g: _matrix_part(img) for g, img in zero_gens.items()})
     if len(words) != h_order:
         details["reason"] = "undecorated images do not generate the matrix factor"
         details["undecorated_order"] = len(words)
         return SurjectivityCertificate(False, spec.target, "undecorated", details)
 
-    name, img = next(iter(decorated.items()))
-    cancel = words[img.h.inverse()]
-    witness_el = img * hom_eval(
-        HomSpec("zero-part", tuple(zero_gens), tuple(zero_gens.values()), spec.target),
-        cancel,
-    )
-    assert witness_el.h.is_identity()
-    dim = invariant_closure_dim(witness_el.a)
-    details.update(
-        {
-            "witness_generator": name,
-            "cancelling_word": repr(cancel),
-            "witness_vector": witness_el.a.coords,
-            "closure_dim": dim,
-        }
-    )
-    ok = dim == p
-    return SurjectivityCertificate(ok, spec.target, "trivial-matrix-part-witness", details)
+    details.update(_witness(spec, zero_gens, decorated, words))
+    return SurjectivityCertificate(details["closure_dim"] == p, spec.target,
+                                   "trivial-matrix-part-witness", details)
 
 
 def _verify_onto_gtilde_direct(spec, family) -> SurjectivityCertificate:
@@ -558,33 +597,16 @@ def _verify_onto_gtilde_direct(spec, family) -> SurjectivityCertificate:
     if not decorated:
         details["reason"] = "all vector parts zero"
         return SurjectivityCertificate(False, spec.target, "no-decoration", details)
-    pairs = {g: PairElement(img.left.h, img.right) for g, img in zero_gens.items()}
     try:
-        words = bfs_closure_with_words(pairs, max_elements=pair_order)
+        words = bfs_closure_with_words({g: _matrix_part(img) for g, img in zero_gens.items()})
     except ResourceBudgetError:
         words = {}
     details["undecorated_pair_order"] = len(words)
     if len(words) != pair_order:
         return SurjectivityCertificate(False, spec.target, "direct", details)
 
-    name, img = next(iter(decorated.items()))
-    need = PairElement(img.left.h.inverse(), img.right.inverse())
-    cancel = words[need]
-    witness_el = img * hom_eval(
-        HomSpec("zero-part", tuple(zero_gens), tuple(zero_gens.values()), spec.target),
-        cancel,
-    )
-    assert witness_el.left.h.is_identity() and witness_el.right.is_identity()
-    dim = invariant_closure_dim(witness_el.left.a)
-    details.update(
-        {
-            "witness_generator": name,
-            "cancelling_word": repr(cancel),
-            "witness_vector": witness_el.left.a.coords,
-            "closure_dim": dim,
-        }
-    )
-    return SurjectivityCertificate(dim == p, spec.target, "direct", details)
+    details.update(_witness(spec, zero_gens, decorated, words))
+    return SurjectivityCertificate(details["closure_dim"] == p, spec.target, "direct", details)
 
 
 def _verify_onto_gtilde_goursat(spec, family, direct_attempt) -> SurjectivityCertificate:

@@ -106,9 +106,9 @@ class ExactPerm:
         if self._inverse is None:
             inv = np.empty_like(self.images)
             inv[self.images] = np.arange(len(self.images), dtype=np.int64)
-            out = ExactPerm(inv, domain=self.domain, validate=False)
-            out._inverse = self
-            self._inverse = out
+            # no back link from the inverse: a cycle would keep both image
+            # arrays alive until a full garbage collection
+            self._inverse = ExactPerm(inv, domain=self.domain, validate=False)
         return self._inverse
 
     def compose(self, other: "ExactPerm") -> "ExactPerm":

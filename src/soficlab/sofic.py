@@ -354,7 +354,7 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     if sigma is None:
         sigma = build_sigma(p, m, k)
     if sigma.mode != "exact":
-        raise ValueError("the four-condition report needs the exact mode")
+        raise ResourceBudgetError("the four-condition report needs the exact mode")
     ctx: GpContext = sigma.meta["context"]
     family = sigma.family
     import random as _random

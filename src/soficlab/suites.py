@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import centralizer_fraction_max, psl2_order
 from .f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
-from .groups import build_hom_specs, bfs_closure_order, hom_eval
+from .groups import build_hom_specs, hom_eval
 from .partitions import (
     CANDIDATE_KEY_DIMS,
     CylinderPartition,
@@ -33,6 +33,7 @@ from .smallgroups import (
     all_subgroups,
     cyclic_table,
     left_coset_ids,
+    subgroup_closure,
     symmetric_table,
 )
 from .sofic import (
@@ -407,37 +408,9 @@ def _generating_pair(table) -> list:
     n = len(table)
     for g in range(1, n):
         for h in range(g + 1, n):
-            if bfs_closure_order([_TableElement(table, g), _TableElement(table, h)],
-                                 order_bound=n) == n:
+            if len(subgroup_closure(table, {g, h})) == n:
                 return [g, h]
     raise ValueError("no generating pair")
-
-
-class _TableElement:
-    """Adapter giving table rows the element protocol used by closures."""
-
-    __slots__ = ("table", "i")
-
-    def __init__(self, table, i):
-        self.table = table
-        self.i = int(i)
-
-    def __mul__(self, other):
-        return _TableElement(self.table, self.table[self.i, other.i])
-
-    def inverse(self):
-        from .smallgroups import inverse_index
-
-        return _TableElement(self.table, inverse_index(self.table, self.i))
-
-    def is_identity(self):
-        return bool(np.array_equal(self.table[self.i], np.arange(len(self.table))))
-
-    def __eq__(self, other):
-        return isinstance(other, _TableElement) and self.i == other.i
-
-    def __hash__(self):
-        return hash(self.i)
 
 
 SUITES = {

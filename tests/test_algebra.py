@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab.algebra import (
     PSL2Element,
@@ -154,3 +156,14 @@ def test_next_prime():
     assert next_prime(7) == 11
     assert next_prime(13) == 17
     assert next_prime(37) == 41
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from((5, 7, 11, 13)), data=st.data())
+def test_multiplication_maps_match_object_products(q, data):
+    table = psl2_table(q)
+    i = data.draw(st.integers(0, len(table) - 1))
+    j = data.draw(st.integers(0, len(table) - 1))
+    expected = table.index(table[i] * table[j])
+    assert table.left_mul_perm(table[i])[j] == expected
+    assert table.right_mul_perm(table[j])[i] == expected

@@ -119,6 +119,18 @@ def test_measure_defect_refuses_p_past_int64_indices(capsys):
     assert "resource refusal" in capsys.readouterr().err
 
 
+def test_four_conditions_past_exact_mode_is_a_resource_refusal(capsys):
+    assert main(["verify", "four-conditions", "--p", "13"]) == 3
+    assert "resource refusal" in capsys.readouterr().err
+
+
+def test_refused_build_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "b43"
+    assert main(["build", "--p", "43", "--out", str(out)]) == 3
+    assert "resource refusal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_measure_rejects_bad_primes(capsys):
     assert main(["measure", "boundary", "--primes", "7,11"]) == 2
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soficlab.algebra import PSL2Element, psl2_order
+from soficlab.algebra import PSL2Element, psl2_order, psl2_table
 from soficlab.f3vectors import ApVector, ap_unindex, h_act, v_vector
 from soficlab.groups import (
     GenerationCheckError,
@@ -17,6 +19,7 @@ from soficlab.groups import (
     HomSpec,
     verify_surjectivity,
 )
+from soficlab.smallgroups import subgroup_closure
 from soficlab.words import ReducedWord, random_reduced_word
 
 GAMMA = ("a1", "a2", "a3", "a4")
@@ -172,10 +175,36 @@ def test_bfs_right_undecorated_closure(family7):
     assert got == 168
 
 
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from((5, 7)), data=st.data())
+def test_bfs_closure_matches_brute_force_oracle(q, data):
+    table = psl2_table(q)
+    i = data.draw(st.integers(0, len(table) - 1))
+    j = data.draw(st.integers(0, len(table) - 1))
+    oracle = subgroup_closure(table.mul_table(), {i, j})
+    assert bfs_closure_order([table[i], table[j]]) == len(oracle)
+
+
 @pytest.mark.parametrize("name", ["phi", "rho", "phi_tilde", "rho_tilde"])
 def test_surjectivity_certificates(name, family7):
     cert = verify_surjectivity(family7[name], family7)
     assert cert.ok, cert.details
+
+
+# the search order of the closures decides which word is found
+CANCELLING_WORDS_P7 = {
+    "phi": "a1^-1 a2 a2 a1^-1 a2^-1",
+    "rho": "b1^-1 b2 b2 b1^-1 b2^-1",
+    "phi_tilde": "a2 a1 a2 a1^-1 a2^-1 a1^-1 a1^-1 a2^-1 a1^-1 a2 a1",
+    "rho_tilde": "b1 b2^-1 b1^-1 b2^-1 b2^-1 b2^-1 b2^-1 b1^-1 b2^-1 b1 b2^-1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANCELLING_WORDS_P7))
+def test_certificate_words_are_pinned(name, family7):
+    details = verify_surjectivity(family7[name], family7).details
+    assert details["cancelling_word"] == CANCELLING_WORDS_P7[name]
+    assert details["closure_dim"] == 7
 
 
 def test_rho_tilde_factor_quotient_route(family7):

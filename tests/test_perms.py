@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,18 @@ def random_exact(rng, n):
 def test_validation_rejects_non_bijection():
     with pytest.raises(ValueError):
         ExactPerm([0, 0, 2])
+
+
+def test_inverted_perm_is_freed_without_garbage_collection():
+    perm = ExactPerm(np.arange(10)[::-1].copy())
+    perm.inverse()
+    ref = weakref.ref(perm)
+    gc.disable()
+    try:
+        del perm
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_inverse_and_compose():

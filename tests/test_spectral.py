@@ -6,7 +6,12 @@ import pytest
 
 from soficlab.f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
 from soficlab.perms import ExactPerm
-from soficlab.smallgroups import cyclic_table, left_regular_perms, symmetric_table
+from soficlab.smallgroups import (
+    cyclic_table,
+    left_regular_perms,
+    subgroup_closure,
+    symmetric_table,
+)
 from soficlab.spectral import (
     boundary_ratio_explicit,
     boundary_ratio_slab,
@@ -132,14 +137,10 @@ def test_kazhdan_two_point():
 
 def test_kazhdan_sandwich_sym3_all_generating_pairs():
     _, table = symmetric_table(3)
-    from soficlab.groups import bfs_closure_order
-    from soficlab.suites import _TableElement
-
     tested = 0
     for g in range(1, 6):
         for h in range(g + 1, 6):
-            if bfs_closure_order([_TableElement(table, g), _TableElement(table, h)],
-                                 order_bound=6) != 6:
+            if len(subgroup_closure(table, {g, h})) != 6:
                 continue
             tested += 1
             kb = kazhdan_bounds(table, [g, h], seed=0)
@@ -151,14 +152,11 @@ def test_kazhdan_twisted_pair_exceeds_naive_upper():
     # the squared constant for a transposition and a 3-cycle is 12/7, which
     # sits strictly above 2*gap = 3/2: the sum bound is the right ceiling
     _, table = symmetric_table(3)
-    from soficlab.groups import bfs_closure_order
-    from soficlab.suites import _TableElement
     from math import sqrt
 
     for g in range(1, 6):
         for h in range(g + 1, 6):
-            if bfs_closure_order([_TableElement(table, g), _TableElement(table, h)],
-                                 order_bound=6) != 6:
+            if len(subgroup_closure(table, {g, h})) != 6:
                 continue
             kb = kazhdan_bounds(table, [g, h], seed=0)
             if abs(kb["gap"] - 0.75) < 1e-12:
