@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from .f3vectors import _check_p
 from .groups import (
     GenerationCheckError,
     ResourceBudgetError,
@@ -38,6 +39,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# verification suites that build at a chosen p
+P_SUITES = ("four-conditions", "soficity", "partition")
 
 
 def _write_report(report: RunReport, out_dir) -> None:
@@ -64,7 +68,7 @@ def cmd_build(args) -> int:
     family = build_hom_specs(args.p, args.m, args.k)
     sigma = build_sigma(args.p, args.m, args.k, family=family)
     if sigma.mode == "exact":
-        tilde = build_tilde_sigma(args.p, args.m, args.k, family=family)
+        tilde = build_tilde_sigma(sigma)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.parameters["r_p"] = family.r_p
@@ -117,7 +121,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     kwargs = {"seed": args.seed}
-    if args.suite in ("four-conditions", "soficity", "partition") and args.p:
+    if args.suite in P_SUITES and args.p:
         kwargs["p"] = args.p
     report = suite(**kwargs)
     _write_report(report, args.out)
@@ -134,26 +138,21 @@ def _write_csv(rows, path, columns):
 
 
 def cmd_measure(args) -> int:
-    primes = tuple(int(p) for p in args.primes.split(","))
-    for p in primes:
-        if p % 3 != 1:
-            print(f"prime {p} is not 1 mod 3", file=sys.stderr)
-            return EXIT_USAGE
     if args.table == "boundary":
-        rows = measure_boundary(primes)
+        rows = measure_boundary(args.primes)
         cols = ["p", "generator", "family", "ratio_domain", "ratio_witness",
                 "sqrt_p_scaled", "mode"]
     elif args.table == "defect":
-        if args.mode == "exact" and any(p > 7 for p in primes):
+        if args.mode == "exact" and any(p > 7 for p in args.primes):
             print("exact defect tables past the enumerable domain are refused; "
                   "use --mode sampled", file=sys.stderr)
             return EXIT_RESOURCE
-        rows = measure_defect(primes, samples=args.samples, seed=args.seed)
+        rows = measure_defect(args.primes, samples=args.samples, seed=args.seed)
         cols = ["p", "mode", "value", "radius", "samples", "seed"]
     elif args.table == "spectra":
-        rows = measure_spectra(primes, seed=args.seed)
+        rows = measure_spectra(args.primes, seed=args.seed)
         cols = ["p", "family", "N", "degree", "lambda2", "gap", "residual",
-                "iterations", "seed"]
+                "iterations", "converged", "seed"]
     else:
         return EXIT_USAGE
     out = args.out or f"{args.table}.csv"
@@ -195,6 +194,10 @@ def cmd_induce(args) -> int:
     return report.exit_code
 
 
+def _prime_list(text: str) -> tuple:
+    return tuple(int(p) for p in text.split(","))
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="soficlab",
@@ -220,7 +223,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     me = sub.add_parser("measure", help="emit a measurement table as CSV")
     me.add_argument("table", choices=["boundary", "defect", "spectra"])
-    me.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES))
+    me.add_argument("--primes", type=_prime_list,
+                    default=",".join(str(p) for p in DEFAULT_PRIMES))
     me.add_argument("--samples", type=int, default=50_000)
     me.add_argument("--seed", type=int, default=17)
     me.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
@@ -243,8 +247,24 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _primes_used(args) -> tuple:
+    """Every prime the parsed command builds for, from --p or --primes."""
+    if args.command == "measure":
+        return args.primes
+    if args.command == "verify" and args.suite not in P_SUITES:
+        return ()
+    p = getattr(args, "p", None)
+    return () if p is None else (p,)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    try:
+        for p in _primes_used(args):
+            _check_p(p)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except ResourceBudgetError as exc:

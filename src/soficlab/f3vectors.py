@@ -47,9 +47,6 @@ class TypeCount:
     def length(self):
         return self.n0 + self.n1 + self.n2
 
-    def is_zero_sum(self) -> bool:
-        return (self.n1 + 2 * self.n2) % 3 == 0
-
     def in_sp(self) -> bool:
         return self.n1 > self.n0 + 2 and self.n1 > self.n2 + 2
 
@@ -98,10 +95,6 @@ class ApVector:
     @staticmethod
     def zero(p: int) -> "ApVector":
         return ApVector(p, (0,) * (p + 1))
-
-    @staticmethod
-    def from_index(i: int, p: int) -> "ApVector":
-        return ap_unindex(i, p)
 
     def is_zero(self) -> bool:
         return self.bits == 0

@@ -172,12 +172,6 @@ class CylinderPartition:
         na, nh, ny = self.sizes
         return na * nh * ny
 
-    def block_count(self):
-        return _prod_over(self.sizes, self.key_dims)
-
-    def block_size(self):
-        return _prod_over(self.sizes, set(FACTOR_ORDER) - self.key_dims)
-
 
 def _prod_over(sizes, dims):
     out = 1
@@ -290,6 +284,7 @@ def relabel_noise(partition: LabeledPartition, epsilon: float, rng) -> LabeledPa
     n = partition.size
     b = partition.n_blocks
     ids = partition.block_ids.copy()
+    sizes = partition.sizes.copy()
     n_move = int(epsilon * n)
     movable = rng.permutation(n)[: n_move + b]  # spares in case a block empties
     moved = 0
@@ -297,12 +292,14 @@ def relabel_noise(partition: LabeledPartition, epsilon: float, rng) -> LabeledPa
         if moved >= n_move:
             break
         k = ids[x]
-        if np.count_nonzero(ids == k) == 1:
+        if sizes[k] == 1:
             continue
         new = int(rng.integers(0, b - 1))
         if new >= k:
             new += 1
         ids[x] = new
+        sizes[k] -= 1
+        sizes[new] += 1
         moved += 1
     return LabeledPartition(ids)
 

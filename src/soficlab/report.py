@@ -66,14 +66,6 @@ class RunReport:
         self.checks.append(entry)
         return entry
 
-    def add_estimate(self, name, estimate, bound, passed, **extra):
-        """Record a DHEstimate-like object with its mode and radius."""
-        return self.add_check(
-            name, estimate.value, bound, passed, mode=estimate.mode,
-            radius=estimate.radius, confidence=estimate.confidence,
-            seed=getattr(estimate, "seed", None), **extra,
-        )
-
     def add_artifact(self, name, path):
         self.artifacts[name] = sha256_file(path)
 

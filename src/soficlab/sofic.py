@@ -275,17 +275,14 @@ def build_sigma(p, m, k, family: HomFamily = None, mode: str = None) -> Asymptot
     )
 
 
-def build_tilde_sigma(p, m, k, family: HomFamily = None, mode: str = None) -> AsymptoticHom:
-    """The product-domain model on G(p) x K: the first factor is the G(p)
-    model, the second is exact in both coordinates (left translation by
-    the K-images of left generators, inverse right translation by the
-    zeta images of right generators), so the K factor never contributes
-    defect."""
-    if family is None:
-        family = build_hom_specs(p, m, k)
-    sigma = build_sigma(p, m, k, family=family, mode=mode)
-    r_p = family.r_p
-    kt = psl2_table(r_p)
+def build_tilde_sigma(sigma: AsymptoticHom) -> AsymptoticHom:
+    """The product-domain model on G(p) x K: the first factor is the given
+    G(p) model (its family and mode carry over), the second is exact in
+    both coordinates (left translation by the K-images of left generators,
+    inverse right translation by the zeta images of right generators), so
+    the K factor never contributes defect."""
+    family = sigma.family
+    kt = psl2_table(family.r_p)
     k_domain = FlatDomain(len(kt))
     psi, zeta = family["psi"], family["zeta"]
     images = {}

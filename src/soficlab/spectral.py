@@ -2,8 +2,8 @@
 Kazhdan-constant bounds on small groups.
 
 The adjacency operator is never materialized on the large graphs: a
-Cayley graph stores its generator permutations (dense arrays, or
-coordinatewise pairs on product groups) and multiplies matrix-free.
+Cayley graph stores each step as one flat image array and multiplies
+matrix-free, one gather per step.
 Power iteration runs on the half-shifted operator (I + A)/2 restricted to
 the complement of constants, so it converges to the largest nontrivial
 eigenvalue of A in the signed sense; the shift is what makes bipartite
@@ -27,34 +27,24 @@ from scipy import optimize
 
 from .f3vectors import shift_overlap_counts
 from .groups import GpElement
-from .perms import ExactPerm, ProductPerm
+from .perms import ExactPerm
 from .smallgroups import inverse_index, left_regular_perms
-
-
-def _gather(v: np.ndarray, perm) -> np.ndarray:
-    """v o perm as a vector: out[x] = v[perm(x)]."""
-    if isinstance(perm, ExactPerm):
-        return v[perm.images]
-    if isinstance(perm, ProductPerm) and len(perm.factors) == 2:
-        left, right = perm.factors
-        v2 = v.reshape(left.size, right.size)
-        return v2[left.images][:, right.images].ravel()
-    raise TypeError("matrix-free products need dense or pairwise-dense actions")
 
 
 class CayleyGraph:
     """A regular graph from a symmetric multiset of generator actions.
 
-    Generators come unpaired; each is used together with its inverse, so
-    the degree is twice the generator count (an involution contributes a
-    double edge, keeping the degree and the operator normalization fixed).
+    Generators come unpaired as ExactPerms; each is used together with its
+    inverse, so the degree is twice the generator count (an involution
+    contributes a double edge, keeping the degree and the operator
+    normalization fixed).
     """
 
-    def __init__(self, actions, size: int = None):
+    def __init__(self, actions):
         self.actions = list(actions)
         if not self.actions:
             raise ValueError("at least one generator action is required")
-        self.size = size if size is not None else self.actions[0].size
+        self.size = self.actions[0].size
         self.degree = 2 * len(self.actions)
         self._steps = []
         for a in self.actions:
@@ -65,7 +55,7 @@ class CayleyGraph:
         """Normalized adjacency product."""
         out = np.zeros_like(v)
         for step in self._steps:
-            out += _gather(v, step)
+            out += v[step.images]
         out /= self.degree
         return out
 
@@ -75,7 +65,7 @@ class CayleyGraph:
         out = np.zeros((self.size, self.size))
         eye = np.eye(self.size)
         for step in self._steps:
-            out += _gather(eye, step)
+            out += eye[step.images]
         return out / self.degree
 
 
@@ -86,15 +76,14 @@ def cycle_graph(n: int) -> CayleyGraph:
 
 def pair_product_cayley(table_left, table_right, elements) -> CayleyGraph:
     """Cayley graph of a product of two enumerated groups under left
-    translation by the given pair elements."""
+    translation by the given pair elements, on the flat index
+    left * |right group| + right."""
+    n_right = len(table_right)
     actions = []
     for el in elements:
-        actions.append(
-            ProductPerm(
-                ExactPerm(table_left.left_mul_perm(el.left)),
-                ExactPerm(table_right.left_mul_perm(el.right)),
-            )
-        )
+        left = table_left.left_mul_perm(el.left)
+        right = table_right.left_mul_perm(el.right)
+        actions.append(ExactPerm((left[:, None] * n_right + right[None, :]).ravel()))
     return CayleyGraph(actions)
 
 
@@ -184,15 +173,6 @@ def boundary_ratio_slab(p: int, elements: dict) -> dict:
 
 # -- Kazhdan constants on small groups --------------------------------------
 
-def _regular_rep_perms(table: np.ndarray, gens):
-    """pi(g) xi [x] = xi[g^-1 x] as gather arrays."""
-    out = {}
-    for g in gens:
-        ginv = inverse_index(table, g)
-        out[g] = table[ginv, :].copy()
-    return out
-
-
 def kazhdan_bounds(table: np.ndarray, gens, direct=True, seed=0, restarts=8,
                    maxiter=400) -> dict:
     """Spectral sandwich and an optional direct minimization.
@@ -239,7 +219,9 @@ def _objective(xi, rep_arrays):
 
 def _kazhdan_direct(table, gens, seed=0, restarts=8, maxiter=400) -> float:
     n = len(table)
-    rep = list(_regular_rep_perms(table, gens).values())
+    # pi(g) xi [x] = xi[g^-1 x]: gather arrays of the inverse translations
+    rep = list(left_regular_perms(
+        table, [inverse_index(table, g) for g in gens]).values())
     rng = np.random.default_rng(seed)
     best = float("inf")
 
@@ -287,8 +269,10 @@ def verify_amplification(table: np.ndarray, gens, trials=1000, seed=0,
     n = len(table)
     if kappa is None:
         kappa = kazhdan_bounds(table, gens)["direct"]
-    rep_all = list(_regular_rep_perms(table, range(n)).values())
-    rep_gens = list(_regular_rep_perms(table, gens).values())
+    rep_all = list(left_regular_perms(
+        table, [inverse_index(table, g) for g in range(n)]).values())
+    rep_gens = list(left_regular_perms(
+        table, [inverse_index(table, g) for g in gens]).values())
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         xi = rng.standard_normal(n)

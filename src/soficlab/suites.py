@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import centralizer_fraction_max, psl2_order
-from .f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
+from .f3vectors import sp_count_exact
 from .groups import build_hom_specs, hom_eval
 from .partitions import (
     CANDIDATE_KEY_DIMS,
@@ -105,7 +105,7 @@ def _random_nontrivial_word(rng, names, max_len, reject=None, tries=200):
 def suite_soficity(p=7, m=5, k=3, seed=1, n_pairs=50, n_right=20) -> RunReport:
     rep = RunReport("verify soficity", {"p": p, "m": m, "k": k, "seed": seed})
     family = build_hom_specs(p, m, k)
-    tilde = build_tilde_sigma(p, m, k, family=family)
+    tilde = build_tilde_sigma(build_sigma(p, m, k, family=family))
     r_p = family.r_p
     bound = Fraction(1, 2 * (r_p - 1))
     rng = random.Random(seed)
@@ -452,14 +452,6 @@ def measure_boundary(primes=DEFAULT_PRIMES, m=5, k=3) -> list:
     return rows
 
 
-def fitted_boundary_constant(primes=DEFAULT_PRIMES) -> float:
-    """Single constant C with |S symdiff (v + S)| / 3^p <= C / sqrt(p)
-    across the tested primes (the smallest such C)."""
-    return max(
-        sp_shift_diff_exact(p, v_vector(p)) / 3**p * math.sqrt(p) for p in primes
-    )
-
-
 def measure_defect(primes=DEFAULT_PRIMES, m=5, k=3, samples=50_000, seed=17) -> list:
     """Commutator defect of the t image against the decorated right
     generator: exact on enumerable domains, sampled elsewhere."""
@@ -505,6 +497,7 @@ def measure_spectra(primes=(7, 13), m=5, k=3, seed=2, iterations=None) -> list:
                 "gap": est.gap,
                 "residual": est.residual,
                 "iterations": est.iterations,
+                "converged": est.converged,
                 "seed": seed,
             }
         )

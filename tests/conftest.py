@@ -15,5 +15,5 @@ def sigma7(family7):
 
 
 @pytest.fixture(scope="session")
-def tilde7(family7):
-    return build_tilde_sigma(7, 5, 3, family=family7)
+def tilde7(sigma7):
+    return build_tilde_sigma(sigma7)

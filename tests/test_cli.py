@@ -54,9 +54,24 @@ def test_build_files_match_reference_digests(tmp_path):
 
 
 def test_build_rejects_bad_p(tmp_path, capsys):
-    assert main(["build", "--p", "4", "--out", str(tmp_path / "x")]) == 1
+    assert main(["build", "--p", "4", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "prime" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--p", "11", "--out", "OUT"],
+    ["verify", "four-conditions", "--p", "11"],
+    ["verify", "soficity", "--p", "9"],
+    ["partition", "--p", "11"],
+    ["measure", "boundary", "--primes", "7,25"],
+])
+def test_inadmissible_p_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_rejects_small_m(tmp_path, capsys):
@@ -100,7 +115,8 @@ def test_measure_spectra_csv(tmp_path):
     assert main(["measure", "spectra", "--primes", "7", "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out)))
     assert list(rows[0]) == ["p", "family", "N", "degree", "lambda2", "gap",
-                             "residual", "iterations", "seed"]
+                             "residual", "iterations", "converged", "seed"]
+    assert rows[0]["converged"] == "True"
     assert float(rows[0]["gap"]) > 0.05
 
 

@@ -101,6 +101,38 @@ def test_overlap_one_iff_defect_zero():
         assert (abs(ov - 1.0) < 1e-12) == (defect == 0)
 
 
+def _relabel_noise_reference(partition, epsilon, rng):
+    # the quadratic loop: recount a block's size before every move
+    n, b = partition.size, partition.n_blocks
+    ids = partition.block_ids.copy()
+    n_move = int(epsilon * n)
+    moved = 0
+    for x in rng.permutation(n)[: n_move + b]:
+        if moved >= n_move:
+            break
+        k = ids[x]
+        if np.count_nonzero(ids == k) == 1:
+            continue
+        new = int(rng.integers(0, b - 1))
+        if new >= k:
+            new += 1
+        ids[x] = new
+        moved += 1
+    return ids
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relabel_noise_matches_reference_loop(seed):
+    # blocks of one to three points and a large epsilon drain blocks, so
+    # the skip branch runs on counts that earlier moves changed
+    planted = np.repeat(np.arange(12), [1, 2, 3] * 4)
+    for ids, eps in ((np.arange(1200) // 100, 0.05), (planted, 0.5)):
+        part = planted_coset_partition(ids)
+        fast = relabel_noise(part, eps, np.random.default_rng(seed))
+        ref = _relabel_noise_reference(part, eps, np.random.default_rng(seed))
+        assert np.array_equal(fast.block_ids, ref)
+
+
 def test_noisy_coset_overlap_lower_bound():
     rng = np.random.default_rng(5)
     ids = np.arange(1200) // 100

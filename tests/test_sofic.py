@@ -146,6 +146,13 @@ def test_tilde_factorizes(tilde7, family7):
             assert perm.factors[1].images[j] == table.index(u * table[j] * z.inverse())
 
 
+def test_tilde_reuses_the_given_g_model(tilde7, sigma7):
+    # the first factor is the model passed in, not a second build of G(p)
+    assert tilde7.family is sigma7.family and tilde7.mode == sigma7.mode
+    for name, perm in sigma7.images.items():
+        assert tilde7.images[name].factors[0] is perm
+
+
 def test_tilde_second_factor_contributes_no_defect(tilde7):
     rng = random.Random(6)
     for _ in range(20):

@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from soficlab.algebra import psl2_table
 from soficlab.f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
+from soficlab.groups import PairElement
 from soficlab.perms import ExactPerm
 from soficlab.smallgroups import (
     cyclic_table,
@@ -18,6 +21,7 @@ from soficlab.spectral import (
     cycle_graph,
     kazhdan_bounds,
     lambda2_estimate,
+    pair_product_cayley,
     tau_family_graph,
     verify_amplification,
 )
@@ -55,6 +59,34 @@ def test_dense_adjacency_is_symmetric_stochastic():
     dense = graph.dense_adjacency()
     assert np.allclose(dense, dense.T)
     assert np.allclose(dense.sum(axis=1), 1.0)
+
+
+def _pair_graph_3x5():
+    # PSL2(3) x PSL2(5): 12 * 60 = 720 vertices, two random pair generators
+    th, tk = psl2_table(3), psl2_table(5)
+    rng = random.Random(4)
+    elements = [PairElement(th[rng.randrange(1, len(th))], tk[rng.randrange(1, len(tk))])
+                for _ in range(2)]
+    return th, tk, elements, pair_product_cayley(th, tk, elements)
+
+
+def test_pair_product_steps_match_object_products():
+    th, tk, elements, graph = _pair_graph_3x5()
+    assert (graph.size, graph.degree) == (720, 4)
+    for i, el in enumerate(elements):
+        # each generator is followed by its inverse
+        for g, step in ((el, graph._steps[2 * i]), (el.inverse(), graph._steps[2 * i + 1])):
+            expected = [th.index(g.left * th[x]) * len(tk) + tk.index(g.right * tk[y])
+                        for x in range(len(th)) for y in range(len(tk))]
+            assert step.images.tolist() == expected
+
+
+def test_pair_product_matvec_matches_dense_adjacency():
+    *_, graph = _pair_graph_3x5()
+    dense = graph.dense_adjacency()
+    assert np.allclose(dense, dense.T)
+    v = np.random.default_rng(0).standard_normal(graph.size)
+    assert np.allclose(graph.matvec(v), dense @ v)
 
 
 def test_tau_family_gap_positive(family7):
