@@ -7,7 +7,6 @@ The product domain has 242 million points; nothing here materializes it.
 """
 
 import random
-from fractions import Fraction
 
 from soficlab.groups import build_hom_specs, hom_eval
 from soficlab.perms import d_hamming

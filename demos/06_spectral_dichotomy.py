@@ -14,7 +14,6 @@ from soficlab.f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
 from soficlab.groups import build_hom_specs
 from soficlab.smallgroups import cyclic_table, symmetric_table
 from soficlab.spectral import (
-    boundary_ratio_slab,
     cycle_graph,
     kazhdan_bounds,
     lambda2_estimate,

@@ -17,7 +17,7 @@ from soficlab.sofic import (
     lift_branched_cover,
     random_cover,
 )
-from soficlab.words import ReducedWord, random_reduced_word
+from soficlab.words import random_reduced_word
 
 rng = np.random.default_rng(0)
 

@@ -26,6 +26,7 @@ from .report import RunReport, jsonable
 from .sofic import build_sigma, build_tilde_sigma
 from .suites import (
     DEFAULT_PRIMES,
+    SPECTRA_PRIMES,
     SUITES,
     measure_boundary,
     measure_defect,
@@ -138,19 +139,21 @@ def _write_csv(rows, path, columns):
 
 
 def cmd_measure(args) -> int:
+    primes = args.primes or (SPECTRA_PRIMES if args.table == "spectra"
+                             else DEFAULT_PRIMES)
     if args.table == "boundary":
-        rows = measure_boundary(args.primes)
+        rows = measure_boundary(primes)
         cols = ["p", "generator", "family", "ratio_domain", "ratio_witness",
                 "sqrt_p_scaled", "mode"]
     elif args.table == "defect":
-        if args.mode == "exact" and any(p > 7 for p in args.primes):
+        if args.mode == "exact" and any(p > 7 for p in primes):
             print("exact defect tables past the enumerable domain are refused; "
                   "use --mode sampled", file=sys.stderr)
             return EXIT_RESOURCE
-        rows = measure_defect(args.primes, samples=args.samples, seed=args.seed)
+        rows = measure_defect(primes, samples=args.samples, seed=args.seed)
         cols = ["p", "mode", "value", "radius", "samples", "seed"]
     elif args.table == "spectra":
-        rows = measure_spectra(args.primes, seed=args.seed)
+        rows = measure_spectra(primes, seed=args.seed)
         cols = ["p", "family", "N", "degree", "lambda2", "gap", "residual",
                 "iterations", "converged", "seed"]
     else:
@@ -223,8 +226,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     me = sub.add_parser("measure", help="emit a measurement table as CSV")
     me.add_argument("table", choices=["boundary", "defect", "spectra"])
-    me.add_argument("--primes", type=_prime_list,
-                    default=",".join(str(p) for p in DEFAULT_PRIMES))
+    me.add_argument("--primes", type=_prime_list, default=None,
+                    help="default: 7,13 for spectra, 7,13,19,31,37 otherwise")
     me.add_argument("--samples", type=int, default=50_000)
     me.add_argument("--seed", type=int, default=17)
     me.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
@@ -250,7 +253,7 @@ def make_parser() -> argparse.ArgumentParser:
 def _primes_used(args) -> tuple:
     """Every prime the parsed command builds for, from --p or --primes."""
     if args.command == "measure":
-        return args.primes
+        return args.primes or ()
     if args.command == "verify" and args.suite not in P_SUITES:
         return ()
     p = getattr(args, "p", None)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import centralizer_fraction_max, psl2_order
+from .algebra import centralizer_fraction_max, next_prime, psl2_order
 from .f3vectors import sp_count_exact
 from .groups import build_hom_specs, hom_eval
 from .partitions import (
@@ -50,6 +50,7 @@ from .sofic import (
 )
 from .spectral import (
     boundary_ratio_slab,
+    check_pair_budget,
     cycle_graph,
     kazhdan_bounds,
     lambda2_estimate,
@@ -59,6 +60,7 @@ from .spectral import (
 from .words import ProductWord, ReducedWord, random_reduced_word
 
 DEFAULT_PRIMES = (7, 13, 19, 31, 37)
+SPECTRA_PRIMES = (7, 13)            # the Cayley graphs past p = 13 are refused
 
 
 # -- suite: the four conditions at p = 7 ------------------------------------
@@ -478,15 +480,18 @@ def measure_defect(primes=DEFAULT_PRIMES, m=5, k=3, samples=50_000, seed=17) -> 
     return rows
 
 
-def measure_spectra(primes=(7, 13), m=5, k=3, seed=2, iterations=None) -> list:
+def measure_spectra(primes=SPECTRA_PRIMES, m=5, k=3, seed=2) -> list:
     """Gap of the paired-projective Cayley graphs on the undecorated left
-    generators; columns follow the documented CSV layout."""
+    generators; columns follow the documented CSV layout.  Every prime is
+    checked against the Cayley-graph budget before the first graph is
+    built."""
+    for p in primes:
+        check_pair_budget(psl2_order(p), psl2_order(next_prime(p)))
     rows = []
     for p in primes:
         family = build_hom_specs(p, m, k)
         graph = tau_family_graph(family)
-        iters = iterations if iterations else (2000 if graph.size < 10**6 else 300)
-        est = lambda2_estimate(graph, iterations=iters, tolerance=1e-8, seed=seed)
+        est = lambda2_estimate(graph, tolerance=1e-8, seed=seed)
         rows.append(
             {
                 "p": p,

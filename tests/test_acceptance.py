@@ -123,15 +123,15 @@ def test_criterion_08_spectral_dichotomy(family7):
                                  tolerance=1e-10, seed=2)
     circulant_ok = abs(est_cycle.lambda2 - math.cos(2 * math.pi / 100)) <= 1e-6
 
-    gap7 = lambda2_estimate(tau_family_graph(family7), iterations=2000,
-                            tolerance=1e-8, seed=2).gap
+    est7 = lambda2_estimate(tau_family_graph(family7), tolerance=1e-8, seed=2)
+    gap7 = est7.gap
     from soficlab.groups import build_hom_specs
 
     fam13 = build_hom_specs(13, 5, 3)
-    est13 = lambda2_estimate(tau_family_graph(fam13), iterations=300,
-                             tolerance=1e-6, seed=2)
+    est13 = lambda2_estimate(tau_family_graph(fam13), tolerance=1e-6, seed=2)
     gap13 = est13.gap
-    expander_ok = gap7 > 0 and gap13 > 0 and gap13 >= gap7 / 2
+    expander_ok = (est7.converged and est13.converged
+                   and gap7 > 0 and gap13 > 0 and gap13 >= gap7 / 2)
 
     diffs = [sp_shift_diff_exact(p, v_vector(p)) for p in PRIMES]
     c = max(d / 3**p * math.sqrt(p) for d, p in zip(diffs, PRIMES))
@@ -142,7 +142,8 @@ def test_criterion_08_spectral_dichotomy(family7):
 
     _line(8, circulant_ok and expander_ok and shrink_ok,
           f"circulant |err|<=1e-6; gaps p7={gap7:.4f} p13={gap13:.4f} "
-          f"(residual {est13.residual:.1e}); witness ratios decrease "
+          f"(residuals {est7.residual:.1e}, {est13.residual:.1e}; converged "
+          f"{est7.converged}, {est13.converged}); witness ratios decrease "
           f"{[round(float(r), 3) for r in witness_ratios]}")
     _budget(8, time.monotonic() - t0, 300)
 

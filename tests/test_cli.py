@@ -1,6 +1,11 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -111,13 +116,19 @@ def test_measure_defect_csv(tmp_path):
 
 
 def test_measure_spectra_csv(tmp_path):
-    out = tmp_path / "spectra.csv"
-    assert main(["measure", "spectra", "--primes", "7", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in paths:
+        assert main(["measure", "spectra", "--primes", "7", "--seed", "2",
+                     "--out", str(out)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    rows = list(csv.DictReader(open(paths[0])))
     assert list(rows[0]) == ["p", "family", "N", "degree", "lambda2", "gap",
                              "residual", "iterations", "converged", "seed"]
     assert rows[0]["converged"] == "True"
     assert float(rows[0]["gap"]) > 0.05
+    # the reference value is the converged power-iteration estimate
+    assert abs(float(rows[0]["lambda2"]) - 0.9044822283320535) <= 1e-12
+    assert float(rows[0]["residual"]) <= 1e-8
 
 
 def test_measure_defect_exact_refusal(tmp_path, capsys):
@@ -172,3 +183,35 @@ def test_partition_rejects_unknown_candidate(capsys):
 
 def test_induce_command():
     assert main(["induce", "--seed", "5"]) == 0
+
+
+def test_measure_spectra_refuses_oversized_graphs_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # the p = 31 Cayley graph has 376,583,040 vertices; p = 7 is not built either
+    import soficlab.suites
+
+    built = []
+    monkeypatch.setattr(soficlab.suites, "build_hom_specs",
+                        lambda *args: built.append(args))
+    out = tmp_path / "spectra.csv"
+    t0 = time.monotonic()
+    code = main(["measure", "spectra", "--primes", "7,31", "--out", str(out)])
+    assert code == 3
+    assert time.monotonic() - t0 < 5
+    assert built == []
+    assert "resource refusal" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    code = ("import sys, soficlab.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -50,8 +50,10 @@ def test_lambda2_within_unit_interval():
 
 
 def test_unconverged_estimate_is_flagged():
+    # three restarts are too few: the estimate is still a finite number
     est = lambda2_estimate(cycle_graph(400), iterations=3, tolerance=1e-12, seed=3)
     assert not est.converged
+    assert -1.0 <= est.lambda2 <= 1.0 and math.isfinite(est.residual)
 
 
 def test_dense_adjacency_is_symmetric_stochastic():
@@ -87,6 +89,26 @@ def test_pair_product_matvec_matches_dense_adjacency():
     assert np.allclose(dense, dense.T)
     v = np.random.default_rng(0).standard_normal(graph.size)
     assert np.allclose(graph.matvec(v), dense @ v)
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(n) for n in (3, 4, 5, 12, 100)]
+                         + [_pair_graph_3x5()[3]],
+                         ids=["cycle3", "cycle4", "cycle5", "cycle12", "cycle100",
+                              "psl2_3x5"])
+def test_lambda2_matches_dense_second_eigenvalue(graph):
+    truth = np.linalg.eigvalsh(graph.dense_adjacency())[-2]
+    est = lambda2_estimate(graph, tolerance=1e-10, seed=5)
+    assert est.converged and est.residual <= 1e-10
+    assert abs(est.lambda2 - truth) <= 1e-9
+
+
+def test_pair_product_cayley_refuses_past_exact_budget():
+    # p = 19: |PSL2(19)| * |PSL2(23)| = 3,420 * 6,072 = 20.8M vertices
+    from soficlab.groups import ResourceBudgetError
+
+    th, tk = psl2_table(19), psl2_table(23)
+    with pytest.raises(ResourceBudgetError):
+        pair_product_cayley(th, tk, [PairElement(th[1], tk[1])])
 
 
 def test_tau_family_gap_positive(family7):
