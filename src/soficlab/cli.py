@@ -201,6 +201,12 @@ def _prime_list(text: str) -> tuple:
     return tuple(int(p) for p in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="soficlab",
@@ -228,7 +234,7 @@ def make_parser() -> argparse.ArgumentParser:
     me.add_argument("table", choices=["boundary", "defect", "spectra"])
     me.add_argument("--primes", type=_prime_list, default=None,
                     help="default: 7,13 for spectra, 7,13,19,31,37 otherwise")
-    me.add_argument("--samples", type=int, default=50_000)
+    me.add_argument("--samples", type=_positive_int, default=50_000)
     me.add_argument("--seed", type=int, default=17)
     me.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
     me.add_argument("--out", default=None)

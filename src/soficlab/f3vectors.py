@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import PSL2Element, moebius_act, projective_line, is_prime
+from .algebra import PSL2Element, PSL2Table, is_prime, moebius_act, projective_line
 
 _POW3 = [3**i for i in range(64)]
 
@@ -188,6 +188,21 @@ def h_position_perm(h: PSL2Element):
     return tuple(position_of_point(moebius_act(hinv, line[i]), p) for i in range(p + 1))
 
 
+def position_table(table: PSL2Table) -> np.ndarray:
+    """(|H|, p+1) uint8 array whose row i is h_position_perm(table[i]),
+    from one Moebius map of every inverse over every position."""
+    p = table.q
+    a, b, c, d = (e[:, None] for e in table.entries)
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    x = np.arange(p + 1, dtype=np.int64)
+    finite = x < p
+    # h^(-1) = [[d, -b], [-c, a]] sends x to (d x - b) / (a - c x) and the
+    # point at infinity (position p) to d / (-c); a zero denominator is p
+    num = np.where(finite, d * x - b, d) % p
+    den = np.where(finite, a - c * x, -c) % p
+    return np.where(den == 0, p, num * inv[den] % p).astype(np.uint8)
+
+
 def h_act(h: PSL2Element, x: ApVector) -> ApVector:
     src = h_position_perm(h)
     c = x.coords
@@ -348,15 +363,36 @@ def invariant_closure_dim(x: ApVector, generators=None) -> int:
 # Coordinate arrays carry the p+1 coordinates of each vector on their last
 # axis; every helper works on any leading shape.
 
+# Row k: the base-3 digits of k < 3^8, least significant first, also
+# packed as one uint64 word (native byte order), and their sum mod 3.
+_CHUNK = 8
+_CHUNK_DIGITS = np.ascontiguousarray(
+    np.indices((3,) * _CHUNK, dtype=np.uint8).reshape(_CHUNK, -1)[::-1].T)
+_CHUNK_WORDS = _CHUNK_DIGITS.view(np.uint64).ravel()
+_CHUNK_SUMS = (_CHUNK_DIGITS.sum(axis=1) % 3).astype(np.uint8)
+
+
 def decode_indices(idx: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates (..., p+1) of an array of A(p) indices."""
+    """Coordinates (..., p+1) of an array of A(p) indices.
+
+    The index is split into 8-digit base-3 chunks, each chunk's digits are
+    copied from a table as one 8-byte word, and the last coordinate comes
+    from the chunks' digit sums.  The result is a view into the padded
+    word buffer.
+    """
     idx = np.asarray(idx, dtype=np.int64)
-    out = np.empty(idx.shape + (p + 1,), dtype=np.uint8)
+    n_words = p // _CHUNK + 1  # room for p digits and the last coordinate
+    words = np.empty(idx.shape + (n_words,), dtype=np.uint64)
+    digit_sum = np.zeros(idx.shape, dtype=np.uint8)
     rem = idx
-    for i in range(p):
-        out[..., i] = rem % 3
-        rem = rem // 3
-    out[..., p] = (-out[..., :p].sum(axis=-1, dtype=np.int64)) % 3
+    for j in range(n_words):
+        quot = rem // 3**_CHUNK
+        chunk = rem - quot * 3**_CHUNK
+        words[..., j] = _CHUNK_WORDS[chunk]
+        digit_sum += _CHUNK_SUMS[chunk]
+        rem = quot
+    out = words.view(np.uint8)[..., : p + 1]
+    out[..., p] = (3 - digit_sum % 3) % 3
     return out
 
 
@@ -381,8 +417,8 @@ def encode_coords(mat: np.ndarray) -> np.ndarray:
 
 def sp_mask(coords: np.ndarray) -> np.ndarray:
     """Boolean S(p) membership of each vector of a coordinate array."""
-    n1 = np.count_nonzero(coords == 1, axis=-1)
-    n0 = np.count_nonzero(coords == 0, axis=-1)
+    n1 = (coords == 1).sum(axis=-1, dtype=np.int16)
+    n0 = (coords == 0).sum(axis=-1, dtype=np.int16)
     n2 = coords.shape[-1] - n0 - n1
     return (n1 > n0 + 2) & (n1 > n2 + 2)
 

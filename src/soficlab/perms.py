@@ -25,6 +25,9 @@ from math import log, sqrt
 import numpy as np
 
 EXACT_DOMAIN_BUDGET = 5_000_000
+# Sampled distances evaluate their drawn points this many at a time, which
+# bounds the temporaries of implicit maps on coordinate rows.
+SAMPLE_BLOCK = 1 << 16
 
 
 class FlatDomain:
@@ -239,13 +242,21 @@ def _materialize(perm) -> ExactPerm:
     raise ValueError("operand cannot be enumerated for exact comparison")
 
 
+def _point_block(points, rows: slice):
+    """The given rows of a point batch (an array or nested tuples of them)."""
+    if isinstance(points, tuple):
+        return tuple(_point_block(x, rows) for x in points)
+    return points[rows]
+
+
 def d_hamming(sigma, tau, mode="exact", samples=None, seed=None, confidence=0.99):
     """Normalized Hamming distance between two permutations of one domain.
 
     Exact mode returns a Fraction with radius 0.  Sampled mode requires an
     explicit seed (estimates must be reproducible) and returns the
     empirical disagreement fraction over uniform points together with the
-    Hoeffding radius at the given confidence.
+    Hoeffding radius at the given confidence; the points are drawn at once
+    and compared in blocks of SAMPLE_BLOCK.
     """
     if sigma.domain != tau.domain:
         raise ValueError("domain mismatch")
@@ -265,8 +276,12 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None, confidence=0.99
             raise ValueError("sampled mode requires a sample count")
         rng = np.random.default_rng(seed)
         pts = sigma.domain.sample(rng, samples)
-        eq = sigma.domain.points_equal(sigma.apply(pts), tau.apply(pts))
-        value = 1.0 - float(np.count_nonzero(eq)) / samples
+        agree = 0
+        for start in range(0, samples, SAMPLE_BLOCK):
+            block = _point_block(pts, slice(start, start + SAMPLE_BLOCK))
+            eq = sigma.domain.points_equal(sigma.apply(block), tau.apply(block))
+            agree += int(np.count_nonzero(eq))
+        value = 1.0 - float(agree) / samples
         return DHEstimate(
             value, hoeffding_radius(samples, confidence), confidence, "sampled",
             samples=samples, seed=seed,

@@ -33,7 +33,7 @@ from .f3vectors import (
     coords_matrix,
     decode_indices,
     encode_coords,
-    h_position_perm,
+    position_table,
     shifted_index_map,
     sp_mask,
 )
@@ -61,8 +61,9 @@ from .words import ProductWord, ReducedWord, random_reduced_word
 # -- the G(p) domain and its permutations ---------------------------------
 
 class GpPairDomain:
-    """G(p) as index pairs (vector index, matrix index); used where the
-    flat domain is too large to enumerate."""
+    """G(p) as pairs (coordinates, matrix index): a (..., p+1) uint8 array
+    of A(p) vectors and an int64 array of PSL2 indices; used where the flat
+    domain is too large to enumerate."""
 
     def __init__(self, p: int):
         self.p = p
@@ -72,10 +73,10 @@ class GpPairDomain:
     def sample(self, rng, n):
         a = rng.integers(0, 3**self.p, size=n, dtype=np.int64)
         h = rng.integers(0, self.h_order, size=n, dtype=np.int64)
-        return (a, h)
+        return (decode_indices(a, self.p), h)
 
     def points_equal(self, x, y):
-        return (x[0] == y[0]) & (x[1] == y[1])
+        return np.all(x[0] == y[0], axis=-1) & (x[1] == y[1])
 
     def identity_perm(self):
         return ImplicitPerm(self, lambda pts: pts, lambda pts: pts)
@@ -91,11 +92,12 @@ class GpContext:
     """Builders for the permutations of G(p) that the model's generators
     induce.
 
-    Each builder makes one batch map on index pairs (a_idx, h_idx) of any
-    common broadcast shape.  Exact mode applies the map once to the grid
-    of all pairs and keeps the result as a dense, validated ExactPerm on
-    the flat index a_idx * |H| + h_idx; implicit mode keeps the map and
-    its inverse as an ImplicitPerm on GpPairDomain.
+    Each builder makes one batch map on points (coords, h_idx): a
+    (..., p+1) uint8 coordinate array and matrix indices whose leading
+    shapes broadcast together.  Exact mode applies the map once to all
+    vectors against all matrices and keeps the result as a dense,
+    validated ExactPerm on the flat index a_idx * |H| + h_idx; implicit
+    mode keeps the map and its inverse as an ImplicitPerm on GpPairDomain.
     """
 
     def __init__(self, p: int, exact: bool):
@@ -113,24 +115,24 @@ class GpContext:
             self.domain = FlatDomain(3**p * self.h_order)
             self.coords = coords_matrix(p)
             self.mask_s = sp_mask(self.coords)
-            self.grid = (np.arange(3**p, dtype=np.int64)[:, None],
-                         np.arange(self.h_order, dtype=np.int64)[None, :])
         else:
             self.domain = GpPairDomain(p)
         # row i: the position permutation of the i-th matrix
-        self.positions = np.array(
-            [h_position_perm(h) for h in self.table.elements], dtype=np.uint8
-        )
+        self.positions = position_table(self.table)
 
     def _perm(self, forward, backward):
+        """The permutation of a batch map; backward() makes the inverse
+        map, which only implicit mode needs."""
         if not self.exact:
-            return ImplicitPerm(self.domain, forward, backward)
-        a_idx, h_idx = forward(self.grid)
-        return ExactPerm((a_idx * self.h_order + h_idx).ravel(), domain=self.domain)
+            return ImplicitPerm(self.domain, forward, backward())
+        h_idx = np.arange(self.h_order, dtype=np.int64)
+        coords, h_idx = forward((self.coords[:, None, :], h_idx[None, :]))
+        return ExactPerm((encode_coords(coords) * self.h_order + h_idx).ravel(),
+                         domain=self.domain)
 
     def left_mult(self, g: GpElement):
         """x -> g x."""
-        return self._perm(self._left_fn(g), self._left_fn(g.inverse()))
+        return self._perm(self._left_fn(g), lambda: self._left_fn(g.inverse()))
 
     def _left_fn(self, g: GpElement):
         src = self.positions[self.table.index(g.h)]
@@ -138,15 +140,14 @@ class GpContext:
         h_row = self.table.left_mul_perm(g.h)
 
         def fn(pts):
-            a_idx, h_idx = pts
-            coords = decode_indices(a_idx, self.p)
-            return (encode_coords((v + coords[..., src]) % 3), h_row[h_idx])
+            coords, h_idx = pts
+            return (_mod3(v + coords[..., src]), h_row[h_idx])
 
         return fn
 
     def right_mult_inv(self, g: GpElement):
         """x -> x g^(-1)."""
-        return self._perm(self._right_fn(g.inverse()), self._right_fn(g))
+        return self._perm(self._right_fn(g.inverse()), lambda: self._right_fn(g))
 
     def _right_fn(self, g: GpElement):
         """x -> x g: (a, h) -> (a + h.w, h u) for g = (w, u)."""
@@ -154,9 +155,8 @@ class GpContext:
         h_col = self.table.right_mul_perm(g.h)
 
         def fn(pts):
-            a_idx, h_idx = pts
-            coords = decode_indices(a_idx, self.p)
-            return (encode_coords((coords + shifts[h_idx]) % 3), h_col[h_idx])
+            coords, h_idx = pts
+            return (_mod3(coords + shifts[h_idx]), h_col[h_idx])
 
         return fn
 
@@ -177,23 +177,32 @@ class GpContext:
         row_b = self.table.left_mul_perm(h0.inverse())
 
         def fn(pts):
-            a_idx, h_idx = pts
-            coords = decode_indices(a_idx, self.p)
-            shifted_back = (coords + neg_a0v) % 3
-            m_s = sp_mask(coords)
-            m_back = sp_mask(shifted_back)
-            fwd = encode_coords((a0v + coords[..., src_f]) % 3)
-            back = encode_coords(shifted_back[..., src_b])
-            new_a = np.where(m_s, fwd, np.where(m_back, back, a_idx))
-            new_h = np.where(m_s, row_f[h_idx], np.where(m_back, row_b[h_idx], h_idx))
-            return (new_a, new_h)
+            coords, h_idx = pts
+            shape = np.broadcast_shapes(coords.shape[:-1], np.shape(h_idx))
+            coords = np.broadcast_to(coords, shape + coords.shape[-1:])
+            h_idx = np.broadcast_to(h_idx, shape)
+            # S and S + a0 are disjoint, so the two writes never overlap
+            fwd = sp_mask(coords)
+            back = sp_mask(_mod3(coords + neg_a0v))
+            new_c, new_h = coords.copy(), h_idx.copy()
+            new_c[fwd] = _mod3(a0v + coords[fwd][:, src_f])
+            new_h[fwd] = row_f[h_idx[fwd]]
+            new_c[back] = _mod3(coords[back] + neg_a0v)[:, src_b]
+            new_h[back] = row_b[h_idx[back]]
+            return (new_c, new_h)
 
         # the slab map is an involution
-        return self._perm(fn, fn)
+        return self._perm(fn, lambda: fn)
 
     def slab_mask(self) -> np.ndarray:
         """Indicator of T = S(p) x H(p) on the flat index (exact mode)."""
         return np.repeat(self.mask_s, self.h_order)
+
+
+def _mod3(x: np.ndarray) -> np.ndarray:
+    """x mod 3, in place, for a fresh uint8 sum of two residue arrays: below
+    3, x - 3 wraps past x, so the minimum of the two is the residue."""
+    return np.minimum(x, x - np.uint8(3), out=x)
 
 
 # The benchmark's tracer wraps right_mult_inv through this name's class dict.
@@ -334,6 +343,11 @@ def _lambda_words_bfs(k: int, max_len: int):
         frontier = new
 
 
+# The condition-3 word search stops after this many words; the report
+# says whether it did.
+WORD_SEARCH_CAP = 20_000
+
+
 def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=8,
                        n_word_pairs=100, seed=7, exact_defect_cap=40,
                        threshold=Fraction(1, 243)) -> dict:
@@ -345,6 +359,7 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
         scoring words by the exact slab displacement 2|T \\ T r(h)| / |G|
         (evaluated per slice: |T \\ T(w,u)| = |H| * |S \\ (S+w)|) and
         checking the exact defect against that lower bound on a sample;
+        the search covers at most WORD_SEARCH_CAP words;
     (4) the minimum over slice pairs of the displaced fraction of each
         A(p)-slice under the t image.
     """
@@ -402,6 +417,7 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     tested = []
     witness = None
     searched = 0
+    cap_reached = False
     for word in _lambda_words_bfs(k, word_search_len):
         searched += 1
         lb, g = lower_bound(word)
@@ -417,13 +433,16 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
                 witness = tested[-1]
         if witness is not None and searched >= exact_defect_cap:
             break
-        if searched > 20000:
+        if searched >= WORD_SEARCH_CAP:
+            cap_reached = True
             break
     report["cond3_max_lower_bound"] = best[0]
     report["cond3_best_word"] = repr(best[1])
     report["cond3_witness"] = witness
     report["cond3_tested"] = tested
     report["cond3_words_searched"] = searched
+    report["cond3_word_cap"] = WORD_SEARCH_CAP
+    report["cond3_cap_reached"] = cap_reached
 
     # (4): slice displacement matrix of the t image
     h_order = ctx.h_order

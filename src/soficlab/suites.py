@@ -84,6 +84,8 @@ def suite_four_conditions(p=7, m=5, k=3, seed=7, word_search_len=8) -> RunReport
         Fraction(1, 243), witness is not None,
         word=witness["word"] if witness else None,
         searched=out["cond3_words_searched"],
+        word_cap=out["cond3_word_cap"],
+        cap_reached=out["cond3_cap_reached"],
     )
     all_respect = all(t["respects_bound"] for t in out["cond3_tested"])
     rep.add_check("commutator-defect-vs-displacement-bound", all_respect, True,

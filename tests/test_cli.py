@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from soficlab.cli import main
 from soficlab.perms import read_perm
+from soficlab.suites import measure_defect
 
 
 def test_build_writes_artifacts(tmp_path):
@@ -115,6 +117,36 @@ def test_measure_defect_csv(tmp_path):
     assert rows[1]["seed"] == "24"  # 17 + p
 
 
+# measure_defect((7, 13, 37), samples=20_000, seed=17) and its CSV, as the
+# index-pair kernel computed them: the coordinate kernel draws the same
+# points and must reproduce every value bit for bit.
+PINNED_DEFECT_ROWS = [
+    {"p": 7, "mode": "exact", "value": Fraction(1075, 5103), "radius": 0.0,
+     "seed": None, "samples": None},
+    {"p": 7, "mode": "sampled", "value": 0.2117, "radius": 0.011509037065006824,
+     "seed": 24, "samples": 20000},
+    {"p": 13, "mode": "sampled", "value": 0.20845000000000002,
+     "radius": 0.011509037065006824, "seed": 30, "samples": 20000},
+    {"p": 37, "mode": "sampled", "value": 0.15695000000000003,
+     "radius": 0.011509037065006824, "seed": 54, "samples": 20000},
+]
+PINNED_DEFECT_CSV = (
+    b"p,mode,value,radius,samples,seed\r\n"
+    b"7,exact,1075/5103,0.0,,\r\n"
+    b"7,sampled,0.2117,0.011509037065006824,20000,24\r\n"
+    b"13,sampled,0.20845000000000002,0.011509037065006824,20000,30\r\n"
+    b"37,sampled,0.15695000000000003,0.011509037065006824,20000,54\r\n"
+)
+
+
+def test_sampled_defects_are_pinned(tmp_path):
+    assert measure_defect((7, 13, 37), samples=20_000, seed=17) == PINNED_DEFECT_ROWS
+    out = tmp_path / "defect.csv"
+    assert main(["measure", "defect", "--primes", "7,13,37", "--samples", "20000",
+                 "--seed", "17", "--out", str(out)]) == 0
+    assert out.read_bytes() == PINNED_DEFECT_CSV
+
+
 def test_measure_spectra_csv(tmp_path):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for out in paths:
@@ -160,6 +192,20 @@ def test_refused_build_leaves_no_directory(tmp_path, capsys):
 
 def test_measure_rejects_bad_primes(capsys):
     assert main(["measure", "boundary", "--primes", "7,11"]) == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_measure_defect_rejects_nonpositive_samples(samples, capsys, monkeypatch):
+    import soficlab.suites
+
+    built = []
+    monkeypatch.setattr(soficlab.suites, "build_sigma",
+                        lambda *args, **kwargs: built.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "defect", "--primes", "13", "--samples", samples])
+    assert exc.value.code == 2
+    assert built == []
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

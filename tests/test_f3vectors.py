@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soficlab.algebra import PSL2Element, psl2_enumerate
+from soficlab.algebra import PSL2Element, psl2_enumerate, psl2_table
 from soficlab.f3vectors import (
     ApVector,
     TypeCount,
@@ -13,10 +16,13 @@ from soficlab.f3vectors import (
     ap_index,
     ap_unindex,
     coords_matrix,
+    decode_indices,
     disjointness_check_ap_shift,
     encode_coords,
     h_act,
+    h_position_perm,
     invariant_closure_dim,
+    position_table,
     shift_overlap_counts,
     shifted_index_map,
     sp_count_exact,
@@ -216,3 +222,27 @@ def test_closure_dim_random_nonzero():
 def test_encode_decode_consistency():
     mat = coords_matrix(7)
     assert np.array_equal(encode_coords(mat), np.arange(3**7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((7, 13, 19, 31, 37)), data=st.data())
+def test_decode_indices_matches_scalar_unindex(p, data):
+    idx = data.draw(st.lists(st.integers(0, 3**p - 1), min_size=6, max_size=6))
+    coords = decode_indices(np.array(idx, dtype=np.int64).reshape(2, 3), p)
+    assert coords.shape == (2, 3, p + 1)
+    rows = coords.reshape(6, p + 1)
+    assert [tuple(map(int, r)) for r in rows] == [ap_unindex(i, p).coords for i in idx]
+    assert encode_coords(coords).ravel().tolist() == idx
+
+
+@lru_cache(maxsize=None)
+def _stacked_position_rows(q):
+    return np.array([h_position_perm(h) for h in psl2_table(q).elements], dtype=np.uint8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.sampled_from((5, 7, 11, 13, 19, 31, 37)))
+def test_position_table_matches_scalar_oracle(q):
+    positions = position_table(psl2_table(q))
+    assert positions.dtype == np.uint8
+    assert np.array_equal(positions, _stacked_position_rows(q))

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab.algebra import PSL2Element
-from soficlab.f3vectors import a_shift_vector, sp_membership
+from soficlab.f3vectors import (
+    a_shift_vector,
+    decode_indices,
+    encode_coords,
+    sp_membership,
+)
 from soficlab.groups import GpElement, GpIndexer
 from soficlab.sofic import build_sigma
 
@@ -46,7 +51,8 @@ def test_generator_images_match_group_arithmetic(models, family7, name, i):
     assert models["exact"].images[name].images[i] == want
     implicit = models["implicit"].images[name]
     pair = (np.array([i // INDEXER.h_order]), np.array([i % INDEXER.h_order]))
-    a_idx, h_idx = implicit.apply(pair)
-    assert int(a_idx[0]) * INDEXER.h_order + int(h_idx[0]) == want
-    back_a, back_h = implicit.apply_inverse((a_idx, h_idx))
+    coords, h_idx = implicit.apply((decode_indices(pair[0], 7), pair[1]))
+    assert int(encode_coords(coords)[0]) * INDEXER.h_order + int(h_idx[0]) == want
+    back_c, back_h = implicit.apply_inverse((coords, h_idx))
+    back_a = encode_coords(back_c)
     assert (int(back_a[0]), int(back_h[0])) == (int(pair[0][0]), int(pair[1][0]))

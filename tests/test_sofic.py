@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlab.f3vectors import sp_count_exact
+from soficlab.f3vectors import encode_coords, sp_count_exact
 from soficlab.groups import GpIndexer, hom_eval
-from soficlab.perms import d_hamming
+from soficlab.perms import SAMPLE_BLOCK, d_hamming
 from soficlab.sofic import (
+    WORD_SEARCH_CAP,
     ExactGpContext,
     build_sigma,
     hom_defect,
@@ -120,6 +121,22 @@ def test_four_condition_report(sigma7):
     assert rep["cond4_min_displacement"] == Fraction(4 * sp_count_exact(7), 3**7)
 
 
+def test_word_search_reports_its_cap(sigma7, family7, monkeypatch):
+    rep = four_condition_report(7, 5, 3, sigma=sigma7, n_word_pairs=1, seed=3)
+    assert rep["cond3_word_cap"] == WORD_SEARCH_CAP == 20_000
+    assert rep["cond3_cap_reached"] is False
+    assert rep["cond3_words_searched"] < WORD_SEARCH_CAP
+    # the suite carries both fields in the witness check's details
+    import soficlab.suites as suites
+
+    monkeypatch.setattr(suites, "build_hom_specs", lambda *args: family7)
+    monkeypatch.setattr(suites, "build_sigma", lambda *args, **kwargs: sigma7)
+    monkeypatch.setattr(suites, "four_condition_report", lambda *args, **kwargs: rep)
+    check = next(c for c in suites.suite_four_conditions(p=7, seed=7).checks
+                 if c["name"] == "commutator-witness-found")
+    assert (check["word_cap"], check["cap_reached"]) == (20_000, False)
+
+
 def test_sampled_defect_agrees_with_exact(sigma7):
     u = pw(right=ReducedWord.gen("b3"))
     v = pw(ReducedWord.gen("t"))
@@ -179,7 +196,7 @@ def test_implicit_mode_agrees_with_exact_at_p7():
     idxr = GpIndexer(7)
     rng = np.random.default_rng(7)
     pts = implicit.domain.sample(rng, 2000)
-    flat = pts[0] * idxr.h_order + pts[1]
+    flat = encode_coords(pts[0]) * idxr.h_order + pts[1]
     words = [
         pw(ReducedWord.gen("t")),
         pw(ReducedWord.gen("a3")),
@@ -188,8 +205,9 @@ def test_implicit_mode_agrees_with_exact_at_p7():
            ReducedWord.gen("b3") * ReducedWord.gen("b1")),
     ]
     for w in words:
-        ia, ih = implicit.eval(w).apply(pts)
-        assert np.array_equal(ia * idxr.h_order + ih, exact.eval(w).images[flat])
+        ic, ih = implicit.eval(w).apply(pts)
+        assert np.array_equal(encode_coords(ic) * idxr.h_order + ih,
+                              exact.eval(w).images[flat])
 
 
 def test_implicit_mode_selected_beyond_budget():
@@ -205,3 +223,26 @@ def test_implicit_mode_selected_beyond_budget():
 def test_exact_mode_refused_beyond_budget():
     with pytest.raises(ValueError):
         build_sigma(13, 5, 3, mode="exact")
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 7])
+def test_sampled_blocks_count_like_one_pass(samples):
+    sigma13 = build_sigma(13, 5, 3)
+    t, b3 = sigma13.images["t"], sigma13.images["b3"]
+    lhs, rhs = b3.compose(t), t.compose(b3)
+    pts = sigma13.domain.sample(np.random.default_rng(5), samples)
+    agree = np.count_nonzero(sigma13.domain.points_equal(lhs.apply(pts), rhs.apply(pts)))
+    est = d_hamming(lhs, rhs, mode="sampled", samples=samples, seed=5)
+    assert est.value == 1.0 - float(agree) / samples
+
+
+def test_every_generator_inverts_at_p37():
+    sigma37 = build_sigma(37, 5, 3)
+    assert sigma37.mode == "implicit"
+    domain = sigma37.domain
+    pts = domain.sample(np.random.default_rng(37), 2000)
+    for name, image in sigma37.images.items():
+        moved = image.apply(pts)
+        assert not np.all(domain.points_equal(moved, pts)), name
+        assert np.all(domain.points_equal(image.apply_inverse(moved), pts)), name
+        assert np.all(domain.points_equal(image.apply(image.apply_inverse(pts)), pts)), name
