@@ -18,7 +18,6 @@ from .algebra import (
     moebius_act,
     next_prime,
     psl2_enumerate,
-    psl2_mul,
     psl2_order,
     psl2_table,
     reduce_word_mod,
@@ -43,7 +42,6 @@ from .groups import (
     PairElement,
     bfs_closure_order,
     build_hom_specs,
-    gp_mul,
     hom_eval,
     verify_surjectivity,
 )

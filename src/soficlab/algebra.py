@@ -92,13 +92,6 @@ class PSL2Element:
     def is_identity(self) -> bool:
         return self.entries() == (1, 0, 0, 1)
 
-    def order(self) -> int:
-        n, x = 1, self
-        while not x.is_identity():
-            x = x * self
-            n += 1
-        return n
-
     def __eq__(self, other):
         return (
             isinstance(other, PSL2Element)
@@ -111,10 +104,6 @@ class PSL2Element:
 
     def __repr__(self):
         return f"PSL2[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.q}"
-
-
-def psl2_mul(x: PSL2Element, y: PSL2Element) -> PSL2Element:
-    return x * y
 
 
 class ProjectivePoint:
@@ -173,13 +162,14 @@ def moebius_act(g: PSL2Element, x: ProjectivePoint) -> ProjectivePoint:
 
 
 class PSL2Table:
-    """Indexed enumeration of PSL2(F_q) with constant-time lookup.
+    """Indexed enumeration of PSL2(F_q) with sorted-key lookup.
 
     Enumeration order is lexicographic in the canonical entries and is
     fixed: reports and serialized permutations rely on its stability.
     ``entries`` holds the canonical entries as a (4, n) int64 array with
     columns in enumeration order, so the base-q keys of the columns ascend
-    with the index and a sorted search finds any element.
+    with the index and a sorted search finds any element.  Elements are
+    built from their columns on demand.
     """
 
     def __init__(self, q: int):
@@ -194,18 +184,17 @@ class PSL2Table:
         c0 = np.where(a == 0, -inv[b], 0)
         self._keys = np.unique(self._canonical_keys(a, b, c0 + t * a, inv[a] + t * b))
         self.entries = np.stack(np.unravel_index(self._keys, (q,) * 4))
-        ordered = list(zip(*self.entries.tolist()))
-        self.elements = [PSL2Element(*e, q) for e in ordered]
-        self._index = {e: i for i, e in enumerate(ordered)}
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._keys)
 
     def index(self, g: PSL2Element) -> int:
-        return self._index[g.entries()]
+        return int(self.lookup(*g.entries()))
 
     def __getitem__(self, i: int) -> PSL2Element:
-        return self.elements[i]
+        # tolist() yields Python ints, so hashes and serialized entries
+        # match those of elements built from literals
+        return PSL2Element(*self.entries[:, i].tolist(), self.q)
 
     def _canonical_keys(self, a, b, c, d) -> np.ndarray:
         """Base-q keys ((a q + b) q + c) q + d of the canonical entries."""
@@ -243,7 +232,8 @@ def psl2_table(q: int) -> PSL2Table:
 
 def psl2_enumerate(q: int):
     """All canonical elements of PSL2(F_q) in the fixed enumeration order."""
-    return psl2_table(q).elements
+    table = psl2_table(q)
+    return [table[i] for i in range(len(table))]
 
 
 def reduce_word_mod(word, q: int) -> PSL2Element:
@@ -290,25 +280,24 @@ def centralizer_fraction(g: PSL2Element) -> Fraction:
 
     For g != e the fraction is at most 1/(2(q-1)).
     """
-    table = psl2_table(g.q)
-    count = sum(1 for h in table.elements if g * h == h * g)
-    return Fraction(count, len(table))
+    elements = psl2_enumerate(g.q)
+    count = sum(1 for h in elements if g * h == h * g)
+    return Fraction(count, len(elements))
 
 
 def centralizer_fraction_max(q: int) -> Fraction:
     """max over g != e of |C(g)| / |PSL2(F_q)|, vectorized over the group."""
     table = psl2_table(q)
     n = len(table)
-    ent = np.array([g.entries() for g in table.elements], dtype=np.int64)
-    a, b, c, d = ent[:, 0], ent[:, 1], ent[:, 2], ent[:, 3]
+    ent = table.entries
+    identity = table.index(PSL2Element.identity(q))
     best = Fraction(0)
-    for i, g in enumerate(table.elements):
-        if g.is_identity():
+    for i, g in enumerate(ent.T.tolist()):
+        if i == identity:
             continue
-        ga, gb, gc, gd = g.entries()
         # g*h and h*g entrywise over all h at once
-        p1 = np.stack([ga * a + gb * c, ga * b + gb * d, gc * a + gd * c, gc * b + gd * d]) % q
-        p2 = np.stack([a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd]) % q
+        p1 = np.stack(_entry_mul(g, ent)) % q
+        p2 = np.stack(_entry_mul(ent, g)) % q
         count = int(np.count_nonzero(_canon_equal(p1, p2, q)))
         frac = Fraction(count, n)
         if frac > best:

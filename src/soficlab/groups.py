@@ -102,10 +102,6 @@ class GpElement:
         return f"Gp({self.a!r}, {self.h!r})"
 
 
-def gp_mul(x: GpElement, y: GpElement) -> GpElement:
-    return x * y
-
-
 class PairElement:
     """Element of a direct product, multiplied componentwise.  Used both
     for G(p) x K(p) and for PSL2(F_p) x PSL2(F_r)."""

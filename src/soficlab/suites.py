@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import centralizer_fraction_max, next_prime, psl2_order
 from .f3vectors import sp_count_exact
-from .groups import build_hom_specs, hom_eval
+from .groups import ResourceBudgetError, build_hom_specs, hom_eval
 from .partitions import (
     CANDIDATE_KEY_DIMS,
     CylinderPartition,
@@ -109,7 +109,10 @@ def _random_nontrivial_word(rng, names, max_len, reject=None, tries=200):
 def suite_soficity(p=7, m=5, k=3, seed=1, n_pairs=50, n_right=20) -> RunReport:
     rep = RunReport("verify soficity", {"p": p, "m": m, "k": k, "seed": seed})
     family = build_hom_specs(p, m, k)
-    tilde = build_tilde_sigma(build_sigma(p, m, k, family=family))
+    sigma = build_sigma(p, m, k, family=family)
+    if sigma.mode != "exact":
+        raise ResourceBudgetError("the soficity suite needs the exact mode")
+    tilde = build_tilde_sigma(sigma)
     r_p = family.r_p
     bound = Fraction(1, 2 * (r_p - 1))
     rng = random.Random(seed)
@@ -468,17 +471,9 @@ def measure_defect(primes=DEFAULT_PRIMES, m=5, k=3, samples=50_000, seed=17) -> 
             est = hom_defect(sigma, u, v)
             rows.append({"p": p, "mode": "exact", "value": est.value,
                          "radius": 0.0, "seed": None, "samples": None})
-            est_s = hom_defect(sigma, u, v, mode="sampled", samples=samples,
-                               seed=seed + p)
-            rows.append({"p": p, "mode": "sampled", "value": est_s.value,
-                         "radius": est_s.radius, "seed": seed + p,
-                         "samples": samples})
-        else:
-            est = hom_defect(sigma, u, v, mode="sampled", samples=samples,
-                             seed=seed + p)
-            rows.append({"p": p, "mode": "sampled", "value": est.value,
-                         "radius": est.radius, "seed": seed + p,
-                         "samples": samples})
+        est = hom_defect(sigma, u, v, mode="sampled", samples=samples, seed=seed + p)
+        rows.append({"p": p, "mode": "sampled", "value": est.value,
+                     "radius": est.radius, "seed": seed + p, "samples": samples})
     return rows
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,42 @@ def test_enumeration_matches_order_formula(q, order):
     table = psl2_table(q)
     for i in (0, order // 2, order - 1):
         assert table.index(table[i]) == i
+
+
+PROPERTY_MODULI = (5, 7, 11, 13, 17, 19, 23, 31, 37, 41)
+
+
+@lru_cache(maxsize=None)
+def _index_oracle(q):
+    """Position of every canonical entry tuple, read off the table's columns."""
+    return {e: i for i, e in enumerate(zip(*psl2_table(q).entries.tolist()))}
+
+
+@st.composite
+def _det1_matrices(draw, q):
+    """A determinant-1 matrix mod q as PSL2Element, entries given with
+    either sign (solved for d when a != 0, for b when a = 0)."""
+    a, b, c, d = (draw(st.integers(0, q - 1)) for _ in range(4))
+    if a:
+        d = (1 + b * c) * pow(a, -1, q)
+    else:
+        c = c or 1
+        b = -pow(c, -1, q)
+    sign = draw(st.sampled_from((1, -1)))
+    return PSL2Element(sign * a, sign * b, sign * c, sign * d, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=st.sampled_from(PROPERTY_MODULI))
+def test_table_index_associativity_and_inverses(data, q):
+    table = psl2_table(q)
+    g, h, k = (data.draw(_det1_matrices(q)) for _ in range(3))
+    i = table.index(g)
+    assert i == _index_oracle(q)[g.entries()]
+    assert table[i] == g
+    assert all(type(x) is int for x in table[i].entries())
+    assert (g * h) * k == g * (h * k)
+    assert (g * g.inverse()).is_identity()
 
 
 def test_enumeration_order_is_lexicographic():

@@ -183,6 +183,13 @@ def test_four_conditions_past_exact_mode_is_a_resource_refusal(capsys):
     assert "resource refusal" in capsys.readouterr().err
 
 
+def test_soficity_past_exact_mode_is_a_resource_refusal(capsys):
+    assert main(["verify", "soficity", "--p", "13"]) == 3
+    err = capsys.readouterr().err
+    assert "resource refusal" in err
+    assert "Traceback" not in err
+
+
 def test_refused_build_leaves_no_directory(tmp_path, capsys):
     out = tmp_path / "b43"
     assert main(["build", "--p", "43", "--out", str(out)]) == 3

@@ -237,7 +237,7 @@ def test_decode_indices_matches_scalar_unindex(p, data):
 
 @lru_cache(maxsize=None)
 def _stacked_position_rows(q):
-    return np.array([h_position_perm(h) for h in psl2_table(q).elements], dtype=np.uint8)
+    return np.array([h_position_perm(h) for h in psl2_enumerate(q)], dtype=np.uint8)
 
 
 @settings(max_examples=20, deadline=None)

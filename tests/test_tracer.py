@@ -1,0 +1,56 @@
+"""The benchmark tracer must find every function and method it wraps."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every soficlab module's globals and every class's attributes, by identity."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name == "soficlab" or name.startswith("soficlab."):
+            for key, value in vars(module).items():
+                out[(name, key)] = value
+                if isinstance(value, type):
+                    for attr, member in vars(value).items():
+                        out[(name, key, attr)] = member
+    return out
+
+
+def _target(wrap):
+    owner = importlib.import_module("soficlab." + wrap.module)
+    if "." in wrap.target:
+        cls_name, attr = wrap.target.split(".")
+        return vars(getattr(owner, cls_name))[attr]
+    return getattr(owner, wrap.target)
+
+
+def test_tracer_wraps_resolve_and_uninstall_restores():
+    tracer_module = _load_tracer()
+    importlib.import_module("soficlab.cli")
+    originals = {wrap: _target(wrap) for wrap in tracer_module.WRAPS}
+    before = _bindings()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        for wrap, original in originals.items():
+            assert _target(wrap) is not original, wrap.target
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert changed == []
