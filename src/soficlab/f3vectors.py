@@ -15,6 +15,7 @@ they stay exact far beyond the range where 3^p is enumerable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -360,70 +361,161 @@ def invariant_closure_dim(x: ApVector, generators=None) -> int:
 
 # -- vectorized helpers ---------------------------------------------------
 #
-# Coordinate arrays carry the p+1 coordinates of each vector on their last
-# axis; every helper works on any leading shape.
+# Point arrays hold each vector as two bit-planes in the last axis of a
+# (..., 2) uint64 array (the bit-slicing of Boothby and Bradshaw): bit i of
+# plane 0 is set where coordinate i is 1, bit i of plane 1 where it is 2.
+# The p+1 <= 40 coordinates fit one word per plane.  Fresh arrays are laid
+# out plane-major, so each plane is contiguous; every helper works on any
+# leading shape and broadcasts like numpy.
 
-# Row k: the base-3 digits of k < 3^8, least significant first, also
-# packed as one uint64 word (native byte order), and their sum mod 3.
+# Row b: the 8 bits of the byte b, least significant first.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little")
+# Column k < 3^8: the two planes of the 8 base-3 digits of k, one byte each.
+# (Bit packing keeps the import's temporaries and its RSS small.)
 _CHUNK = 8
-_CHUNK_DIGITS = np.ascontiguousarray(
-    np.indices((3,) * _CHUNK, dtype=np.uint8).reshape(_CHUNK, -1)[::-1].T)
-_CHUNK_WORDS = _CHUNK_DIGITS.view(np.uint64).ravel()
-_CHUNK_SUMS = (_CHUNK_DIGITS.sum(axis=1) % 3).astype(np.uint8)
+_CHUNK_DIGITS = np.indices((3,) * _CHUNK, dtype=np.uint8).reshape(_CHUNK, -1)[::-1].T
+_CHUNK_PLANES = np.stack([np.packbits(_CHUNK_DIGITS == c, axis=1, bitorder="little")[:, 0]
+                          for c in (1, 2)]).astype(np.uint64)
 
 
-def decode_indices(idx: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates (..., p+1) of an array of A(p) indices.
+def empty_points(shape) -> np.ndarray:
+    """An uninitialised (*shape, 2) point array with contiguous planes."""
+    return np.moveaxis(np.empty((2,) + tuple(shape), dtype=np.uint64), 0, -1)
 
-    The index is split into 8-digit base-3 chunks, each chunk's digits are
-    copied from a table as one 8-byte word, and the last coordinate comes
-    from the chunks' digit sums.  The result is a view into the padded
-    word buffer.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    n_words = p // _CHUNK + 1  # room for p digits and the last coordinate
-    words = np.empty(idx.shape + (n_words,), dtype=np.uint64)
-    digit_sum = np.zeros(idx.shape, dtype=np.uint8)
-    rem = idx
-    for j in range(n_words):
-        quot = rem // 3**_CHUNK
-        chunk = rem - quot * 3**_CHUNK
-        words[..., j] = _CHUNK_WORDS[chunk]
-        digit_sum += _CHUNK_SUMS[chunk]
-        rem = quot
-    out = words.view(np.uint8)[..., : p + 1]
-    out[..., p] = (3 - digit_sum % 3) % 3
+
+def _stack(planes) -> np.ndarray:
+    """The point array of two equal-shape planes, with contiguous planes."""
+    return np.moveaxis(np.stack(planes), 0, -1)
+
+
+def _lookup_bytes(tables, plane):
+    """Sum over the bytes k of each word of tables[k][byte k]."""
+    words = plane.view(np.int64)
+    out = tables[0][words & 255]
+    for k in range(1, len(tables)):
+        out += tables[k][(words >> 8 * k) & 255]
     return out
 
 
+def decode_indices(idx: np.ndarray, p: int) -> np.ndarray:
+    """Points (..., 2) of an array of A(p) indices.
+
+    The index is split into 8-digit base-3 chunks, each chunk's planes are
+    read from a table one byte each, and the last coordinate is set so that
+    the digit sum n1 + 2 n2 vanishes mod 3.
+    """
+    rem = np.asarray(idx, dtype=np.int64)
+    lo, hi = np.zeros((2,) + rem.shape, dtype=np.uint64)
+    for j in range(-(-p // _CHUNK)):
+        rem, chunk = np.divmod(rem, 3**_CHUNK)
+        lo |= _CHUNK_PLANES[0][chunk] << (_CHUNK * j)
+        hi |= _CHUNK_PLANES[1][chunk] << (_CHUNK * j)
+    residue = (np.bitwise_count(lo) + 2 * np.bitwise_count(hi)) % 3
+    # the last coordinate is minus the residue: 2 for residue 1, 1 for 2
+    lo |= np.array([0, 0, 1 << p], dtype=np.uint64)[residue]
+    hi |= np.array([0, 1 << p, 0], dtype=np.uint64)[residue]
+    return _stack((lo, hi))
+
+
 def coords_matrix(p: int) -> np.ndarray:
-    """(3^p, p+1) uint8 matrix of all A(p) vectors in index order."""
+    """(3^p, 2) point array of all A(p) vectors in index order."""
     n = 3**p
     if n > 5_000_000:
         raise ValueError(f"3^{p} is too large to materialize")
     return decode_indices(np.arange(n, dtype=np.int64), p)
 
 
-def encode_coords(mat: np.ndarray) -> np.ndarray:
-    """Indices of the vectors along the last axis of a coordinate array,
-    accumulated by Horner's rule over the first p coordinates."""
-    p = mat.shape[-1] - 1
-    out = np.zeros(mat.shape[:-1], dtype=np.int64)
-    for i in range(p - 1, -1, -1):
-        out *= 3
-        out += mat[..., i]
+@lru_cache(maxsize=None)
+def _index_tables(p: int) -> np.ndarray:
+    """(2, bytes, 256) int64: the index weight c * 3^i of each set bit i < p
+    of plane c, summed over each byte value."""
+    n_bytes = -(-p // 8)
+    weight = np.array([_POW3[i] if i < p else 0 for i in range(8 * n_bytes)],
+                      dtype=np.int64).reshape(n_bytes, 8)
+    return np.stack([c * (weight @ _BYTE_BITS.T) for c in (1, 2)])
+
+
+def encode_coords(points: np.ndarray, p: int) -> np.ndarray:
+    """Indices of the A(p) vectors of a point array: L(lo) + 2 L(hi) with
+    L(x) = sum over bits i < p of bit_i 3^i, read one byte at a time."""
+    tables = _index_tables(p)
+    out = _lookup_bytes(tables[0], points[..., 0])
+    out += _lookup_bytes(tables[1], points[..., 1])
     return out
 
 
-def sp_mask(coords: np.ndarray) -> np.ndarray:
-    """Boolean S(p) membership of each vector of a coordinate array."""
-    n1 = (coords == 1).sum(axis=-1, dtype=np.int16)
-    n0 = (coords == 0).sum(axis=-1, dtype=np.int16)
-    n2 = coords.shape[-1] - n0 - n1
+def permutation_tables(src) -> np.ndarray:
+    """(bytes, 256) uint64 tables of the coordinate permutation
+    y_i = x_(src[i]): entry [k, b] holds the bits that the set bits of byte
+    k of a plane move to.  Input bits move to distinct output bits, so the
+    sum over the bytes is the permuted plane."""
+    src = np.asarray(src, dtype=np.int64)
+    n_bytes = -(-len(src) // 8)
+    moved = np.zeros(8 * n_bytes, dtype=np.int64)
+    moved[src] = 1 << np.arange(len(src), dtype=np.int64)
+    return (moved.reshape(n_bytes, 8) @ _BYTE_BITS.T).astype(np.uint64)
+
+
+def permute_coords(points: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The coordinate permutation of permutation_tables on a point array."""
+    return _stack([_lookup_bytes(tables, points[..., c]) for c in (0, 1)])
+
+
+def f3_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinatewise sum mod 3 of two point arrays, in six word operations
+    (Kawahara, Aoki and Takagi, 2008): with planes (x1, x2) and (y1, y2),
+    t = (x1 | y2) ^ (x2 | y1), r1 = (x2 | y2) ^ t and r2 = (x1 | y1) ^ t.
+    Bits past the last coordinate stay clear."""
+    x1, x2, y1, y2 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    t = x1 | y2
+    t ^= x2 | y1
+    out = empty_points(t.shape)
+    for r, a, b in ((out[..., 0], x2, y2), (out[..., 1], x1, y1)):
+        np.bitwise_or(a, b, out=r)
+        r ^= t
+    return out
+
+
+def take_points(points: np.ndarray, idx) -> np.ndarray:
+    """points[idx] for an index into the leading axes, gathered plane by
+    plane (a gather of whole (n, 2) rows is several times slower)."""
+    return _stack([points[..., c][idx] for c in (0, 1)])
+
+
+def put_points(points: np.ndarray, idx, values: np.ndarray):
+    """points[idx] = values, scattered plane by plane."""
+    for c in (0, 1):
+        points[..., c][idx] = values[..., c]
+
+
+def vectors_equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise equality of the vectors of two point arrays."""
+    return (x[..., 0] == y[..., 0]) & (x[..., 1] == y[..., 1])
+
+
+def vector_points(x: ApVector) -> np.ndarray:
+    """The (2,) planes of one vector."""
+    return decode_indices([ap_index(x)], x.p)[0]
+
+
+def act_rows(positions: np.ndarray, x: ApVector) -> np.ndarray:
+    """(rows, 2) points h.x for every row src_h of a position table: bit i
+    of each plane is bit src_h[i] of x's."""
+    bits = (vector_points(x)[:, None, None] >> positions) & np.uint64(1)
+    weights = np.uint64(1) << np.arange(positions.shape[-1], dtype=np.uint64)
+    return np.moveaxis(bits @ weights, 0, -1)
+
+
+def sp_mask(points: np.ndarray, p: int) -> np.ndarray:
+    """Boolean S(p) membership of each vector of a point array, from the
+    popcounts n1 and n2 of the planes and n0 = p+1 - n1 - n2."""
+    n1 = np.bitwise_count(points[..., 0])
+    n2 = np.bitwise_count(points[..., 1])
+    n0 = (p + 1) - n1 - n2
     return (n1 > n0 + 2) & (n1 > n2 + 2)
 
 
-def shifted_index_map(coords: np.ndarray, w: ApVector) -> np.ndarray:
-    """Index map a -> index(a + w) over all vectors of a coordinate array."""
-    wv = np.array(w.coords, dtype=np.uint8)
-    return encode_coords((coords + wv) % 3)
+def shifted_index_map(points: np.ndarray, w: ApVector) -> np.ndarray:
+    """Index map a -> index(a + w) over all vectors of a point array."""
+    return encode_coords(f3_add(points, vector_points(w)), w.p)

@@ -30,12 +30,21 @@ from .algebra import PSL2Element, psl2_order, psl2_table
 from .f3vectors import (
     ApVector,
     a_shift_vector,
+    act_rows,
     coords_matrix,
     decode_indices,
+    empty_points,
     encode_coords,
+    f3_add,
+    permutation_tables,
+    permute_coords,
     position_table,
+    put_points,
     shifted_index_map,
     sp_mask,
+    take_points,
+    vector_points,
+    vectors_equal,
 )
 from .groups import (
     GpElement,
@@ -48,6 +57,7 @@ from .groups import (
 )
 from .perms import (
     EXACT_DOMAIN_BUDGET,
+    SAMPLE_BLOCK,
     DHEstimate,
     ExactPerm,
     FlatDomain,
@@ -60,10 +70,13 @@ from .words import ProductWord, ReducedWord, random_reduced_word
 
 # -- the G(p) domain and its permutations ---------------------------------
 
+DECODE_BLOCK = 1 << 14
+
+
 class GpPairDomain:
-    """G(p) as pairs (coordinates, matrix index): a (..., p+1) uint8 array
-    of A(p) vectors and an int64 array of PSL2 indices; used where the flat
-    domain is too large to enumerate."""
+    """G(p) as pairs (points, matrix index): a (..., 2) uint64 array of A(p)
+    vectors as bit-planes (see f3vectors) and an int64 array of PSL2
+    indices; used where the flat domain is too large to enumerate."""
 
     def __init__(self, p: int):
         self.p = p
@@ -73,10 +86,15 @@ class GpPairDomain:
     def sample(self, rng, n):
         a = rng.integers(0, 3**self.p, size=n, dtype=np.int64)
         h = rng.integers(0, self.h_order, size=n, dtype=np.int64)
-        return (decode_indices(a, self.p), h)
+        # decoded in blocks, so that the decoder's temporaries stay in cache
+        points = empty_points((n,))
+        for start in range(0, n, DECODE_BLOCK):
+            rows = slice(start, start + DECODE_BLOCK)
+            points[rows] = decode_indices(a[rows], self.p)
+        return (points, h)
 
     def points_equal(self, x, y):
-        return np.all(x[0] == y[0], axis=-1) & (x[1] == y[1])
+        return vectors_equal(x[0], y[0]) & (x[1] == y[1])
 
     def identity_perm(self):
         return ImplicitPerm(self, lambda pts: pts, lambda pts: pts)
@@ -92,12 +110,14 @@ class GpContext:
     """Builders for the permutations of G(p) that the model's generators
     induce.
 
-    Each builder makes one batch map on points (coords, h_idx): a
-    (..., p+1) uint8 coordinate array and matrix indices whose leading
-    shapes broadcast together.  Exact mode applies the map once to all
-    vectors against all matrices and keeps the result as a dense,
-    validated ExactPerm on the flat index a_idx * |H| + h_idx; implicit
-    mode keeps the map and its inverse as an ImplicitPerm on GpPairDomain.
+    Each builder makes one batch map on points (vectors, h_idx): a (..., 2)
+    bit-plane array and matrix indices whose leading shapes broadcast
+    together.  Fixed coordinate permutations run as byte tables, shifts as
+    bit-plane sums mod 3, and S(p) tests as popcounts.  Exact mode applies
+    the map once to all vectors against all matrices and keeps the result
+    as a dense, validated ExactPerm on the flat index a_idx * |H| + h_idx;
+    implicit mode keeps the map and its inverse as an ImplicitPerm on
+    GpPairDomain.
     """
 
     def __init__(self, p: int, exact: bool):
@@ -105,6 +125,8 @@ class GpContext:
             raise ResourceBudgetError(
                 f"A({p}) has 3^{p} vectors, past the int64 index range"
             )
+        # so p <= 39: the p+1 coordinates fit a 40-bit plane word
+        assert p + 1 <= 40
         self.p = p
         self.exact = exact
         self.table = psl2_table(p)
@@ -114,7 +136,7 @@ class GpContext:
                 raise ValueError(f"G({p}) is too large for exact mode")
             self.domain = FlatDomain(3**p * self.h_order)
             self.coords = coords_matrix(p)
-            self.mask_s = sp_mask(self.coords)
+            self.mask_s = sp_mask(self.coords, p)
         else:
             self.domain = GpPairDomain(p)
         # row i: the position permutation of the i-th matrix
@@ -125,23 +147,33 @@ class GpContext:
         map, which only implicit mode needs."""
         if not self.exact:
             return ImplicitPerm(self.domain, forward, backward())
-        h_idx = np.arange(self.h_order, dtype=np.int64)
-        coords, h_idx = forward((self.coords[:, None, :], h_idx[None, :]))
-        return ExactPerm((encode_coords(coords) * self.h_order + h_idx).ravel(),
-                         domain=self.domain)
+        # all vectors against all matrices, in blocks of vectors that bound
+        # the batch map's temporaries
+        h_idx = np.arange(self.h_order, dtype=np.int64)[None, :]
+        flat = np.empty((len(self.coords), self.h_order), dtype=np.int64)
+        step = max(1, SAMPLE_BLOCK // self.h_order)
+        for start in range(0, len(self.coords), step):
+            rows = slice(start, start + step)
+            points, h = forward((self.coords[rows, None], h_idx))
+            flat[rows] = encode_coords(points, self.p) * self.h_order + h
+        return ExactPerm(flat.ravel(), domain=self.domain)
+
+    def _tables(self, h: PSL2Element):
+        """Byte tables of the coordinate permutation of h."""
+        return permutation_tables(self.positions[self.table.index(h)])
 
     def left_mult(self, g: GpElement):
         """x -> g x."""
         return self._perm(self._left_fn(g), lambda: self._left_fn(g.inverse()))
 
     def _left_fn(self, g: GpElement):
-        src = self.positions[self.table.index(g.h)]
-        v = np.array(g.a.coords, dtype=np.uint8)
+        tables = self._tables(g.h)
+        v = vector_points(g.a)
         h_row = self.table.left_mul_perm(g.h)
 
         def fn(pts):
-            coords, h_idx = pts
-            return (_mod3(v + coords[..., src]), h_row[h_idx])
+            points, h_idx = pts
+            return (f3_add(permute_coords(points, tables), v), h_row[h_idx])
 
         return fn
 
@@ -151,12 +183,12 @@ class GpContext:
 
     def _right_fn(self, g: GpElement):
         """x -> x g: (a, h) -> (a + h.w, h u) for g = (w, u)."""
-        shifts = np.array(g.a.coords, dtype=np.uint8)[self.positions]
+        shifts = act_rows(self.positions, g.a)  # row h: h.w
         h_col = self.table.right_mul_perm(g.h)
 
         def fn(pts):
-            coords, h_idx = pts
-            return (_mod3(coords + shifts[h_idx]), h_col[h_idx])
+            points, h_idx = pts
+            return (f3_add(points, take_points(shifts, h_idx)), h_col[h_idx])
 
         return fn
 
@@ -165,31 +197,34 @@ class GpContext:
         shifted slab back, fix the rest."""
         if (h0 * h0).is_identity():
             raise ValueError("the translating matrix part must not square to e")
+        p = self.p
         if self.exact:
             mask_shift = self.mask_s[shifted_index_map(self.coords, -a0)]
             if np.any(self.mask_s & mask_shift):
                 raise ValueError("slab and shifted slab are not disjoint")
-        a0v = np.array(a0.coords, dtype=np.uint8)
-        neg_a0v = np.array((-a0).coords, dtype=np.uint8)
-        src_f = self.positions[self.table.index(h0)]
-        src_b = self.positions[self.table.index(h0.inverse())]
+        a0v, neg_a0v = vector_points(a0), vector_points(-a0)
+        tables_f, tables_b = self._tables(h0), self._tables(h0.inverse())
         row_f = self.table.left_mul_perm(h0)
         row_b = self.table.left_mul_perm(h0.inverse())
 
         def fn(pts):
-            coords, h_idx = pts
-            shape = np.broadcast_shapes(coords.shape[:-1], np.shape(h_idx))
-            coords = np.broadcast_to(coords, shape + coords.shape[-1:])
-            h_idx = np.broadcast_to(h_idx, shape)
+            points, h_idx = pts
+            shape = np.broadcast_shapes(points.shape[:-1], np.shape(h_idx))
+            shifted = f3_add(points, neg_a0v)
             # S and S + a0 are disjoint, so the two writes never overlap
-            fwd = sp_mask(coords)
-            back = sp_mask(_mod3(coords + neg_a0v))
-            new_c, new_h = coords.copy(), h_idx.copy()
-            new_c[fwd] = _mod3(a0v + coords[fwd][:, src_f])
-            new_h[fwd] = row_f[h_idx[fwd]]
-            new_c[back] = _mod3(coords[back] + neg_a0v)[:, src_b]
-            new_h[back] = row_b[h_idx[back]]
-            return (new_c, new_h)
+            fwd = np.nonzero(np.broadcast_to(sp_mask(points, p), shape))
+            back = np.nonzero(np.broadcast_to(sp_mask(shifted, p), shape))
+            points = np.broadcast_to(points, shape + (2,))
+            shifted = np.broadcast_to(shifted, shape + (2,))
+            moved_f = f3_add(permute_coords(take_points(points, fwd), tables_f), a0v)
+            moved_b = permute_coords(take_points(shifted, back), tables_b)
+            new_pts, new_h = empty_points(shape), np.array(np.broadcast_to(h_idx, shape))
+            new_pts[...] = points
+            put_points(new_pts, fwd, moved_f)
+            put_points(new_pts, back, moved_b)
+            new_h[fwd] = row_f[new_h[fwd]]
+            new_h[back] = row_b[new_h[back]]
+            return (new_pts, new_h)
 
         # the slab map is an involution
         return self._perm(fn, lambda: fn)
@@ -199,28 +234,28 @@ class GpContext:
         return np.repeat(self.mask_s, self.h_order)
 
 
-def _mod3(x: np.ndarray) -> np.ndarray:
-    """x mod 3, in place, for a fresh uint8 sum of two residue arrays: below
-    3, x - 3 wraps past x, so the minimum of the two is the residue."""
-    return np.minimum(x, x - np.uint8(3), out=x)
-
-
 # The benchmark's tracer wraps right_mult_inv through this name's class dict.
 ExactGpContext = GpContext
 
 
 # -- asymptotic homomorphisms ---------------------------------------------
 
-def eval_word(images: dict, word: ReducedWord, domain, names=None):
-    """The permutation of a word: the images of its letters (inverted for
-    negative letters) composed in order, the identity for the empty word.
-    With names given, a letter outside them raises a KeyError."""
-    acc = None
+def _compose_letters(images: dict, word: ReducedWord, names, acc):
+    """acc followed by the images of the word's letters (inverted for
+    negative letters), composed one letter at a time; None stays None
+    for the empty word.  A letter outside names raises a KeyError."""
     for g, s in word.letters:
         if names is not None and g not in names:
             raise KeyError(f"letter {g!r} is not in {names}")
         img = images[g] if s == 1 else images[g].inverse()
         acc = img if acc is None else acc.compose(img)
+    return acc
+
+
+def eval_word(images: dict, word: ReducedWord, domain):
+    """The permutation of a word: the images of its letters composed in
+    order, the identity for the empty word."""
+    acc = _compose_letters(images, word, None, None)
     return acc if acc is not None else domain.identity_perm()
 
 
@@ -245,14 +280,15 @@ class AsymptoticHom:
     def image(self, name: str):
         return self.images[name]
 
-    def eval(self, pw: ProductWord):
-        left = eval_word(self.images, pw.left, self.domain, self.left_names)
-        if pw.right.is_identity():
-            return left
-        right = eval_word(self.images, pw.right, self.domain, self.right_names)
-        if pw.left.is_identity():
-            return right
-        return left.compose(right)
+    def eval(self, pw: ProductWord, then: ProductWord = None):
+        """sigma(pw), or sigma(pw) o sigma(then), as one chain of letter
+        images from left to right, so that every composition gathers
+        through a generator image and never through a composed word."""
+        acc = None
+        for pair in (pw,) if then is None else (pw, then):
+            acc = _compose_letters(self.images, pair.left, self.left_names, acc)
+            acc = _compose_letters(self.images, pair.right, self.right_names, acc)
+        return acc if acc is not None else self.domain.identity_perm()
 
 
 def build_sigma(p, m, k, family: HomFamily = None, mode: str = None) -> AsymptoticHom:
@@ -320,7 +356,7 @@ def build_tilde_sigma(sigma: AsymptoticHom) -> AsymptoticHom:
 def hom_defect(sigma: AsymptoticHom, u: ProductWord, v: ProductWord,
                mode="exact", samples=None, seed=None) -> DHEstimate:
     """d_H(sigma(u) o sigma(v), sigma(uv))."""
-    lhs = sigma.eval(u).compose(sigma.eval(v))
+    lhs = sigma.eval(u, then=v)
     rhs = sigma.eval(u * v)
     return d_hamming(lhs, rhs, mode=mode, samples=samples, seed=seed)
 
@@ -398,20 +434,18 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     rho = family["rho"]
     mask_s = ctx.mask_s
     n_a = len(mask_s)
-    t_arr = t_image
 
     def lower_bound(word):
-        g = hom_eval(rho, word)
-        minus_w = -g.a
+        minus_w = -hom_eval(rho, word).a
         in_shift = mask_s[shifted_index_map(ctx.coords, minus_w)]
         moved = int(np.count_nonzero(mask_s & ~in_shift))
-        return Fraction(2 * moved, n_a), g
+        return Fraction(2 * moved, n_a)
 
-    def exact_commutator_defect(g):
-        right = ctx.right_mult_inv(g)
-        lhs = t_arr.compose(right)
-        rhs = right.compose(t_arr)
-        return d_hamming(lhs, rhs).value
+    t_word = ProductWord(ReducedWord.gen("t"))
+
+    def exact_commutator_defect(word):
+        w = ProductWord(right=word)
+        return d_hamming(sigma.eval(t_word, then=w), sigma.eval(w, then=t_word)).value
 
     best = (Fraction(0), None)
     tested = []
@@ -420,11 +454,11 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     cap_reached = False
     for word in _lambda_words_bfs(k, word_search_len):
         searched += 1
-        lb, g = lower_bound(word)
+        lb = lower_bound(word)
         if lb > best[0]:
             best = (lb, word)
         if len(tested) < exact_defect_cap or (lb >= threshold and witness is None):
-            defect = exact_commutator_defect(g)
+            defect = exact_commutator_defect(word)
             tested.append(
                 {"word": repr(word), "lower_bound": lb, "defect": defect,
                  "respects_bound": defect >= lb}
@@ -448,7 +482,7 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     h_order = ctx.h_order
     idx = np.arange(ctx.domain.size, dtype=np.int64)
     overlap = np.zeros((h_order, h_order), dtype=np.int64)
-    np.add.at(overlap, (idx % h_order, t_arr.images % h_order), 1)
+    np.add.at(overlap, (idx % h_order, t_image.images % h_order), 1)
     min_displaced = Fraction(2 * n_a - 2 * int(overlap.max()), n_a)
     report["cond4_min_displacement"] = min_displaced
     return report

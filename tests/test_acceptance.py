@@ -50,7 +50,7 @@ def _budget(num, elapsed, budget_s):
 
 def test_criterion_01_exact_subset_bounds():
     t0 = time.monotonic()
-    exhaustive = int(sp_mask(coords_matrix(7)).sum())
+    exhaustive = int(sp_mask(coords_matrix(7), 7).sum())
     ok = sp_count_exact(7) == exhaustive
     ratios = {p: Fraction(sp_count_exact(p), 3**p) for p in PRIMES}
     ok &= all(Fraction(1, 243) <= r <= Fraction(1, 3) for r in ratios.values())

@@ -19,9 +19,12 @@ from soficlab.f3vectors import (
     decode_indices,
     disjointness_check_ap_shift,
     encode_coords,
+    f3_add,
     h_act,
     h_position_perm,
     invariant_closure_dim,
+    permutation_tables,
+    permute_coords,
     position_table,
     shift_overlap_counts,
     shifted_index_map,
@@ -37,9 +40,23 @@ from soficlab.f3vectors import (
 PRIMES = (7, 13, 19, 31, 37)
 
 
+def _rows(points, p):
+    """Oracle: the uint8 coordinate rows (..., p+1) of a bit-plane array."""
+    shifts = np.arange(p + 1, dtype=np.uint64)
+    bits = (points[..., None, :] >> shifts[:, None]) & np.uint64(1)
+    return (bits[..., 0] + 2 * bits[..., 1]).astype(np.uint8)
+
+
+def _points(rows):
+    """Oracle: the bit-plane array (..., 2) of uint8 coordinate rows."""
+    weights = np.uint64(1) << np.arange(rows.shape[-1], dtype=np.uint64)
+    return np.stack([np.where(rows == c, weights, np.uint64(0)).sum(axis=-1)
+                     for c in (1, 2)], axis=-1)
+
+
 def brute_force_sp_indices(p):
     """Independent oracle: S(p) membership by enumerating all of A(p)."""
-    mask = sp_mask(coords_matrix(p))
+    mask = sp_mask(coords_matrix(p), p)
     return mask
 
 
@@ -153,7 +170,7 @@ def test_count_matches_monte_carlo_p13():
         coords[:, i] = rem % 3
         rem = rem // 3
     coords[:, 13] = (-coords[:, :13].sum(axis=1, dtype=np.int64)) % 3
-    hits = int(sp_mask(coords).sum())
+    hits = int(sp_mask(_points(coords), 13).sum())
     p_hat = hits / n
     truth = sp_count_exact(13) / 3**13
     sd = sqrt(truth * (1 - truth) / n)
@@ -221,18 +238,19 @@ def test_closure_dim_random_nonzero():
 
 def test_encode_decode_consistency():
     mat = coords_matrix(7)
-    assert np.array_equal(encode_coords(mat), np.arange(3**7))
+    assert np.array_equal(encode_coords(mat, 7), np.arange(3**7))
 
 
 @settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from((7, 13, 19, 31, 37)), data=st.data())
 def test_decode_indices_matches_scalar_unindex(p, data):
     idx = data.draw(st.lists(st.integers(0, 3**p - 1), min_size=6, max_size=6))
-    coords = decode_indices(np.array(idx, dtype=np.int64).reshape(2, 3), p)
+    points = decode_indices(np.array(idx, dtype=np.int64).reshape(2, 3), p)
+    coords = _rows(points, p)
     assert coords.shape == (2, 3, p + 1)
     rows = coords.reshape(6, p + 1)
     assert [tuple(map(int, r)) for r in rows] == [ap_unindex(i, p).coords for i in idx]
-    assert encode_coords(coords).ravel().tolist() == idx
+    assert encode_coords(points, p).ravel().tolist() == idx
 
 
 @lru_cache(maxsize=None)
@@ -246,3 +264,60 @@ def test_position_table_matches_scalar_oracle(q):
     positions = position_table(psl2_table(q))
     assert positions.dtype == np.uint8
     assert np.array_equal(positions, _stacked_position_rows(q))
+
+
+# -- the bit-plane kernel against uint8 row oracles -------------------------
+
+def _random_rows(data, p, shape):
+    n = int(np.prod(shape)) * (p + 1)
+    flat = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return np.array(flat, dtype=np.uint8).reshape(shape + (p + 1,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_decoded_planes_are_disjoint_and_clean(p, data):
+    idx = np.array(data.draw(st.lists(st.integers(0, 3**p - 1), min_size=6, max_size=6)))
+    points = decode_indices(idx.reshape(2, 3), p)
+    assert points.shape == (2, 3, 2) and points.dtype == np.uint64
+    assert not np.any(points[..., 0] & points[..., 1])
+    assert not np.any(points >> np.uint64(p + 1))
+    assert np.array_equal(points, _points(_rows(points, p)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_plane_addition_matches_rows_mod3(p, data):
+    a = _random_rows(data, p, (2, 3))
+    b = _random_rows(data, p, (2, 3))
+    total = f3_add(_points(a), _points(b))
+    assert np.array_equal(_rows(total, p), (a + b) % 3)
+    assert not np.any(total >> np.uint64(p + 1))
+    # broadcasting one vector against a batch, as the maps add constants
+    assert np.array_equal(_rows(f3_add(_points(a), _points(b[0, 0])), p), (a + b[0, 0]) % 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from((7, 13, 37)), data=st.data())
+def test_byte_table_permutation_matches_position_rows(q, data):
+    stacked = _stacked_position_rows(q)
+    i = data.draw(st.integers(0, len(stacked) - 1))
+    rows = _random_rows(data, q, (2, 2))
+    moved = permute_coords(_points(rows), permutation_tables(position_table(psl2_table(q))[i]))
+    assert np.array_equal(_rows(moved, q), rows[..., stacked[i]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_popcount_sp_mask_matches_scalar_membership(p, data):
+    # type counts over the whole range, so both sides of the S(p) boundary
+    # occur, arranged in any order with a nonzero last coordinate
+    n1 = data.draw(st.integers(0, p + 1))
+    n2 = data.draw(st.integers(0, p + 1 - n1).filter(lambda n2: (n1 + 2 * n2) % 3 == 0))
+    coords = [1] * n1 + [2] * n2 + [0] * (p + 1 - n1 - n2)
+    coords = [coords[j] for j in data.draw(st.permutations(range(p + 1)))]
+    if n1 + n2 and coords[-1] == 0:
+        j = next(j for j, v in enumerate(coords) if v)
+        coords[j], coords[-1] = 0, coords[j]
+    x = ApVector(p, coords)
+    assert bool(sp_mask(_points(np.array(coords, dtype=np.uint8)), p)) == sp_membership(x)

@@ -52,7 +52,7 @@ def test_generator_images_match_group_arithmetic(models, family7, name, i):
     implicit = models["implicit"].images[name]
     pair = (np.array([i // INDEXER.h_order]), np.array([i % INDEXER.h_order]))
     coords, h_idx = implicit.apply((decode_indices(pair[0], 7), pair[1]))
-    assert int(encode_coords(coords)[0]) * INDEXER.h_order + int(h_idx[0]) == want
+    assert int(encode_coords(coords, 7)[0]) * INDEXER.h_order + int(h_idx[0]) == want
     back_c, back_h = implicit.apply_inverse((coords, h_idx))
-    back_a = encode_coords(back_c)
+    back_a = encode_coords(back_c, 7)
     assert (int(back_a[0]), int(back_h[0])) == (int(pair[0][0]), int(pair[1][0]))

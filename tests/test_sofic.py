@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlab.f3vectors import encode_coords, sp_count_exact
+from soficlab.f3vectors import ApVector, ap_index, decode_indices, encode_coords, sp_count_exact
 from soficlab.groups import GpIndexer, hom_eval
 from soficlab.perms import SAMPLE_BLOCK, d_hamming
 from soficlab.sofic import (
     WORD_SEARCH_CAP,
     ExactGpContext,
+    GpPairDomain,
     build_sigma,
     hom_defect,
     four_condition_report,
@@ -196,7 +197,7 @@ def test_implicit_mode_agrees_with_exact_at_p7():
     idxr = GpIndexer(7)
     rng = np.random.default_rng(7)
     pts = implicit.domain.sample(rng, 2000)
-    flat = encode_coords(pts[0]) * idxr.h_order + pts[1]
+    flat = encode_coords(pts[0], 7) * idxr.h_order + pts[1]
     words = [
         pw(ReducedWord.gen("t")),
         pw(ReducedWord.gen("a3")),
@@ -206,7 +207,7 @@ def test_implicit_mode_agrees_with_exact_at_p7():
     ]
     for w in words:
         ic, ih = implicit.eval(w).apply(pts)
-        assert np.array_equal(encode_coords(ic) * idxr.h_order + ih,
+        assert np.array_equal(encode_coords(ic, 7) * idxr.h_order + ih,
                               exact.eval(w).images[flat])
 
 
@@ -246,3 +247,15 @@ def test_every_generator_inverts_at_p37():
         assert not np.all(domain.points_equal(moved, pts)), name
         assert np.all(domain.points_equal(image.apply_inverse(moved), pts)), name
         assert np.all(domain.points_equal(image.apply(image.apply_inverse(pts)), pts)), name
+
+
+def test_pair_points_equal_compares_both_planes():
+    # two vectors with the same 1-plane whose 2-planes differ
+    a = ApVector(13, (0, 2) + (0,) * 11 + (1,))
+    b = ApVector(13, (2, 0) + (0,) * 11 + (1,))
+    points = decode_indices(np.array([ap_index(a), ap_index(b)]), 13)
+    h = np.zeros(2, dtype=np.int64)
+    assert points[0, 0] == points[1, 0]
+    domain = GpPairDomain(13)
+    assert domain.points_equal((points[:1], h[:1]), (points[1:], h[1:])).tolist() == [False]
+    assert domain.points_equal((points, h), (points, h)).tolist() == [True, True]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
 
@@ -70,3 +72,27 @@ def test_product_word_componentwise():
         assert uv.left == u.left * v.left
         assert uv.right == u.right * v.right
         assert (u * u.inverse()).is_identity()
+
+
+# -- free reduction as a property ----------------------------------------
+
+_letters = st.lists(st.tuples(st.sampled_from(GENS), st.sampled_from((1, -1))),
+                    max_size=12)
+
+
+def _is_reduced(word):
+    return all(not (g == h and s == -t)
+               for (g, s), (h, t) in zip(word.letters, word.letters[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=_letters, v=_letters, w=_letters)
+def test_free_reduction_properties(u, v, w):
+    u, v, w = ReducedWord(u), ReducedWord(v), ReducedWord(w)
+    assert all(map(_is_reduced, (u, v, w, u * v, v * w, u * v * w)))
+    assert (u * w.inverse()).is_identity() == (u == w)
+    assert (u * u.inverse()).is_identity() and (u.inverse() * u).is_identity()
+    assert (u * v) * w == u * (v * w)
+    # reducing is idempotent and products reduce their concatenation
+    assert ReducedWord(u.letters) == u
+    assert u * v == ReducedWord(u.letters + v.letters)
