@@ -25,8 +25,8 @@ from math import log, sqrt
 import numpy as np
 
 EXACT_DOMAIN_BUDGET = 5_000_000
-# Sampled distances evaluate their drawn points this many at a time, which
-# bounds the temporaries of implicit maps on coordinate rows.
+# Implicit maps run on at most about this many points at a time (sampled
+# distances and domain enumeration alike), which bounds their temporaries.
 SAMPLE_BLOCK = 1 << 16
 
 
@@ -44,6 +44,13 @@ class FlatDomain:
 
     def identity_perm(self):
         return ExactPerm(np.arange(self.size, dtype=np.int64), domain=self)
+
+    def index(self, points):
+        return points
+
+    def blocks(self):
+        """(flat rows, points) covering the domain: here one block."""
+        yield slice(None), np.arange(self.size, dtype=np.int64)
 
     def __eq__(self, other):
         return isinstance(other, FlatDomain) and self.size == other.size
@@ -118,11 +125,7 @@ class ExactPerm:
         """self after other: x -> self(other(x))."""
         if isinstance(other, ExactPerm):
             return ExactPerm(self.images[other.images], domain=self.domain, validate=False)
-        return ImplicitPerm(
-            self.domain,
-            lambda pts: self.apply(other.apply(pts)),
-            lambda pts: other.apply_inverse(self.apply_inverse(pts)),
-        )
+        raise TypeError("can only compose exact permutations with exact ones")
 
     def fixed_count(self) -> int:
         return int(np.count_nonzero(self.images == np.arange(len(self.images))))
@@ -229,17 +232,20 @@ def hoeffding_radius(samples: int, confidence: float) -> float:
     return sqrt(log(2.0 / delta) / (2.0 * samples))
 
 
-def _materialize(perm) -> ExactPerm:
+def materialize(perm) -> ExactPerm:
+    """The dense image array of a permutation on the flat index of its
+    domain: an implicit map is run once over the domain's blocks."""
     if isinstance(perm, ExactPerm):
         return perm
-    if isinstance(perm, ImplicitPerm) and isinstance(perm.domain, FlatDomain):
-        if perm.size > EXACT_DOMAIN_BUDGET:
-            raise ValueError(
-                f"domain of size {perm.size} is too large to enumerate exactly"
-            )
-        pts = np.arange(perm.size, dtype=np.int64)
-        return ExactPerm(perm.apply(pts), domain=perm.domain)
-    raise ValueError("operand cannot be enumerated for exact comparison")
+    if not isinstance(perm, ImplicitPerm):
+        raise ValueError("operand cannot be enumerated for exact comparison")
+    if perm.size > EXACT_DOMAIN_BUDGET:
+        raise ValueError(f"domain of size {perm.size} is too large to enumerate exactly")
+    domain = perm.domain
+    images = np.empty(perm.size, dtype=np.int64)
+    for rows, pts in domain.blocks():
+        images[rows] = domain.index(perm.apply(pts)).ravel()
+    return ExactPerm(images, domain=FlatDomain(perm.size))
 
 
 def _point_block(points, rows: slice):
@@ -266,7 +272,7 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None, confidence=0.99
             for f, g in zip(sigma.factors, tau.factors):
                 agree *= 1 - d_hamming(f, g, mode="exact").value
             return DHEstimate(1 - agree, 0.0, 1.0, "exact")
-        s, t = _materialize(sigma), _materialize(tau)
+        s, t = materialize(sigma), materialize(tau)
         diff = int(np.count_nonzero(s.images != t.images))
         return DHEstimate(Fraction(diff, s.size), 0.0, 1.0, "exact")
     if mode == "sampled":
@@ -311,16 +317,19 @@ def read_binary(path, magic: bytes, version: int, n_fields: int, dtype, kind: st
     magic, version and length; errors name the file kind."""
     header = struct.Struct(f"<4sI{n_fields}Q")
     with open(path, "rb") as fh:
-        got_magic, got_version, *fields = header.unpack(fh.read(header.size))
-        if got_magic != magic:
-            raise ValueError(f"not a {kind} file")
-        if got_version != version:
-            raise ValueError(f"unsupported {kind} format version {got_version}")
-        dtype = np.dtype(dtype)
-        entries = np.frombuffer(fh.read(dtype.itemsize * fields[0]), dtype=dtype)
-        if len(entries) != fields[0]:
-            raise ValueError(f"truncated {kind} file")
-    return fields, entries
+        data = fh.read()
+    if len(data) < header.size:
+        raise ValueError(f"truncated {kind} file: shorter than its header")
+    got_magic, got_version, *fields = header.unpack_from(data)
+    if got_magic != magic:
+        raise ValueError(f"not a {kind} file")
+    if got_version != version:
+        raise ValueError(f"unsupported {kind} format version {got_version}")
+    extra = len(data) - header.size - np.dtype(dtype).itemsize * fields[0]
+    if extra:
+        raise ValueError(f"{kind} file has {extra} trailing bytes" if extra > 0
+                         else f"truncated {kind} file")
+    return fields, np.frombuffer(data, dtype=dtype, offset=header.size)
 
 
 PERM_MAGIC = b"SPRM"

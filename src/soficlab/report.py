@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 REPORT_FORMAT_VERSION = 1
-VOLATILE_FIELDS = ("wall_time_s",)
 
 
 def jsonable(x):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .f3vectors import (
     permute_coords,
     position_table,
     put_points,
-    shifted_index_map,
+    shift_overlap_counts,
     sp_mask,
     take_points,
     vector_points,
@@ -64,6 +65,7 @@ from .perms import (
     ImplicitPerm,
     ProductPerm,
     d_hamming,
+    materialize,
 )
 from .words import ProductWord, ReducedWord, random_reduced_word
 
@@ -76,7 +78,7 @@ DECODE_BLOCK = 1 << 14
 class GpPairDomain:
     """G(p) as pairs (points, matrix index): a (..., 2) uint64 array of A(p)
     vectors as bit-planes (see f3vectors) and an int64 array of PSL2
-    indices; used where the flat domain is too large to enumerate."""
+    indices; the flat index of a pair is a_idx * |H| + h_idx."""
 
     def __init__(self, p: int):
         self.p = p
@@ -93,6 +95,22 @@ class GpPairDomain:
             points[rows] = decode_indices(a[rows], self.p)
         return (points, h)
 
+    def index(self, points):
+        """The flat indices of a batch of points."""
+        vectors, h_idx = points
+        return encode_coords(vectors, self.p) * self.h_order + h_idx
+
+    def blocks(self):
+        """(flat rows, points) covering the domain in flat-index order: blocks
+        of vectors, each broadcast against all matrices."""
+        h_idx = np.arange(self.h_order, dtype=np.int64)[None, :]
+        n_a = 3**self.p
+        step = max(1, SAMPLE_BLOCK // self.h_order)
+        for start in range(0, n_a, step):
+            stop = min(start + step, n_a)
+            vectors = decode_indices(np.arange(start, stop, dtype=np.int64), self.p)
+            yield slice(start * self.h_order, stop * self.h_order), (vectors[:, None], h_idx)
+
     def points_equal(self, x, y):
         return vectors_equal(x[0], y[0]) & (x[1] == y[1])
 
@@ -106,6 +124,13 @@ class GpPairDomain:
         return f"GpPairDomain(p={self.p})"
 
 
+def _built_on_first_call(make):
+    """make()'s batch map, built when it is first applied: exact models
+    never apply their images' inverses, so they never build them."""
+    build = cache(make)
+    return lambda pts: build()(pts)
+
+
 class GpContext:
     """Builders for the permutations of G(p) that the model's generators
     induce.
@@ -113,14 +138,12 @@ class GpContext:
     Each builder makes one batch map on points (vectors, h_idx): a (..., 2)
     bit-plane array and matrix indices whose leading shapes broadcast
     together.  Fixed coordinate permutations run as byte tables, shifts as
-    bit-plane sums mod 3, and S(p) tests as popcounts.  Exact mode applies
-    the map once to all vectors against all matrices and keeps the result
-    as a dense, validated ExactPerm on the flat index a_idx * |H| + h_idx;
-    implicit mode keeps the map and its inverse as an ImplicitPerm on
-    GpPairDomain.
+    bit-plane sums mod 3, and S(p) tests as popcounts.  Every builder
+    returns the map and its inverse as an ImplicitPerm on GpPairDomain; an
+    exact model is these maps enumerated once by perms.materialize.
     """
 
-    def __init__(self, p: int, exact: bool):
+    def __init__(self, p: int):
         if 3**p > np.iinfo(np.int64).max:
             raise ResourceBudgetError(
                 f"A({p}) has 3^{p} vectors, past the int64 index range"
@@ -128,35 +151,10 @@ class GpContext:
         # so p <= 39: the p+1 coordinates fit a 40-bit plane word
         assert p + 1 <= 40
         self.p = p
-        self.exact = exact
         self.table = psl2_table(p)
-        self.h_order = len(self.table)
-        if exact:
-            if 3**p * self.h_order > EXACT_DOMAIN_BUDGET:
-                raise ValueError(f"G({p}) is too large for exact mode")
-            self.domain = FlatDomain(3**p * self.h_order)
-            self.coords = coords_matrix(p)
-            self.mask_s = sp_mask(self.coords, p)
-        else:
-            self.domain = GpPairDomain(p)
+        self.domain = GpPairDomain(p)
         # row i: the position permutation of the i-th matrix
         self.positions = position_table(self.table)
-
-    def _perm(self, forward, backward):
-        """The permutation of a batch map; backward() makes the inverse
-        map, which only implicit mode needs."""
-        if not self.exact:
-            return ImplicitPerm(self.domain, forward, backward())
-        # all vectors against all matrices, in blocks of vectors that bound
-        # the batch map's temporaries
-        h_idx = np.arange(self.h_order, dtype=np.int64)[None, :]
-        flat = np.empty((len(self.coords), self.h_order), dtype=np.int64)
-        step = max(1, SAMPLE_BLOCK // self.h_order)
-        for start in range(0, len(self.coords), step):
-            rows = slice(start, start + step)
-            points, h = forward((self.coords[rows, None], h_idx))
-            flat[rows] = encode_coords(points, self.p) * self.h_order + h
-        return ExactPerm(flat.ravel(), domain=self.domain)
 
     def _tables(self, h: PSL2Element):
         """Byte tables of the coordinate permutation of h."""
@@ -164,7 +162,8 @@ class GpContext:
 
     def left_mult(self, g: GpElement):
         """x -> g x."""
-        return self._perm(self._left_fn(g), lambda: self._left_fn(g.inverse()))
+        return ImplicitPerm(self.domain, self._left_fn(g),
+                            _built_on_first_call(lambda: self._left_fn(g.inverse())))
 
     def _left_fn(self, g: GpElement):
         tables = self._tables(g.h)
@@ -179,7 +178,8 @@ class GpContext:
 
     def right_mult_inv(self, g: GpElement):
         """x -> x g^(-1)."""
-        return self._perm(self._right_fn(g.inverse()), lambda: self._right_fn(g))
+        return ImplicitPerm(self.domain, self._right_fn(g.inverse()),
+                            _built_on_first_call(lambda: self._right_fn(g)))
 
     def _right_fn(self, g: GpElement):
         """x -> x g: (a, h) -> (a + h.w, h u) for g = (w, u)."""
@@ -198,10 +198,8 @@ class GpContext:
         if (h0 * h0).is_identity():
             raise ValueError("the translating matrix part must not square to e")
         p = self.p
-        if self.exact:
-            mask_shift = self.mask_s[shifted_index_map(self.coords, -a0)]
-            if np.any(self.mask_s & mask_shift):
-                raise ValueError("slab and shifted slab are not disjoint")
+        if shift_overlap_counts(p, a0)["both"]:
+            raise ValueError("slab and shifted slab are not disjoint")
         a0v, neg_a0v = vector_points(a0), vector_points(-a0)
         tables_f, tables_b = self._tables(h0), self._tables(h0.inverse())
         row_f = self.table.left_mul_perm(h0)
@@ -227,11 +225,11 @@ class GpContext:
             return (new_pts, new_h)
 
         # the slab map is an involution
-        return self._perm(fn, lambda: fn)
+        return ImplicitPerm(self.domain, fn, fn)
 
     def slab_mask(self) -> np.ndarray:
-        """Indicator of T = S(p) x H(p) on the flat index (exact mode)."""
-        return np.repeat(self.mask_s, self.h_order)
+        """Indicator of T = S(p) x H(p) on the flat index (a test oracle)."""
+        return np.repeat(sp_mask(coords_matrix(self.p), self.p), self.domain.h_order)
 
 
 # The benchmark's tracer wraps right_mult_inv through this name's class dict.
@@ -250,13 +248,6 @@ def _compose_letters(images: dict, word: ReducedWord, names, acc):
         img = images[g] if s == 1 else images[g].inverse()
         acc = img if acc is None else acc.compose(img)
     return acc
-
-
-def eval_word(images: dict, word: ReducedWord, domain):
-    """The permutation of a word: the images of its letters composed in
-    order, the identity for the empty word."""
-    acc = _compose_letters(images, word, None, None)
-    return acc if acc is not None else domain.identity_perm()
 
 
 @dataclass
@@ -297,7 +288,7 @@ def build_sigma(p, m, k, family: HomFamily = None, mode: str = None) -> Asymptot
     with a0 = (0,0,1,...,1) and h0 the image of [[1,1],[0,1]]."""
     if mode is None:
         mode = "exact" if 3**p * psl2_order(p) <= EXACT_DOMAIN_BUDGET else "implicit"
-    ctx = GpContext(p, exact=(mode == "exact"))
+    ctx = GpContext(p)
     if family is None:
         family = build_hom_specs(p, m, k)
     a0 = a_shift_vector(p)
@@ -309,8 +300,10 @@ def build_sigma(p, m, k, family: HomFamily = None, mode: str = None) -> Asymptot
     images["t"] = ctx.t_perm(a0, h0)
     for name in lambda_gen_names(k):
         images[name] = ctx.right_mult_inv(rho.image(name))
+    if mode == "exact":
+        images = {name: materialize(perm) for name, perm in images.items()}
     return AsymptoticHom(
-        domain=ctx.domain,
+        domain=images["t"].domain,
         left_names=sigma_gen_names(m),
         right_names=lambda_gen_names(k),
         images=images,
@@ -393,8 +386,8 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     (2) fixed-point fraction of the t image;
     (3) search for a right word whose commutator with t has large defect,
         scoring words by the exact slab displacement 2|T \\ T r(h)| / |G|
-        (evaluated per slice: |T \\ T(w,u)| = |H| * |S \\ (S+w)|) and
-        checking the exact defect against that lower bound on a sample;
+        (per slice |T \\ T(w,u)| = |H| * |S \\ (S+w)|, by shift_overlap_counts)
+        and checking the exact defect against that lower bound on a sample;
         the search covers at most WORD_SEARCH_CAP words;
     (4) the minimum over slice pairs of the displaced fraction of each
         A(p)-slice under the t image.
@@ -403,7 +396,6 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
         sigma = build_sigma(p, m, k)
     if sigma.mode != "exact":
         raise ResourceBudgetError("the four-condition report needs the exact mode")
-    ctx: GpContext = sigma.meta["context"]
     family = sigma.family
     import random as _random
 
@@ -432,14 +424,11 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
 
     # (3): word search using the exact displacement lower bound
     rho = family["rho"]
-    mask_s = ctx.mask_s
-    n_a = len(mask_s)
+    n_a = 3**p
 
     def lower_bound(word):
-        minus_w = -hom_eval(rho, word).a
-        in_shift = mask_s[shifted_index_map(ctx.coords, minus_w)]
-        moved = int(np.count_nonzero(mask_s & ~in_shift))
-        return Fraction(2 * moved, n_a)
+        counts = shift_overlap_counts(p, hom_eval(rho, word).a)
+        return Fraction(counts["only_s"] + counts["only_shift"], n_a)
 
     t_word = ProductWord(ReducedWord.gen("t"))
 
@@ -479,8 +468,8 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     report["cond3_cap_reached"] = cap_reached
 
     # (4): slice displacement matrix of the t image
-    h_order = ctx.h_order
-    idx = np.arange(ctx.domain.size, dtype=np.int64)
+    h_order = psl2_order(p)
+    idx = np.arange(sigma.domain.size, dtype=np.int64)
     overlap = np.zeros((h_order, h_order), dtype=np.int64)
     np.add.at(overlap, (idx % h_order, t_image.images % h_order), 1)
     min_displaced = Fraction(2 * n_a - 2 * int(overlap.max()), n_a)
@@ -492,7 +481,7 @@ def slab_right_translate_count(ctx: GpContext, g: GpElement) -> int:
     """Brute-force |T \\ T g| over the flat domain; the slicewise identity
     |T \\ T(w,u)| = |H| * |S \\ (S+w)| is unit-tested against this."""
     mask_t = ctx.slab_mask()
-    right = ctx.right_mult_inv(g)  # x -> x g^(-1)
+    right = materialize(ctx.right_mult_inv(g))  # x -> x g^(-1)
     mask_tg = mask_t[right.images]  # x in Tg  <=>  x g^(-1) in T
     return int(np.count_nonzero(mask_t & ~mask_tg))
 
@@ -607,7 +596,8 @@ class WordMap:
         self.domain = first.domain
 
     def eval(self, word: ReducedWord):
-        return eval_word(self.images, word, self.domain)
+        acc = _compose_letters(self.images, word, None, None)
+        return acc if acc is not None else self.domain.identity_perm()
 
 
 class SchreierSystem:

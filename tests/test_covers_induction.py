@@ -1,7 +1,11 @@
 import random
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab.perms import ExactPerm, d_hamming
 from soficlab.sofic import (
@@ -39,6 +43,27 @@ def test_lift_postconditions_random_instances():
         budget = (cover.theta[sigma.images] != tau.images[cover.theta]).mean()
         assert float(d_hamming(lifted, sigma).value) <= budget + 1e-12
         assert (1 - lifted.fixed_fraction()) >= (1 - tau.fixed_fraction())
+
+
+@st.composite
+def _cover_instances(draw):
+    n_base, d = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    theta = draw(st.permutations(np.repeat(np.arange(n_base), d).tolist()))
+    sigma = draw(st.permutations(range(n_base * d)))
+    tau = draw(st.permutations(range(n_base)))
+    return BranchedCover.build(theta), ExactPerm(sigma), ExactPerm(tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=_cover_instances())
+def test_lift_property(instance):
+    cover, sigma, tau = instance
+    lifted = lift_branched_cover(sigma, tau, cover)
+    # theta o lift = tau o theta exactly
+    assert np.array_equal(cover.theta[lifted.images], tau.images[cover.theta])
+    # d_H(lift, sigma) <= d_H(theta o sigma, tau o theta)
+    off = np.count_nonzero(cover.theta[sigma.images] != tau.images[cover.theta])
+    assert d_hamming(lifted, sigma).value <= Fraction(int(off), sigma.size)
 
 
 def test_lift_keeps_commuting_permutation():
@@ -141,6 +166,33 @@ def test_cocycle_identity_random_triples():
         assert schreier.cocycle(u * v, i) == (
             schreier.cocycle(u, schreier.act(v, i)) * schreier.cocycle(v, i)
         )
+
+
+_words = st.lists(st.tuples(st.sampled_from(("x", "y")), st.sampled_from((1, -1))),
+                  max_size=8).map(ReducedWord)
+
+
+@st.composite
+def _coset_actions(draw):
+    # x cycles through all cosets in a drawn order, so the action is
+    # transitive; y is any permutation
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    x = [0] * n
+    for a, b in zip(order, order[1:] + order[:1]):
+        x[a] = b
+    return {"x": x, "y": draw(st.permutations(range(n)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(action=_coset_actions(), u=_words, v=_words, data=st.data())
+def test_cocycle_identity_property(action, u, v, data):
+    # c(uv, i) = c(u, v.i) c(v, i)
+    schreier = SchreierSystem(action)
+    i = data.draw(st.integers(0, schreier.n - 1))
+    assert schreier.cocycle(u * v, i) == (
+        schreier.cocycle(u, schreier.act(v, i)) * schreier.cocycle(v, i)
+    )
 
 
 def test_cocycle_matches_ambient_value(family7):

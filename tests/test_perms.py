@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from soficlab.partitions import LabeledPartition, read_partition, write_partition
 from soficlab.perms import (
     ExactPerm,
     FlatDomain,
@@ -144,3 +147,64 @@ def test_cover_file_round_trip(tmp_path):
     path = tmp_path / "c.scvr"
     write_cover(path, theta, sidecar={"d": 5})
     assert np.array_equal(read_cover(path), theta)
+
+
+# -- binary files as properties ----------------------------------------------
+
+_files = settings(max_examples=60, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_files
+@given(images=st.integers(1, 200).flatmap(lambda n: st.permutations(range(n))))
+def test_perm_file_round_trip_property(tmp_path, images):
+    path = tmp_path / "x.sprm"
+    write_perm(path, ExactPerm(images))
+    assert read_perm(path).images.tolist() == list(images)
+
+
+@_files
+@given(theta=st.lists(st.integers(0, 2**63 - 1), max_size=200))
+def test_cover_file_round_trip_property(tmp_path, theta):
+    path = tmp_path / "c.scvr"
+    write_cover(path, np.array(theta, dtype=np.uint64))
+    assert read_cover(path).tolist() == theta
+
+
+@_files
+@given(labels=st.lists(st.integers(0, 40), max_size=200))
+def test_partition_file_round_trip_property(tmp_path, labels):
+    # relabel to 0..b-1, so that no block is empty
+    ids = np.unique(np.array(labels, dtype=np.int64), return_inverse=True)[1]
+    part = LabeledPartition(ids)
+    path = tmp_path / "p.sprt"
+    write_partition(path, part)
+    assert read_partition(path) == part
+
+
+FILE_KINDS = {
+    "permutation": (".sprm", lambda path: write_perm(path, ExactPerm([1, 0, 2, 4, 3])),
+                    read_perm),
+    "cover": (".scvr", lambda path: write_cover(path, np.array([0, 0, 1, 1, 2])),
+              read_cover),
+    "partition": (".sprt",
+                  lambda path: write_partition(path, LabeledPartition([0, 1, 1, 0, 2])),
+                  read_partition),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+def test_binary_reader_refuses_malformed_files(tmp_path, kind):
+    suffix, write, read = FILE_KINDS[kind]
+    path = tmp_path / f"x{suffix}"
+    write(path)
+    data = path.read_bytes()
+    read(path)
+    # shorter than the header
+    path.write_bytes(data[:5])
+    with pytest.raises(ValueError, match=kind):
+        read(path)
+    # trailing bytes after the entries
+    path.write_bytes(data + b"\0" * 8)
+    with pytest.raises(ValueError, match=kind):
+        read(path)

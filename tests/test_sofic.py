@@ -4,12 +4,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlab.f3vectors import ApVector, ap_index, decode_indices, encode_coords, sp_count_exact
+from soficlab.algebra import PSL2Element
+from soficlab.f3vectors import (
+    ApVector,
+    ap_index,
+    coords_matrix,
+    decode_indices,
+    shifted_index_map,
+    sp_count_exact,
+    sp_mask,
+    v_vector,
+)
 from soficlab.groups import GpIndexer, hom_eval
 from soficlab.perms import SAMPLE_BLOCK, d_hamming
 from soficlab.sofic import (
     WORD_SEARCH_CAP,
     ExactGpContext,
+    GpContext,
     GpPairDomain,
     build_sigma,
     hom_defect,
@@ -102,10 +113,8 @@ def test_slice_identity_against_brute_force(sigma7, family7):
         word = random_reduced_word(rng, LAMBDA, rng.randint(1, 3))
         g = hom_eval(rho, word)
         brute = slab_right_translate_count(ctx, g)
-        mask = ctx.mask_s
-        from soficlab.f3vectors import shifted_index_map
-
-        in_shift = mask[shifted_index_map(ctx.coords, -g.a)]
+        mask = sp_mask(coords_matrix(7), 7)
+        in_shift = mask[shifted_index_map(coords_matrix(7), -g.a)]
         slicewise = 168 * int(np.count_nonzero(mask & ~in_shift))
         assert brute == slicewise
 
@@ -194,10 +203,9 @@ def test_implicit_mode_agrees_with_exact_at_p7():
     # can arbitrate
     exact = build_sigma(7, 5, 3, mode="exact")
     implicit = build_sigma(7, 5, 3, mode="implicit")
-    idxr = GpIndexer(7)
     rng = np.random.default_rng(7)
     pts = implicit.domain.sample(rng, 2000)
-    flat = encode_coords(pts[0], 7) * idxr.h_order + pts[1]
+    flat = implicit.domain.index(pts)
     words = [
         pw(ReducedWord.gen("t")),
         pw(ReducedWord.gen("a3")),
@@ -206,8 +214,7 @@ def test_implicit_mode_agrees_with_exact_at_p7():
            ReducedWord.gen("b3") * ReducedWord.gen("b1")),
     ]
     for w in words:
-        ic, ih = implicit.eval(w).apply(pts)
-        assert np.array_equal(encode_coords(ic, 7) * idxr.h_order + ih,
+        assert np.array_equal(implicit.domain.index(implicit.eval(w).apply(pts)),
                               exact.eval(w).images[flat])
 
 
@@ -224,6 +231,13 @@ def test_implicit_mode_selected_beyond_budget():
 def test_exact_mode_refused_beyond_budget():
     with pytest.raises(ValueError):
         build_sigma(13, 5, 3, mode="exact")
+
+
+def test_implicit_slab_overlap_refused():
+    # v = (1, -1, 0, ..., 0) moves some of S(13) into itself; the check
+    # runs on implicit models too
+    with pytest.raises(ValueError, match="not disjoint"):
+        GpContext(13).t_perm(v_vector(13), PSL2Element(1, 1, 0, 1, 13))
 
 
 @pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 7])

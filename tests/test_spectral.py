@@ -163,12 +163,13 @@ def test_slab_boundary_decorated_matches_shift_count(family7):
 
 def test_slab_boundary_matches_brute_force(sigma7, family7):
     # |Tg symdiff T| / |G| against a full-domain count at p = 7
+    from soficlab.perms import materialize
     from soficlab.sofic import ExactGpContext
 
     ctx: ExactGpContext = sigma7.meta["context"]
     g = family7["rho"].image("b3")
     mask_t = ctx.slab_mask()
-    right = ctx.right_mult_inv(g)
+    right = materialize(ctx.right_mult_inv(g))
     mask_tg = mask_t[right.images]
     brute = Fraction(int(np.count_nonzero(mask_t ^ mask_tg)), len(mask_t))
     assert boundary_ratio_slab(7, {"b3": g})["max"] == brute
