@@ -17,7 +17,9 @@ import numpy as np
 INFINITY = "inf"
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Trial division, cached: every PSL2Element product checks its modulus."""
     if n < 2:
         return False
     d = 2

@@ -12,6 +12,16 @@ which the deflation sends to 0, sit below all of them and the largest
 eigenvalue is the wanted one even when every nontrivial lambda is negative
 (as on the 3-cycle).
 
+The paired projective graphs on PSL2(F_p) x PSL2(F_r) are not built at
+all: left translations commute with the right action of the unipotent
+subgroup U = U_H x U_K, so l2(H x K) splits over the characters psi of U
+into the spaces {f : f(x u) = psi(u) f(x)} (Frobenius reciprocity; Terras,
+*Fourier Analysis on Finite Groups and Applications*).  On each space the
+operator is a twisted Schreier operator on the |H||K|/(p r) coset pairs,
+and the diagonal torus permutes the characters in three orbits per
+factor, so nine blocks carry the whole spectrum; conjugate characters give
+conjugate blocks, which leaves five to nine to solve.
+
 A family of quotients behaves like an expander family exactly when these
 gaps stay bounded away from zero, and like a non-expander when some
 generator barely moves a fixed positive-density subset; both measurements
@@ -27,6 +37,7 @@ from math import sqrt
 
 import numpy as np
 
+from .algebra import _entry_mul, psl2_order, psl2_table
 from .f3vectors import shift_overlap_counts
 from .groups import GpElement, ResourceBudgetError
 from .perms import EXACT_DOMAIN_BUDGET, ExactPerm
@@ -41,6 +52,9 @@ class CayleyGraph:
     contributes a double edge, keeping the degree and the operator
     normalization fixed).
     """
+
+    dtype = np.float64
+    deflate = True      # the constants are the top eigenvector
 
     def __init__(self, actions):
         self.actions = list(actions)
@@ -76,24 +90,17 @@ def cycle_graph(n: int) -> CayleyGraph:
     return CayleyGraph([ExactPerm(images)])
 
 
-def check_pair_budget(left_order: int, right_order: int) -> None:
-    """Refuse a product Cayley graph whose flat step arrays would pass the
-    exact-domain budget, before any step is built."""
-    size = left_order * right_order
-    if size > EXACT_DOMAIN_BUDGET:
-        raise ResourceBudgetError(
-            f"a Cayley graph on {left_order:,} x {right_order:,} = {size:,} vertices "
-            f"is past the exact budget of {EXACT_DOMAIN_BUDGET:,} points"
-        )
-
-
 def pair_product_cayley(table_left, table_right, elements) -> CayleyGraph:
     """Cayley graph of a product of two enumerated groups under left
     translation by the given pair elements, on the flat index
     left * |right group| + right; ResourceBudgetError past the exact
-    budget."""
-    n_right = len(table_right)
-    check_pair_budget(len(table_left), n_right)
+    budget, before any step is built."""
+    n_left, n_right = len(table_left), len(table_right)
+    if n_left * n_right > EXACT_DOMAIN_BUDGET:
+        raise ResourceBudgetError(
+            f"a Cayley graph on {n_left:,} x {n_right:,} = {n_left * n_right:,} "
+            f"vertices is past the exact budget of {EXACT_DOMAIN_BUDGET:,} points"
+        )
     actions = []
     for el in elements:
         left = table_left.left_mul_perm(el.left)
@@ -118,62 +125,207 @@ class SpectrumEstimate:
         return 1.0 - self.lambda2
 
 
-# Lanczos basis size: ARPACK's default of 20 vectors costs memory and no speed
-_LANCZOS_VECTORS = 12
+# Lanczos basis size: on the character blocks at p = 7 to 43, 16 vectors take
+# 7-27% fewer applications and about 10% less time than 12; ARPACK's default
+# of 20 costs memory for no further speed
+_LANCZOS_VECTORS = 16
 
 
-def lambda2_estimate(graph: CayleyGraph, iterations=2000, tolerance=1e-8,
-                     seed=0) -> SpectrumEstimate:
-    """Largest nontrivial adjacency eigenvalue by implicitly restarted
-    Lanczos on the mean-deflated, half-shifted operator x -> P(x + A Px)/2,
-    started from a seeded mean-zero vector; iterations caps the restarts.
+def lambda2_estimate(op, iterations=2000, tolerance=1e-8, seed=0) -> SpectrumEstimate:
+    """Largest eigenvalue of a self-adjoint operator (a CayleyGraph or a
+    CharacterBlock) off its constants, by implicitly restarted Lanczos on
+    the half-shifted operator x -> P(x + A Px)/2, started from a seeded
+    vector; iterations caps the restarts.  P removes the mean when
+    op.deflate is set and is the identity otherwise; op.dtype is real or
+    complex (a complex Hermitian block goes through ARPACK's complex Arnoldi).
 
     The reported eigenvalue and residual ||A v - lambda v|| come from one
-    last product with the unshifted operator on the normalized mean-zero
+    last product with the unshifted operator on the normalized projected
     Ritz vector, and the estimate is converged when that residual meets
     the tolerance.  The iteration count is the number of operator
     applications.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    n = graph.size
+    n = op.size
     applications = 0
+
+    def project(x):
+        return x - x.mean() if op.deflate else x
 
     def shifted(x):
         nonlocal applications
         applications += 1
-        w = 0.5 * (x + graph.matvec(x - x.mean()))
-        w -= w.mean()
-        return w
+        return project(0.5 * (x + op.matvec(project(x))))
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
-    v -= v.mean()
+    if np.dtype(op.dtype).kind == "c":
+        v = v + 1j * rng.standard_normal(n)
+    v = project(v)
     v /= np.linalg.norm(v)
     w = shifted(v)
-    first_res = 2.0 * float(np.linalg.norm(w - float(v @ w) * v))
+    first_res = 2.0 * float(np.linalg.norm(w - np.vdot(v, w) * v))
     if float(np.linalg.norm(w)) < 1e-14:
-        # the shifted operator annihilates the complement: every
-        # nontrivial eigenvalue of A is -1
-        return SpectrumEstimate(-1.0, applications, 0.0, True, seed, n, graph.degree,
+        # the shifted operator annihilates the space: every eigenvalue of A
+        # on it is -1
+        return SpectrumEstimate(-1.0, applications, 0.0, True, seed, n, op.degree,
                                 first_res)
-    op = LinearOperator((n, n), matvec=shifted, dtype=np.float64)
+    shifted_op = LinearOperator((n, n), matvec=shifted, dtype=op.dtype)
     # ARPACK stops at ||B v - theta v|| <= tol * theta with theta <= 1, and
     # the residual in A is twice the one in B: a quarter leaves headroom
     try:
-        _, vectors = eigsh(op, k=1, which="LA", v0=v, ncv=min(_LANCZOS_VECTORS, n),
-                           tol=tolerance / 4, maxiter=iterations)
+        _, vectors = eigsh(shifted_op, k=1, which="LA", v0=v,
+                           ncv=min(_LANCZOS_VECTORS, n), tol=tolerance / 4,
+                           maxiter=iterations)
     except ArpackNoConvergence as exc:
         vectors = exc.eigenvectors
     if vectors.shape[1]:
-        v = vectors[:, 0] - vectors[:, 0].mean()
+        v = project(vectors[:, 0])
         v /= np.linalg.norm(v)
-    av = graph.matvec(v)
+    av = op.matvec(v)
     applications += 1
-    lam = float(v @ av)
+    lam = float(np.vdot(v, av).real)
     res = float(np.linalg.norm(av - lam * v))
     return SpectrumEstimate(lam, applications, res, res <= tolerance, seed, n,
-                            graph.degree, first_res)
+                            op.degree, first_res)
+
+
+# -- unipotent-character blocks of the paired projective graphs -------------
+
+# Blocks are solved only up to the largest measured size, p = 43 with
+# 1,020,096 coset pairs: 392 s and a 582 MB peak on 2 vCPUs.  Solving takes
+# about 530 bytes a coset pair past the imports (p = 37: 574,560 pairs,
+# 356 MB), so the next admissible prime, p = 61 with 4,173,840 pairs, would
+# need about 2.2 GB and is unmeasured.
+CHARACTER_BLOCK_BUDGET = 1_100_000
+
+
+def _coset_count(q: int) -> int:
+    """|PSL2(F_q)| / q, the number of cosets of the unipotent subgroup."""
+    return (q * q - 1) // 2
+
+
+def check_character_block_budget(p: int, r: int) -> None:
+    """Refuse a pair whose character blocks pass CHARACTER_BLOCK_BUDGET
+    coset pairs, before any table is built."""
+    points = _coset_count(p) * _coset_count(r)
+    if points > CHARACTER_BLOCK_BUDGET:
+        raise ResourceBudgetError(
+            f"a character block at p={p}, r={r} has {points:,} coset pairs, past "
+            f"the measured budget of {CHARACTER_BLOCK_BUDGET:,}"
+        )
+
+
+def _coset_coordinates(a, b, c, d, q):
+    """Coset of x U and phase parameter t with x = rep * [[1, t], [0, 1]],
+    for entry arrays of PSL2(F_q) elements given by either sign.
+
+    A coset xU is the first column (a, c) up to sign.  It is numbered
+    (a - 1) q + c for a in 1..(q-1)/2, and (q-1)/2 q + c - 1 for a = 0 and
+    c in 1..(q-1)/2.  Its representative is [[a, 0], [c, 1/a]], or
+    [[0, -1/c], [c, 0]] when a = 0, so t = b/a, or d/c when a = 0; both
+    ratios are unchanged by the sign.
+    """
+    a, b, c, d = a % q, b % q, c % q, d % q
+    half = (q - 1) // 2
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
+    neg = np.where(a != 0, a, c) > half
+    a_up, c_up = (np.where(neg, (q - x) % q, x) for x in (a, c))
+    coset = np.where(a_up != 0, (a_up - 1) * q + c_up, half * q + c_up - 1)
+    t = np.where(a != 0, b * inv[a], d * inv[c]) % q
+    return coset, t
+
+
+def _coset_action(q, elements) -> list:
+    """Per element s of PSL2(F_q), the arrays (dest, t) with
+    s rep_j = rep_dest[j] [[1, t[j]], [0, 1]], over the (q^2 - 1)/2 cosets
+    of the unipotent subgroup."""
+    entries = psl2_table(q).entries
+    coset, t = _coset_coordinates(*entries, q)
+    reps = entries[:, t == 0]
+    reps = reps[:, np.argsort(coset[t == 0])]
+    return [_coset_coordinates(*_entry_mul(s.entries(), reps), q) for s in elements]
+
+
+def _torus_orbit_representatives(q: int) -> tuple:
+    """0, 1 and a non-square mod q: the torus scales a character k of U by
+    the nonzero squares, so these meet every orbit.  The non-square is -1
+    whenever -1 is one (q = 3 mod 4)."""
+    if q % 4 == 3:
+        return (0, 1, q - 1)
+    return (0, 1, next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1))
+
+
+def _conjugate_representative(k: int, q: int) -> int:
+    # -k is in the orbit of k when -1 is a square; otherwise -1 is the
+    # chosen non-square and negation swaps it with 1
+    return (q - k) % q if q % 4 == 3 else k
+
+
+def character_orbit_representatives(p: int, r: int) -> list:
+    """One character (k, k') of U_H x U_K per orbit of the diagonal torus
+    (nine orbits), less the orbits of conjugate characters: the block of
+    (-k, -k') is the entrywise conjugate of that of (k, k') and has the same
+    spectrum.  That leaves 5 blocks when p and r are 3 mod 4, 6 when one
+    is, and 9 when neither is."""
+    reps = []
+    for k in _torus_orbit_representatives(p):
+        for k2 in _torus_orbit_representatives(r):
+            if (_conjugate_representative(k, p), _conjugate_representative(k2, r)) not in reps:
+                reps.append((k, k2))
+    return reps
+
+
+class CharacterBlock:
+    """The adjacency operator on {f : f(x u) = psi(u) f(x)} for the
+    character psi(u_t, u_t') = exp(2 pi i (k t / p + k' t' / r)) of
+    U_H x U_K, in the values of f on the coset-pair representatives:
+    (B f)_j = (1/degree) sum_s phase_s[j] f(dest_s[j]).
+
+    It is Hermitian, and isometric to the restriction of the flat operator
+    up to the factor |U|.  Only the trivial character's block holds the
+    constants; it is real and deflated.
+    """
+
+    def __init__(self, character, destinations, phases=None):
+        self.character = character
+        self.degree, self.size = destinations.shape
+        self.deflate = phases is None
+        self.dtype = np.float64 if phases is None else np.complex128
+        self._destinations = destinations
+        self._phases = phases
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        out = v[self._destinations]
+        if self._phases is not None:
+            out *= self._phases
+        return out.sum(axis=0) / self.degree
+
+
+def pair_character_blocks(p: int, r: int, elements, characters=None):
+    """Yield the CharacterBlock of each character (k, k') (by default
+    character_orbit_representatives) for left translation on
+    PSL2(F_p) x PSL2(F_r) by the pair elements and their inverses;
+    ResourceBudgetError past CHARACTER_BLOCK_BUDGET.
+
+    The destination arrays are built once and shared; each block adds
+    only its phase vectors.
+    """
+    check_character_block_budget(p, r)
+    steps = [s for el in elements for s in (el, el.inverse())]
+    left = _coset_action(p, [s.left for s in steps])
+    right = _coset_action(r, [s.right for s in steps])
+    n_right = _coset_count(r)
+    destinations = np.stack([(dl[:, None] * n_right + dr[None, :]).ravel()
+                             for (dl, _), (dr, _) in zip(left, right)])
+    for k, k2 in characters or character_orbit_representatives(p, r):
+        phases = None
+        if k or k2:
+            phases = np.stack([np.multiply.outer(np.exp(2j * np.pi * k * tl / p),
+                                                 np.exp(2j * np.pi * k2 * tr / r)).ravel()
+                               for (_, tl), (_, tr) in zip(left, right)])
+        yield CharacterBlock((k, k2), destinations, phases)
 
 
 # -- boundary ratios --------------------------------------------------------
@@ -321,13 +473,35 @@ def verify_amplification(table: np.ndarray, gens, trials=1000, seed=0,
     return True, None
 
 
+def _undecorated_images(family) -> list:
+    eta = family["eta"]
+    return [eta.image(f"a{i}") for i in range(1, family.m - 2)]
+
+
 def tau_family_graph(family) -> CayleyGraph:
     """Cayley graph of H(p) x K on the paired images of the undecorated
-    left generators: the expander side of the dichotomy."""
-    from .algebra import psl2_table
+    left generators: the expander side of the dichotomy.  The flat graph
+    is the oracle for tau_family_lambda2."""
+    return pair_product_cayley(psl2_table(family.p), psl2_table(family.r_p),
+                               _undecorated_images(family))
 
-    eta = family["eta"]
-    table_h = psl2_table(family.p)
-    table_k = psl2_table(family.r_p)
-    undecorated = [f"a{i}" for i in range(1, family.m - 2)]
-    return pair_product_cayley(table_h, table_k, [eta.image(g) for g in undecorated])
+
+def tau_family_lambda2(family, seed=0) -> SpectrumEstimate:
+    """lambda2 of tau_family_graph(family) as the maximum over the
+    unipotent-character blocks of character_orbit_representatives, without
+    building the graph, each block solved to lambda2_estimate's default
+    tolerance of 1e-8.
+
+    The iteration count is the total number of operator applications,
+    the residual the largest block residual, and the estimate is converged
+    only if every block is: an unconverged block could hide a larger
+    eigenvalue.  The size is |H| |K|, the vertex count of the flat graph.
+    """
+    p, r = family.p, family.r_p
+    blocks = [lambda2_estimate(block, seed=seed)
+              for block in pair_character_blocks(p, r, _undecorated_images(family))]
+    return SpectrumEstimate(
+        max(b.lambda2 for b in blocks), sum(b.iterations for b in blocks),
+        max(b.residual for b in blocks), all(b.converged for b in blocks), seed,
+        psl2_order(p) * psl2_order(r), blocks[0].degree,
+    )

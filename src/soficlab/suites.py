@@ -50,17 +50,16 @@ from .sofic import (
 )
 from .spectral import (
     boundary_ratio_slab,
-    check_pair_budget,
+    check_character_block_budget,
     cycle_graph,
     kazhdan_bounds,
     lambda2_estimate,
-    tau_family_graph,
+    tau_family_lambda2,
     verify_amplification,
 )
 from .words import ProductWord, ReducedWord, random_reduced_word
 
 DEFAULT_PRIMES = (7, 13, 19, 31, 37)
-SPECTRA_PRIMES = (7, 13)            # the Cayley graphs past p = 13 are refused
 
 
 # -- suite: the four conditions at p = 7 ------------------------------------
@@ -477,24 +476,22 @@ def measure_defect(primes=DEFAULT_PRIMES, m=5, k=3, samples=50_000, seed=17) -> 
     return rows
 
 
-def measure_spectra(primes=SPECTRA_PRIMES, m=5, k=3, seed=2) -> list:
+def measure_spectra(primes=DEFAULT_PRIMES, m=5, k=3, seed=2) -> list:
     """Gap of the paired-projective Cayley graphs on the undecorated left
-    generators; columns follow the documented CSV layout.  Every prime is
-    checked against the Cayley-graph budget before the first graph is
-    built."""
+    generators, from their unipotent-character blocks; columns follow the
+    documented CSV layout, and N is the vertex count of the flat graph.
+    Every prime's block size is checked before the first table is built."""
     for p in primes:
-        check_pair_budget(psl2_order(p), psl2_order(next_prime(p)))
+        check_character_block_budget(p, next_prime(p))
     rows = []
     for p in primes:
-        family = build_hom_specs(p, m, k)
-        graph = tau_family_graph(family)
-        est = lambda2_estimate(graph, tolerance=1e-8, seed=seed)
+        est = tau_family_lambda2(build_hom_specs(p, m, k), seed=seed)
         rows.append(
             {
                 "p": p,
                 "family": "paired-projective",
-                "N": graph.size,
-                "degree": graph.degree,
+                "N": est.size,
+                "degree": est.degree,
                 "lambda2": est.lambda2,
                 "gap": est.gap,
                 "residual": est.residual,

@@ -24,7 +24,7 @@ from soficlab.f3vectors import (
     v_vector,
 )
 from soficlab.groups import bfs_closure_order, verify_surjectivity
-from soficlab.spectral import lambda2_estimate, cycle_graph, tau_family_graph
+from soficlab.spectral import lambda2_estimate, cycle_graph, tau_family_lambda2
 from soficlab.suites import (
     suite_covers,
     suite_induction,
@@ -123,15 +123,16 @@ def test_criterion_08_spectral_dichotomy(family7):
                                  tolerance=1e-10, seed=2)
     circulant_ok = abs(est_cycle.lambda2 - math.cos(2 * math.pi / 100)) <= 1e-6
 
-    est7 = lambda2_estimate(tau_family_graph(family7), tolerance=1e-8, seed=2)
-    gap7 = est7.gap
     from soficlab.groups import build_hom_specs
 
-    fam13 = build_hom_specs(13, 5, 3)
-    est13 = lambda2_estimate(tau_family_graph(fam13), tolerance=1e-6, seed=2)
-    gap13 = est13.gap
-    expander_ok = (est7.converged and est13.converged
-                   and gap7 > 0 and gap13 > 0 and gap13 >= gap7 / 2)
+    # unipotent-character blocks; the p = 13 value is the converged flat one
+    est = {p: tau_family_lambda2(family7 if p == 7 else build_hom_specs(p, 5, 3), seed=2)
+           for p in (7, 13, 19)}
+    gap7, gap13 = est[7].gap, est[13].gap
+    expander_ok = (all(e.converged and e.residual <= 1e-8 and e.gap > 0
+                       for e in est.values())
+                   and abs(est[13].lambda2 - 0.927318839859232) <= 1e-9
+                   and gap13 >= gap7 / 2)
 
     diffs = [sp_shift_diff_exact(p, v_vector(p)) for p in PRIMES]
     c = max(d / 3**p * math.sqrt(p) for d, p in zip(diffs, PRIMES))
@@ -141,9 +142,9 @@ def test_criterion_08_spectral_dichotomy(family7):
     ) and all(a > b for a, b in zip(witness_ratios, witness_ratios[1:]))
 
     _line(8, circulant_ok and expander_ok and shrink_ok,
-          f"circulant |err|<=1e-6; gaps p7={gap7:.4f} p13={gap13:.4f} "
-          f"(residuals {est7.residual:.1e}, {est13.residual:.1e}; converged "
-          f"{est7.converged}, {est13.converged}); witness ratios decrease "
+          f"circulant |err|<=1e-6; block gaps "
+          f"{', '.join(f'p{p}={e.gap:.4f} ({e.residual:.1e})' for p, e in est.items())}; "
+          f"witness ratios decrease "
           f"{[round(float(r), 3) for r in witness_ratios]}")
     _budget(8, time.monotonic() - t0, 300)
 

@@ -240,7 +240,8 @@ def test_induce_command():
 
 def test_measure_spectra_refuses_oversized_graphs_before_any_work(
         tmp_path, capsys, monkeypatch):
-    # the p = 31 Cayley graph has 376,583,040 vertices; p = 7 is not built either
+    # a p = 67 character block has 2,244 x 2,520 = 5,654,880 coset pairs;
+    # p = 7 is not built either
     import soficlab.suites
 
     built = []
@@ -248,12 +249,44 @@ def test_measure_spectra_refuses_oversized_graphs_before_any_work(
                         lambda *args: built.append(args))
     out = tmp_path / "spectra.csv"
     t0 = time.monotonic()
-    code = main(["measure", "spectra", "--primes", "7,31", "--out", str(out)])
+    code = main(["measure", "spectra", "--primes", "7,67", "--out", str(out)])
     assert code == 3
     assert time.monotonic() - t0 < 5
     assert built == []
     assert "resource refusal" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_measure_spectra_past_the_flat_graph_budget(tmp_path):
+    # the p = 19 flat graph has 20.8M vertices; its blocks have 47,520 points
+    out = tmp_path / "spectra.csv"
+    assert main(["measure", "spectra", "--primes", "19", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out)))
+    assert [(r["p"], r["N"], r["converged"]) for r in rows] == [
+        ("19", str(3420 * 6072), "True")]
+    assert abs(float(rows[0]["lambda2"]) - 0.9095623516) <= 1e-8
+
+
+def test_unconverged_spectra_row_is_a_check_failure(tmp_path, capsys, monkeypatch):
+    # one of the five p = 7 blocks comes back unconverged: the row is
+    # written, marked, and the command exits 1
+    import soficlab.spectral
+
+    solve = soficlab.spectral.lambda2_estimate
+
+    def one_block_unconverged(block, *args, **kwargs):
+        est = solve(block, *args, **kwargs)
+        if block.character == (1, 1):
+            est.converged, est.residual = False, 3e-4
+        return est
+
+    monkeypatch.setattr(soficlab.spectral, "lambda2_estimate", one_block_unconverged)
+    out = tmp_path / "spectra.csv"
+    assert main(["measure", "spectra", "--primes", "7", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(open(out)))
+    assert rows[0]["converged"] == "False" and float(rows[0]["residual"]) == 3e-4
+    assert ("check failure: measure spectra p=7 did not converge (residual 3.00e-04)"
+            in capsys.readouterr().err)
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

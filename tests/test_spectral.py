@@ -18,11 +18,15 @@ from soficlab.smallgroups import (
 from soficlab.spectral import (
     boundary_ratio_explicit,
     boundary_ratio_slab,
+    character_orbit_representatives,
+    check_character_block_budget,
     cycle_graph,
     kazhdan_bounds,
     lambda2_estimate,
+    pair_character_blocks,
     pair_product_cayley,
     tau_family_graph,
+    tau_family_lambda2,
     verify_amplification,
 )
 
@@ -63,12 +67,17 @@ def test_dense_adjacency_is_symmetric_stochastic():
     assert np.allclose(dense.sum(axis=1), 1.0)
 
 
+def _random_pair_elements(p, r, seed):
+    th, tk = psl2_table(p), psl2_table(r)
+    rng = random.Random(seed)
+    return [PairElement(th[rng.randrange(1, len(th))], tk[rng.randrange(1, len(tk))])
+            for _ in range(2)]
+
+
 def _pair_graph_3x5():
     # PSL2(3) x PSL2(5): 12 * 60 = 720 vertices, two random pair generators
     th, tk = psl2_table(3), psl2_table(5)
-    rng = random.Random(4)
-    elements = [PairElement(th[rng.randrange(1, len(th))], tk[rng.randrange(1, len(tk))])
-                for _ in range(2)]
+    elements = _random_pair_elements(3, 5, seed=4)
     return th, tk, elements, pair_product_cayley(th, tk, elements)
 
 
@@ -116,6 +125,96 @@ def test_tau_family_gap_positive(family7):
                            tolerance=1e-8, seed=2)
     assert est.converged
     assert est.gap > 0.05  # frozen regression floor: measured 0.0955
+
+
+def _dense_block(block):
+    # column j is the block applied to the j-th unit vector
+    return np.column_stack([block.matvec(e) for e in np.eye(block.size, dtype=block.dtype)])
+
+
+def test_character_blocks_carry_the_whole_spectrum():
+    # over all 3 * 5 characters of U_H x U_K the block spectra, with their
+    # multiplicities, are the spectrum of the flat 720-vertex graph
+    _, _, elements, graph = _pair_graph_3x5()
+    characters = [(k, k2) for k in range(3) for k2 in range(5)]
+    blocks = list(pair_character_blocks(3, 5, elements, characters))
+    assert [b.size for b in blocks] == [4 * 12] * 15
+    spectra = []
+    for block in blocks:
+        dense = _dense_block(block)
+        assert np.allclose(dense, dense.conj().T)
+        spectra.append(np.linalg.eigvalsh(dense))
+    flat = np.linalg.eigvalsh(graph.dense_adjacency())
+    assert np.abs(np.sort(np.concatenate(spectra)) - flat).max() <= 1e-10
+
+
+def test_torus_orbits_and_conjugates_give_equal_blocks():
+    # PSL2(5) x PSL2(7), 288-point blocks: the torus scales k by the squares
+    # and conjugation negates (k, k'), so a block's spectrum is that of the
+    # one representative of its class
+    p, r = 5, 7
+    elements = _random_pair_elements(p, r, seed=11)
+    characters = [(k, k2) for k in range(p) for k2 in range(r)]
+    spectra = {b.character: np.linalg.eigvalsh(_dense_block(b))
+               for b in pair_character_blocks(p, r, elements, characters)}
+    assert all(len(s) == 12 * 24 for s in spectra.values())
+
+    def orbit(k, q):
+        return {k * x * x % q for x in range(1, q)}
+
+    reps = character_orbit_representatives(p, r)
+    assert reps == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    for k, k2 in characters:
+        (rep,) = {c for c in reps for kk, kk2 in ((k, k2), (-k % p, -k2 % r))
+                  if c[0] in orbit(kk, p) and c[1] in orbit(kk2, r)}
+        assert np.abs(spectra[k, k2] - spectra[rep]).max() <= 1e-10
+
+
+def test_trivial_character_block_alone_holds_the_constants():
+    elements = _random_pair_elements(5, 7, seed=11)
+    for block in pair_character_blocks(5, 7, elements):
+        top = np.linalg.eigvalsh(_dense_block(block))[-1]
+        assert block.deflate == (block.character == (0, 0))
+        assert block.dtype == (np.float64 if block.deflate else np.complex128)
+        assert (abs(top - 1.0) <= 1e-12) == block.deflate
+
+
+def test_character_blocks_refuse_past_the_measured_budget():
+    # p = 43 blocks (1,020,096 coset pairs) were measured; p = 61 blocks
+    # (4,173,840) were not, and are refused before any table is built
+    from soficlab.groups import ResourceBudgetError
+
+    check_character_block_budget(43, 47)
+    with pytest.raises(ResourceBudgetError):
+        next(pair_character_blocks(61, 67, []))
+
+
+def test_block_lambda2_matches_flat_graph_at_p7(family7):
+    # the flat tau_family_graph value, converged on 110,880 vertices
+    est = tau_family_lambda2(family7, seed=2)
+    assert est.converged and est.residual <= 1e-8
+    assert abs(est.lambda2 - 0.9044822283320535) <= 1e-12
+    assert (est.size, est.degree) == (110_880, 4)
+
+
+def test_block_lambda2_is_the_largest_block_estimate(family7, monkeypatch):
+    import soficlab.spectral as spectral
+
+    solve = spectral.lambda2_estimate
+    seen = {}
+
+    def recording(block, *args, **kwargs):
+        seen[block.character] = solve(block, *args, **kwargs)
+        return seen[block.character]
+
+    monkeypatch.setattr(spectral, "lambda2_estimate", recording)
+    est = tau_family_lambda2(family7, seed=2)
+    # nine torus orbits; p = 7 and r = 11 are 3 mod 4, so conjugation pairs four
+    assert list(seen) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 10)]
+    blocks = seen.values()
+    assert est.lambda2 == max(b.lambda2 for b in blocks)
+    assert est.iterations == sum(b.iterations for b in blocks)
+    assert est.residual == max(b.residual for b in blocks)
 
 
 def test_boundary_ratio_singleton():
