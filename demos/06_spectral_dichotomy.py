@@ -1,11 +1,12 @@
 """Two generating pictures of the same groups, measured side by side.
 
 The paired projective images of the undecorated left generators produce
-Cayley graphs whose spectral gap holds up as p grows (measured on
-unipotent-character blocks, never on the flat graph); the decorated right
-generator barely moves the positive-density slab, and that boundary ratio
-shrinks like 1/sqrt(p).  The same family expands or refuses to expand
-depending only on which generators you hand it.
+Cayley graphs whose spectral gap holds up as p grows (measured on the
+irreducible representation pairs of PSL2(F_p) x PSL2(F_r), never on the
+flat graph); the decorated right generator barely moves the
+positive-density slab, and that boundary ratio shrinks like 1/sqrt(p).
+The same family expands or refuses to expand depending only on which
+generators you hand it.
 """
 
 import math
@@ -15,7 +16,6 @@ from soficlab.f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
 from soficlab.groups import build_hom_specs
 from soficlab.smallgroups import cyclic_table, symmetric_table
 from soficlab.spectral import (
-    character_orbit_representatives,
     cycle_graph,
     kazhdan_bounds,
     lambda2_estimate,
@@ -27,15 +27,12 @@ print(f"calibration: cycle of length 100 gives lambda2 = {est.lambda2:.9f}, "
       f"closed form cos(2 pi/100) = {math.cos(2 * math.pi / 100):.9f}")
 
 print("\nexpander side, degree-4 graphs on PSL2(F_p) x PSL2(F_r), solved as "
-      "unipotent-character blocks:")
-print("p      vertices       blocks x points   gap      residual")
+      "irreducible representation pairs:")
+print("p      vertices       pairs  largest  gap      residual  attained by")
 for p in (7, 13, 19):
-    family = build_hom_specs(p, 5, 3)
-    est = tau_family_lambda2(family, seed=2)
-    blocks = len(character_orbit_representatives(p, family.r_p))
-    points = est.size // (p * family.r_p)
-    print(f"{p:<6} {est.size:<14,} {f'{blocks} x {points:,}':<17} {est.gap:.4f}   "
-          f"{est.residual:.1e}")
+    est = tau_family_lambda2(build_hom_specs(p, 5, 3), seed=2)
+    print(f"{p:<6} {est.size:<14,} {est.pairs:<6} {est.largest_pair:<8} {est.gap:.4f}   "
+          f"{est.residual:.1e}   {est.pair}")
 
 print("\nnon-expander side, exact boundary ratios of the slab witness:")
 print("p      |Tg sym T|/|G|   |Tg sym T|/|T|")

@@ -139,6 +139,8 @@ def _write_csv(rows, path, columns):
 
 def cmd_measure(args) -> int:
     primes = args.primes or DEFAULT_PRIMES
+    out = Path(args.out or f"{args.table}.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
     if args.table == "boundary":
         rows = measure_boundary(primes)
         cols = ["p", "generator", "family", "ratio_domain", "ratio_witness",
@@ -153,13 +155,12 @@ def cmd_measure(args) -> int:
     elif args.table == "spectra":
         rows = measure_spectra(primes, seed=args.seed)
         cols = ["p", "family", "N", "degree", "lambda2", "gap", "residual",
-                "iterations", "converged", "seed"]
+                "iterations", "converged", "seed", "pair"]
     else:
         return EXIT_USAGE
-    out = args.out or f"{args.table}.csv"
     _write_csv(rows, out, cols)
     print(f"wrote {out} ({len(rows)} rows)")
-    # a spectra row is a measurement only once every block has converged
+    # a spectra row is a measurement only once every pair has converged
     unconverged = [row for row in rows if row.get("converged") is False]
     for row in unconverged:
         print(f"check failure: measure spectra p={row['p']} did not converge "
@@ -210,6 +211,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="soficlab",
@@ -222,24 +229,24 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--m", type=int, default=5)
     b.add_argument("--k", type=int, default=3)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_nonnegative_int, default=0)
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES))
     v.add_argument("--p", type=int, default=None)
-    v.add_argument("--seed", type=int, default=1)
+    v.add_argument("--seed", type=_nonnegative_int, default=1)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 
     me = sub.add_parser("measure", help="emit a measurement table as CSV")
     me.add_argument("table", choices=["boundary", "defect", "spectra"])
     me.add_argument("--primes", type=_prime_list, default=None,
-                    help="default: 7,13,19,31,37; spectra refuses p >= 61, whose "
-                         "character blocks pass the measured budget")
+                    help="default: 7,13,19,31,37; spectra refuses p >= 67, past "
+                         "the largest prime measured end to end (p = 61)")
     me.add_argument("--samples", type=_positive_int, default=50_000)
-    me.add_argument("--seed", type=int, default=17)
+    me.add_argument("--seed", type=_nonnegative_int, default=17)
     me.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
     me.add_argument("--out", default=None)
     me.set_defaults(fn=cmd_measure)
@@ -249,12 +256,12 @@ def make_parser() -> argparse.ArgumentParser:
     pt.add_argument("--m", type=int, default=5)
     pt.add_argument("--k", type=int, default=3)
     pt.add_argument("--plant", default="all")
-    pt.add_argument("--seed", type=int, default=3)
+    pt.add_argument("--seed", type=_nonnegative_int, default=3)
     pt.add_argument("--out", default=None)
     pt.set_defaults(fn=cmd_partition)
 
     ind = sub.add_parser("induce", help="run the induction checks")
-    ind.add_argument("--seed", type=int, default=5)
+    ind.add_argument("--seed", type=_nonnegative_int, default=5)
     ind.add_argument("--out", default=None)
     ind.set_defaults(fn=cmd_induce)
     return ap

@@ -189,19 +189,27 @@ def h_position_perm(h: PSL2Element):
     return tuple(position_of_point(moebius_act(hinv, line[i]), p) for i in range(p + 1))
 
 
-def position_table(table: PSL2Table) -> np.ndarray:
-    """(|H|, p+1) uint8 array whose row i is h_position_perm(table[i]),
-    from one Moebius map of every inverse over every position."""
-    p = table.q
-    a, b, c, d = (e[:, None] for e in table.entries)
+def projective_action(entries, p: int) -> tuple:
+    """Positions and scales of h^(-1) on the points (x, 1), x < p, and
+    (1, 0) (position p) of F_p^2, for entry arrays (a, b, c, d) of shape
+    (n,): h^(-1) v_x = scale[i, x] v_position[i, x], as two (n, p+1) int64
+    arrays."""
+    a, b, c, d = (np.asarray(e, dtype=np.int64)[:, None] for e in entries)
     inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
     x = np.arange(p + 1, dtype=np.int64)
     finite = x < p
-    # h^(-1) = [[d, -b], [-c, a]] sends x to (d x - b) / (a - c x) and the
-    # point at infinity (position p) to d / (-c); a zero denominator is p
+    # h^(-1) = [[d, -b], [-c, a]] sends (x, 1) to (d x - b, a - c x) and
+    # (1, 0) to (d, -c); a zero second coordinate lands on position p
     num = np.where(finite, d * x - b, d) % p
     den = np.where(finite, a - c * x, -c) % p
-    return np.where(den == 0, p, num * inv[den] % p).astype(np.uint8)
+    return (np.where(den == 0, p, num * inv[den] % p),
+            np.where(den == 0, num, den))
+
+
+def position_table(table: PSL2Table) -> np.ndarray:
+    """(|H|, p+1) uint8 array whose row i is h_position_perm(table[i]),
+    from one Moebius map of every inverse over every position."""
+    return projective_action(table.entries, table.q)[0].astype(np.uint8)
 
 
 def h_act(h: PSL2Element, x: ApVector) -> ApVector:

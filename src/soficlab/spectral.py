@@ -12,15 +12,18 @@ which the deflation sends to 0, sit below all of them and the largest
 eigenvalue is the wanted one even when every nontrivial lambda is negative
 (as on the 3-cycle).
 
-The paired projective graphs on PSL2(F_p) x PSL2(F_r) are not built at
-all: left translations commute with the right action of the unipotent
-subgroup U = U_H x U_K, so l2(H x K) splits over the characters psi of U
-into the spaces {f : f(x u) = psi(u) f(x)} (Frobenius reciprocity; Terras,
-*Fourier Analysis on Finite Groups and Applications*).  On each space the
-operator is a twisted Schreier operator on the |H||K|/(p r) coset pairs,
-and the diagonal torus permutes the characters in three orbits per
-factor, so nine blocks carry the whole spectrum; conjugate characters give
-conjugate blocks, which leaves five to nine to solve.
+The paired projective graphs on H x K = PSL2(F_p) x PSL2(F_r) are not
+built at all: l2(H x K) is the sum of the pi (x) pi' over pairs of
+irreducible representations, with multiplicities, and on pi (x) pi' the
+walk acts as X -> (1/4) sum_s pi(h_s) X pi'(k_s)^T on d x d' matrices.  So
+lambda2 is the largest top eigenvalue over the pairs, where the pair holding
+the constants is deflated.  The representations are the principal series,
+monomial on the p + 1 points of P^1(F_p), and the cuspidal ones in the
+Kirillov model on F_p^x (Piatetski-Shapiro, *Complex Representations of
+GL(2, K) for Finite Fields K*, 1983), built from the entries of the four
+steps only: 24 pairs of at most 96 dimensions at p = 7, and of at most
+(p + 1)(r + 1) in general.  Small pairs are solved densely, larger ones by
+the Lanczos routine.
 
 A family of quotients behaves like an expander family exactly when these
 gaps stay bounded away from zero, and like a non-expander when some
@@ -37,8 +40,8 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import _entry_mul, psl2_order, psl2_table
-from .f3vectors import shift_overlap_counts
+from .algebra import psl2_order, psl2_table
+from .f3vectors import projective_action, shift_overlap_counts
 from .groups import GpElement, ResourceBudgetError
 from .perms import EXACT_DOMAIN_BUDGET, ExactPerm
 from .smallgroups import inverse_index, left_regular_perms
@@ -125,19 +128,30 @@ class SpectrumEstimate:
         return 1.0 - self.lambda2
 
 
-# Lanczos basis size: on the character blocks at p = 7 to 43, 16 vectors take
-# 7-27% fewer applications and about 10% less time than 12; ARPACK's default
-# of 20 costs memory for no further speed
+@dataclass
+class PairSpectrum(SpectrumEstimate):
+    """A maximum over representation pairs: the pair that attains it, the
+    number of pairs and the largest pair's dimension."""
+
+    pair: str = ""
+    pairs: int = 0
+    largest_pair: int = 0
+
+
+# Lanczos basis size: on the unipotent-character blocks that the pair
+# operators replaced, at p = 7 to 43, 16 vectors took 7-27% fewer
+# applications and about 10% less time than 12; ARPACK's default of 20
+# costs memory for no further speed
 _LANCZOS_VECTORS = 16
 
 
 def lambda2_estimate(op, iterations=2000, tolerance=1e-8, seed=0) -> SpectrumEstimate:
     """Largest eigenvalue of a self-adjoint operator (a CayleyGraph or a
-    CharacterBlock) off its constants, by implicitly restarted Lanczos on
+    PairOperator) off its constants, by implicitly restarted Lanczos on
     the half-shifted operator x -> P(x + A Px)/2, started from a seeded
     vector; iterations caps the restarts.  P removes the mean when
     op.deflate is set and is the identity otherwise; op.dtype is real or
-    complex (a complex Hermitian block goes through ARPACK's complex Arnoldi).
+    complex (a complex Hermitian pair goes through ARPACK's complex Arnoldi).
 
     The reported eigenvalue and residual ||A v - lambda v|| come from one
     last product with the unshifted operator on the normalized projected
@@ -191,141 +205,229 @@ def lambda2_estimate(op, iterations=2000, tolerance=1e-8, seed=0) -> SpectrumEst
                             op.degree, first_res)
 
 
-# -- unipotent-character blocks of the paired projective graphs -------------
+# -- irreducible representations of PSL2(F_q) on the steps of a walk --------
 
-# Blocks are solved only up to the largest measured size, p = 43 with
-# 1,020,096 coset pairs: 392 s and a 582 MB peak on 2 vCPUs.  Solving takes
-# about 530 bytes a coset pair past the imports (p = 37: 574,560 pairs,
-# 356 MB), so the next admissible prime, p = 61 with 4,173,840 pairs, would
-# need about 2.2 GB and is unmeasured.
-CHARACTER_BLOCK_BUDGET = 1_100_000
+def _field_logs(q: int) -> tuple:
+    """(eps, log): F_{q^2} = F_q[s]/(s^2 - eps) for the least non-square
+    eps, and the discrete logarithm log[x, y] of x + y s to a generator of
+    F_{q^2}^x (log[0, 0] = -1).  F_q^x is generated by the (q+1)-th power,
+    so every character of F_q^x or F_{q^2}^x is exp(2 pi i k log / (q^2 - 1))
+    for an integer k."""
+    eps = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
+    for gx, gy in ((gx, gy) for gy in range(1, q) for gx in range(q)):
+        log = np.full((q, q), -1, dtype=np.int64)
+        x, y = 1, 0
+        for k in range(q * q - 1):
+            if log[x, y] >= 0:
+                break       # x + y s returned early: not a generator
+            log[x, y] = k
+            x, y = (x * gx + eps * y * gy) % q, (x * gy + y * gx) % q
+        else:
+            return eps, log
+    raise AssertionError(f"F_{q}^2 has no generator")
 
 
-def _coset_count(q: int) -> int:
-    """|PSL2(F_q)| / q, the number of cosets of the unipotent subgroup."""
-    return (q * q - 1) // 2
+def _unit(k, m):
+    return np.exp(2j * np.pi * (np.asarray(k) % m) / m)
 
 
-def check_character_block_budget(p: int, r: int) -> None:
-    """Refuse a pair whose character blocks pass CHARACTER_BLOCK_BUDGET
-    coset pairs, before any table is built."""
-    points = _coset_count(p) * _coset_count(r)
-    if points > CHARACTER_BLOCK_BUDGET:
+# OpenBLAS runs a gemm of at most this many multiply-adds on the calling
+# thread and wakes its pool above it.  Under OPENBLAS_NUM_THREADS=2 on
+# 2 vCPUs every wake cost about 4 ms: a p = 43 pair with a cuspidal factor
+# took 2.6 s in lambda2_estimate with whole products and 0.06 s with one
+# thread, for the same 180 applications of about 0.2 ms.
+_SERIAL_GEMM_SIZE = 65_536
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices, in column slices of b small
+    enough to stay off the BLAS thread pool."""
+    m, k = a.shape[-2:]
+    width = max(1, _SERIAL_GEMM_SIZE // (m * k))
+    n = b.shape[-1]
+    if n <= width:
+        return np.matmul(a, b)
+    return np.concatenate([np.matmul(a, b[..., i:i + width]) for i in range(0, n, width)],
+                          axis=-1)
+
+
+class StepRepresentation:
+    """A unitary representation pi of PSL2(F_q) at the steps h_s of a walk,
+    as a (steps, dim, dim) stack of matrices; a monomial one also keeps its
+    gather form (pi(h_s) f)[i] = mult[s, i] f[dest[s, i]] and is applied
+    without BLAS.  constants marks the principal series of the trivial
+    character, 1 + Steinberg, whose constant vector is the trivial part."""
+
+    def __init__(self, label, matrices=None, dest=None, mult=None, constants=False):
+        self.label = label
+        self.constants = constants
+        self.dest, self.mult = dest, mult
+        if matrices is None:
+            steps, dim = dest.shape
+            matrices = np.zeros((steps, dim, dim), dtype=mult.dtype)
+            matrices[np.arange(steps)[:, None], np.arange(dim), dest] = mult
+        self.matrices = matrices
+        self.dim = matrices.shape[1]
+
+    def left(self, x: np.ndarray) -> np.ndarray:
+        """The stack of pi(h_s) x over the steps, for a (dim, d') matrix x."""
+        if self.dest is None:
+            return _serial_matmul(self.matrices, x)
+        return self.mult[:, :, None] * x[self.dest]
+
+    def right(self, y: np.ndarray) -> np.ndarray:
+        """sum_s y_s pi(h_s)^T for a stack y of (d, dim) matrices."""
+        if self.dest is None:
+            return _serial_matmul(self.matrices, y.transpose(0, 2, 1)).sum(axis=0).T
+        return (np.take_along_axis(y, self.dest[:, None, :], axis=2)
+                * self.mult[:, None, :]).sum(axis=0)
+
+
+def _principal_series(q, positions, scales, logs, j) -> StepRepresentation:
+    # (pi(h) f)(v) = f(h^(-1) v) on functions with f(c v) = chi_j(c) f(v)
+    if j == 0:
+        return StepRepresentation("principal:j=0", dest=positions,
+                                  mult=np.ones(positions.shape), constants=True)
+    return StepRepresentation(f"principal:j={j}", dest=positions,
+                              mult=_unit(j * logs[scales, 0], q * q - 1))
+
+
+def _cuspidal(q, entries, eps, logs, n) -> StepRepresentation:
+    """Kirillov model on F_q^x of the cuspidal representation of the
+    character theta = exp(2 pi i n log / (q^2 - 1)) of F_{q^2}^x, with
+    omega = theta on F_q^x and psi(x) = exp(2 pi i x / q):
+    [[a, b], [0, d]] f(x) = omega(d) psi(b x / d) f(a x / d), and
+    w = [[0, 1], [-1, 0]] acts by W[y, x] = j(x y) / omega(x) with
+    j(u) = -(1/q) sum_{N(t) = u} psi(t + t^q) theta(t).  Any other element
+    is [[1, a/c], [0, 1]] w [[-c, -d], [0, -1/c]] (Bruhat)."""
+    order = q * q - 1
+    tx, ty = np.indices((q, q)).reshape(2, -1)[:, 1:]
+    values = _unit(2 * tx, q) * _unit(n * logs[tx, ty], order)
+    norms = (tx * tx - eps * ty * ty) % q
+    j = -(np.bincount(norms, values.real, q) + 1j * np.bincount(norms, values.imag, q)) / q
+    xs = np.arange(1, q)
+    omega = np.concatenate([[0], _unit(n * logs[xs, 0], order)])
+    kernel = j[np.outer(xs, xs) % q] / omega[xs]
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
+    matrices = np.zeros((len(entries), q - 1, q - 1), dtype=np.complex128)
+    for m, (a, b, c, d) in zip(matrices, entries):
+        if c == 0:
+            m[xs - 1, a * inv[d] * xs % q - 1] = omega[d] * _unit(b * inv[d] * xs, q)
+        else:
+            ci = inv[c]
+            m[:] = (_unit(a * ci * xs, q)[:, None] * kernel[:, xs * ci * ci % q - 1]
+                    * omega[-ci % q] * _unit(d * ci * xs, q))
+    return StepRepresentation(f"cuspidal:n={n}", matrices)
+
+
+def irreducible_representations(q: int, entries) -> list:
+    """Every irreducible representation of PSL2(F_q) at the steps whose
+    entries (a, b, c, d), of either sign, are the rows of entries; the
+    group is never enumerated.  First the principal series Ind chi_j for j
+    even in [0, (q-1)/2], monomial on the q + 1 points of P^1(F_q), then
+    the cuspidal representations for n even in [2, (q+1)/2], in the
+    Kirillov model on the q - 1 points of F_q^x.
+
+    j = 0 is 1 + Steinberg.  The operators of j = (q-1)/2 (q = 1 mod 4)
+    and n = (q+1)/2 (q = 3 mod 4) are each the sum of the two half-size
+    representations, so these (q+5)/2 - 2 operators carry all (q+5)/2
+    irreducibles (Piatetski-Shapiro, *Complex Representations of GL(2, K)
+    for Finite Fields K*)."""
+    entries = np.asarray(entries, dtype=np.int64) % q
+    eps, logs = _field_logs(q)
+    positions, scales = projective_action(entries.T, q)
+    reps = [_principal_series(q, positions, scales, logs, j)
+            for j in range(0, (q - 1) // 2 + 1, 2)]
+    return reps + [_cuspidal(q, entries, eps, logs, n)
+                   for n in range(2, (q + 1) // 2 + 1, 2)]
+
+
+class PairOperator:
+    """X -> (1/degree) sum_s pi(h_s) X pi'(k_s)^T on d x d' matrices,
+    flattened row-major: the adjacency operator of the walk on the
+    component pi (x) pi' of l2(H x K).  It is Hermitian because the steps
+    come with their inverses.  Only the pair of the two trivial-character
+    principal series holds the constants, and only it is deflated and real.
+
+    The last vector applied is kept: lambda2_estimate ends with one
+    application to its Ritz vector."""
+
+    def __init__(self, left: StepRepresentation, right: StepRepresentation):
+        self.left, self.right = left, right
+        self.size = left.dim * right.dim
+        self.degree = len(left.matrices)
+        self.deflate = left.constants and right.constants
+        self.dtype = np.result_type(left.matrices, right.matrices)
+        self.last_input = None
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        self.last_input = v
+        x = v.reshape(self.left.dim, self.right.dim)
+        return self.right.right(self.left.left(x)).reshape(v.shape) / self.degree
+
+    def dense(self) -> np.ndarray:
+        """(1/degree) sum_s kron(pi(h_s), pi'(k_s))."""
+        kron = np.einsum("sij,skl->ikjl", self.left.matrices, self.right.matrices)
+        return kron.reshape(self.size, self.size) / self.degree
+
+    def label(self, top: np.ndarray) -> str:
+        """The pair's name; a trivial-character principal series factor is
+        named by the part (trivial or Steinberg) that holds most of the
+        top vector's weight."""
+        x = top.reshape(self.left.dim, self.right.dim)
+        names = []
+        for rep, axis in ((self.left, 0), (self.right, 1)):
+            name = rep.label
+            if rep.constants:
+                share = np.linalg.norm(x.sum(axis=axis)) ** 2 / rep.dim
+                name += "(trivial)" if share > 0.5 * np.linalg.norm(x) ** 2 else "(steinberg)"
+            names.append(name)
+        return " x ".join(names)
+
+
+# Pairs up to this many dimensions are solved densely.  Median time of one
+# pair solve on the pair operators at p = 7, 13 and 19 (best of 3; 2 vCPUs,
+# OPENBLAS_NUM_THREADS=2), dense against lambda2_estimate, in ms:
+#   60: 0.53 / 2.2    96: 1.1 / 4.1    192: 6.0 / 6.9    216: 7.5 / 8.2
+#   224: 8.3 / 6.8    252: 12.2 / 7.6  396: 37.9 / 11.4  480: 60.9 / 18.0
+DENSE_PAIR_LIMIT = 216
+
+# The largest pair, two principal series, has (p + 1)(r + 1) dimensions.
+# measure spectra has run end to end up to p = 61 (r = 67, 4,216
+# dimensions, 1,054 pairs): 275 s and a 94 MB peak on 2 vCPUs, against 46 s
+# and 76 MB at p = 43.  Larger primes are unmeasured and refused.
+PAIR_DIMENSION_BUDGET = 4_216
+
+
+def check_pair_budget(p: int, r: int) -> None:
+    """Refuse a prime whose largest pair operator passes
+    PAIR_DIMENSION_BUDGET, before any table is built."""
+    dims = (p + 1) * (r + 1)
+    if dims > PAIR_DIMENSION_BUDGET:
         raise ResourceBudgetError(
-            f"a character block at p={p}, r={r} has {points:,} coset pairs, past "
-            f"the measured budget of {CHARACTER_BLOCK_BUDGET:,}"
+            f"the largest representation pair at p={p}, r={r} has {dims:,} "
+            f"dimensions, past the largest measured {PAIR_DIMENSION_BUDGET:,} (p=61)"
         )
 
 
-def _coset_coordinates(a, b, c, d, q):
-    """Coset of x U and phase parameter t with x = rep * [[1, t], [0, 1]],
-    for entry arrays of PSL2(F_q) elements given by either sign.
+def _solve_pair(op: PairOperator, seed: int) -> tuple:
+    """(estimate, top vector) of one pair operator: its largest eigenvalue,
+    the second for the deflated pair.  Up to DENSE_PAIR_LIMIT dimensions a
+    dense eigensolve, past it lambda2_estimate; either way the residual
+    ||A v - lambda v|| comes from one application, and a dense pair counts
+    that one application."""
+    if op.size > DENSE_PAIR_LIMIT:
+        return lambda2_estimate(op, seed=seed), op.last_input
+    from scipy.linalg import eigh
 
-    A coset xU is the first column (a, c) up to sign.  It is numbered
-    (a - 1) q + c for a in 1..(q-1)/2, and (q-1)/2 q + c - 1 for a = 0 and
-    c in 1..(q-1)/2.  Its representative is [[a, 0], [c, 1/a]], or
-    [[0, -1/c], [c, 0]] when a = 0, so t = b/a, or d/c when a = 0; both
-    ratios are unchanged by the sign.
-    """
-    a, b, c, d = a % q, b % q, c % q, d % q
-    half = (q - 1) // 2
-    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
-    neg = np.where(a != 0, a, c) > half
-    a_up, c_up = (np.where(neg, (q - x) % q, x) for x in (a, c))
-    coset = np.where(a_up != 0, (a_up - 1) * q + c_up, half * q + c_up - 1)
-    t = np.where(a != 0, b * inv[a], d * inv[c]) % q
-    return coset, t
-
-
-def _coset_action(q, elements) -> list:
-    """Per element s of PSL2(F_q), the arrays (dest, t) with
-    s rep_j = rep_dest[j] [[1, t[j]], [0, 1]], over the (q^2 - 1)/2 cosets
-    of the unipotent subgroup."""
-    entries = psl2_table(q).entries
-    coset, t = _coset_coordinates(*entries, q)
-    reps = entries[:, t == 0]
-    reps = reps[:, np.argsort(coset[t == 0])]
-    return [_coset_coordinates(*_entry_mul(s.entries(), reps), q) for s in elements]
-
-
-def _torus_orbit_representatives(q: int) -> tuple:
-    """0, 1 and a non-square mod q: the torus scales a character k of U by
-    the nonzero squares, so these meet every orbit.  The non-square is -1
-    whenever -1 is one (q = 3 mod 4)."""
-    if q % 4 == 3:
-        return (0, 1, q - 1)
-    return (0, 1, next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1))
-
-
-def _conjugate_representative(k: int, q: int) -> int:
-    # -k is in the orbit of k when -1 is a square; otherwise -1 is the
-    # chosen non-square and negation swaps it with 1
-    return (q - k) % q if q % 4 == 3 else k
-
-
-def character_orbit_representatives(p: int, r: int) -> list:
-    """One character (k, k') of U_H x U_K per orbit of the diagonal torus
-    (nine orbits), less the orbits of conjugate characters: the block of
-    (-k, -k') is the entrywise conjugate of that of (k, k') and has the same
-    spectrum.  That leaves 5 blocks when p and r are 3 mod 4, 6 when one
-    is, and 9 when neither is."""
-    reps = []
-    for k in _torus_orbit_representatives(p):
-        for k2 in _torus_orbit_representatives(r):
-            if (_conjugate_representative(k, p), _conjugate_representative(k2, r)) not in reps:
-                reps.append((k, k2))
-    return reps
-
-
-class CharacterBlock:
-    """The adjacency operator on {f : f(x u) = psi(u) f(x)} for the
-    character psi(u_t, u_t') = exp(2 pi i (k t / p + k' t' / r)) of
-    U_H x U_K, in the values of f on the coset-pair representatives:
-    (B f)_j = (1/degree) sum_s phase_s[j] f(dest_s[j]).
-
-    It is Hermitian, and isometric to the restriction of the flat operator
-    up to the factor |U|.  Only the trivial character's block holds the
-    constants; it is real and deflated.
-    """
-
-    def __init__(self, character, destinations, phases=None):
-        self.character = character
-        self.degree, self.size = destinations.shape
-        self.deflate = phases is None
-        self.dtype = np.float64 if phases is None else np.complex128
-        self._destinations = destinations
-        self._phases = phases
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = v[self._destinations]
-        if self._phases is not None:
-            out *= self._phases
-        return out.sum(axis=0) / self.degree
-
-
-def pair_character_blocks(p: int, r: int, elements, characters=None):
-    """Yield the CharacterBlock of each character (k, k') (by default
-    character_orbit_representatives) for left translation on
-    PSL2(F_p) x PSL2(F_r) by the pair elements and their inverses;
-    ResourceBudgetError past CHARACTER_BLOCK_BUDGET.
-
-    The destination arrays are built once and shared; each block adds
-    only its phase vectors.
-    """
-    check_character_block_budget(p, r)
-    steps = [s for el in elements for s in (el, el.inverse())]
-    left = _coset_action(p, [s.left for s in steps])
-    right = _coset_action(r, [s.right for s in steps])
-    n_right = _coset_count(r)
-    destinations = np.stack([(dl[:, None] * n_right + dr[None, :]).ravel()
-                             for (dl, _), (dr, _) in zip(left, right)])
-    for k, k2 in characters or character_orbit_representatives(p, r):
-        phases = None
-        if k or k2:
-            phases = np.stack([np.multiply.outer(np.exp(2j * np.pi * k * tl / p),
-                                                 np.exp(2j * np.pi * k2 * tr / r)).ravel()
-                               for (_, tl), (_, tr) in zip(left, right)])
-        yield CharacterBlock((k, k2), destinations, phases)
+    n = op.size
+    _, vectors = eigh(op.dense(), subset_by_index=[n - 1 - op.deflate, n - 1])
+    v = vectors[:, 0]
+    av = op.matvec(v)
+    lam = float(np.vdot(v, av).real)
+    res = float(np.linalg.norm(av - lam * v))
+    # lambda2_estimate's default tolerance
+    return SpectrumEstimate(lam, 1, res, res <= 1e-8, seed, n, op.degree), v
 
 
 # -- boundary ratios --------------------------------------------------------
@@ -486,22 +588,34 @@ def tau_family_graph(family) -> CayleyGraph:
                                _undecorated_images(family))
 
 
-def tau_family_lambda2(family, seed=0) -> SpectrumEstimate:
-    """lambda2 of tau_family_graph(family) as the maximum over the
-    unipotent-character blocks of character_orbit_representatives, without
-    building the graph, each block solved to lambda2_estimate's default
-    tolerance of 1e-8.
+def tau_family_lambda2(family, seed=0) -> PairSpectrum:
+    """lambda2 of tau_family_graph(family) as the maximum over the pairs
+    (pi, pi') of irreducible_representations of H and K of the top
+    eigenvalue of the pair operator, without building the graph:
+    l2(H x K) is the sum of the pi (x) pi' with multiplicities, and only
+    the trivial (x) trivial part, inside the deflated pair, holds the
+    constants.  ResourceBudgetError past PAIR_DIMENSION_BUDGET.
 
     The iteration count is the total number of operator applications,
-    the residual the largest block residual, and the estimate is converged
-    only if every block is: an unconverged block could hide a larger
+    the residual the largest pair residual, and the estimate is converged
+    only if every pair is: an unconverged pair could hide a larger
     eigenvalue.  The size is |H| |K|, the vertex count of the flat graph.
     """
     p, r = family.p, family.r_p
-    blocks = [lambda2_estimate(block, seed=seed)
-              for block in pair_character_blocks(p, r, _undecorated_images(family))]
-    return SpectrumEstimate(
-        max(b.lambda2 for b in blocks), sum(b.iterations for b in blocks),
-        max(b.residual for b in blocks), all(b.converged for b in blocks), seed,
-        psl2_order(p) * psl2_order(r), blocks[0].degree,
+    check_pair_budget(p, r)
+    steps = [s for el in _undecorated_images(family) for s in (el, el.inverse())]
+    lefts = irreducible_representations(p, [s.left.entries() for s in steps])
+    rights = irreducible_representations(r, [s.right.entries() for s in steps])
+    estimates, best, pair = [], None, ""
+    for op in (PairOperator(a, b) for a in lefts for b in rights):
+        est, vector = _solve_pair(op, seed)
+        estimates.append(est)
+        if best is None or est.lambda2 > best.lambda2:
+            best, pair = est, op.label(vector)
+    return PairSpectrum(
+        best.lambda2, sum(e.iterations for e in estimates),
+        max(e.residual for e in estimates), all(e.converged for e in estimates),
+        seed, psl2_order(p) * psl2_order(r), len(steps),
+        pair=pair, pairs=len(estimates),
+        largest_pair=max(a.dim for a in lefts) * max(b.dim for b in rights),
     )

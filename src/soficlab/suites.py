@@ -50,7 +50,7 @@ from .sofic import (
 )
 from .spectral import (
     boundary_ratio_slab,
-    check_character_block_budget,
+    check_pair_budget,
     cycle_graph,
     kazhdan_bounds,
     lambda2_estimate,
@@ -478,11 +478,13 @@ def measure_defect(primes=DEFAULT_PRIMES, m=5, k=3, samples=50_000, seed=17) -> 
 
 def measure_spectra(primes=DEFAULT_PRIMES, m=5, k=3, seed=2) -> list:
     """Gap of the paired-projective Cayley graphs on the undecorated left
-    generators, from their unipotent-character blocks; columns follow the
-    documented CSV layout, and N is the vertex count of the flat graph.
-    Every prime's block size is checked before the first table is built."""
+    generators, from the irreducible representation pairs of
+    PSL2(F_p) x PSL2(F_r); columns follow the documented CSV layout, N is
+    the vertex count of the flat graph and pair the pair that attains
+    lambda2.  Every prime's pair size is checked before the first table is
+    built."""
     for p in primes:
-        check_character_block_budget(p, next_prime(p))
+        check_pair_budget(p, next_prime(p))
     rows = []
     for p in primes:
         est = tau_family_lambda2(build_hom_specs(p, m, k), seed=seed)
@@ -498,6 +500,7 @@ def measure_spectra(primes=DEFAULT_PRIMES, m=5, k=3, seed=2) -> list:
                 "iterations": est.iterations,
                 "converged": est.converged,
                 "seed": seed,
+                "pair": est.pair,
             }
         )
     return rows

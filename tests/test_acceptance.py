@@ -125,7 +125,7 @@ def test_criterion_08_spectral_dichotomy(family7):
 
     from soficlab.groups import build_hom_specs
 
-    # unipotent-character blocks; the p = 13 value is the converged flat one
+    # representation pairs; the p = 13 value is the converged flat one
     est = {p: tau_family_lambda2(family7 if p == 7 else build_hom_specs(p, 5, 3), seed=2)
            for p in (7, 13, 19)}
     gap7, gap13 = est[7].gap, est[13].gap
@@ -142,7 +142,7 @@ def test_criterion_08_spectral_dichotomy(family7):
     ) and all(a > b for a, b in zip(witness_ratios, witness_ratios[1:]))
 
     _line(8, circulant_ok and expander_ok and shrink_ok,
-          f"circulant |err|<=1e-6; block gaps "
+          f"circulant |err|<=1e-6; pair gaps "
           f"{', '.join(f'p{p}={e.gap:.4f} ({e.residual:.1e})' for p, e in est.items())}; "
           f"witness ratios decrease "
           f"{[round(float(r), 3) for r in witness_ratios]}")

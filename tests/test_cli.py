@@ -155,8 +155,9 @@ def test_measure_spectra_csv(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     rows = list(csv.DictReader(open(paths[0])))
     assert list(rows[0]) == ["p", "family", "N", "degree", "lambda2", "gap",
-                             "residual", "iterations", "converged", "seed"]
+                             "residual", "iterations", "converged", "seed", "pair"]
     assert rows[0]["converged"] == "True"
+    assert rows[0]["pair"] == "cuspidal:n=2 x cuspidal:n=2"
     assert float(rows[0]["gap"]) > 0.05
     # the reference value is the converged power-iteration estimate
     assert abs(float(rows[0]["lambda2"]) - 0.9044822283320535) <= 1e-12
@@ -240,8 +241,8 @@ def test_induce_command():
 
 def test_measure_spectra_refuses_oversized_graphs_before_any_work(
         tmp_path, capsys, monkeypatch):
-    # a p = 67 character block has 2,244 x 2,520 = 5,654,880 coset pairs;
-    # p = 7 is not built either
+    # the largest p = 67 pair has 68 x 72 = 4,896 dimensions, past the
+    # largest measured prime p = 61; p = 7 is not built either
     import soficlab.suites
 
     built = []
@@ -257,30 +258,43 @@ def test_measure_spectra_refuses_oversized_graphs_before_any_work(
     assert not out.exists()
 
 
-def test_measure_spectra_past_the_flat_graph_budget(tmp_path):
-    # the p = 19 flat graph has 20.8M vertices; its blocks have 47,520 points
+def test_measure_spectra_past_the_flat_graph_budget(tmp_path, monkeypatch):
+    # the p = 19 flat graph has 20.8M vertices; its pairs have up to
+    # 20 x 24 = 480 dimensions, so the largest go to the Lanczos routine
+    import soficlab.spectral
+
+    solve = soficlab.spectral.lambda2_estimate
+    lanczos = []
+
+    def recording(op, *args, **kwargs):
+        lanczos.append(op.size)
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(soficlab.spectral, "lambda2_estimate", recording)
     out = tmp_path / "spectra.csv"
     assert main(["measure", "spectra", "--primes", "19", "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out)))
     assert [(r["p"], r["N"], r["converged"]) for r in rows] == [
         ("19", str(3420 * 6072), "True")]
     assert abs(float(rows[0]["lambda2"]) - 0.9095623516) <= 1e-8
+    assert lanczos and min(lanczos) > soficlab.spectral.DENSE_PAIR_LIMIT
+    assert max(lanczos) == 480
 
 
 def test_unconverged_spectra_row_is_a_check_failure(tmp_path, capsys, monkeypatch):
-    # one of the five p = 7 blocks comes back unconverged: the row is
+    # one of the 24 p = 7 pairs comes back unconverged: the row is
     # written, marked, and the command exits 1
     import soficlab.spectral
 
-    solve = soficlab.spectral.lambda2_estimate
+    solve = soficlab.spectral._solve_pair
 
-    def one_block_unconverged(block, *args, **kwargs):
-        est = solve(block, *args, **kwargs)
-        if block.character == (1, 1):
+    def one_pair_unconverged(op, seed):
+        est, top = solve(op, seed)
+        if (op.left.label, op.right.label) == ("cuspidal:n=4", "principal:j=2"):
             est.converged, est.residual = False, 3e-4
-        return est
+        return est, top
 
-    monkeypatch.setattr(soficlab.spectral, "lambda2_estimate", one_block_unconverged)
+    monkeypatch.setattr(soficlab.spectral, "_solve_pair", one_pair_unconverged)
     out = tmp_path / "spectra.csv"
     assert main(["measure", "spectra", "--primes", "7", "--out", str(out)]) == 1
     rows = list(csv.DictReader(open(out)))
@@ -289,9 +303,33 @@ def test_unconverged_spectra_row_is_a_check_failure(tmp_path, capsys, monkeypatc
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("table", ["spectra", "defect"])
+def test_negative_seed_is_a_usage_error(table, tmp_path, capsys, monkeypatch):
+    import soficlab.suites
+
+    built = []
+    monkeypatch.setattr(soficlab.suites, "build_hom_specs",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(soficlab.suites, "build_sigma",
+                        lambda *args, **kwargs: built.append(args))
+    out = tmp_path / f"{table}.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", table, "--primes", "7", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert built == [] and not out.exists()
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_measure_creates_the_csv_directory(tmp_path):
+    out = tmp_path / "missing" / "nested" / "boundary.csv"
+    assert main(["measure", "boundary", "--primes", "7", "--out", str(out)]) == 0
+    assert len(list(csv.DictReader(open(out)))) == 3
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     code = ("import sys, soficlab.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', "
+            "'scipy.sparse.linalg') "
             "if m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlab.algebra import psl2_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soficlab.algebra import _entry_mul, psl2_order, psl2_table
 from soficlab.f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
 from soficlab.groups import PairElement
 from soficlab.perms import ExactPerm
@@ -16,14 +19,15 @@ from soficlab.smallgroups import (
     symmetric_table,
 )
 from soficlab.spectral import (
+    DENSE_PAIR_LIMIT,
+    PairOperator,
     boundary_ratio_explicit,
     boundary_ratio_slab,
-    character_orbit_representatives,
-    check_character_block_budget,
+    check_pair_budget,
     cycle_graph,
+    irreducible_representations,
     kazhdan_bounds,
     lambda2_estimate,
-    pair_character_blocks,
     pair_product_cayley,
     tau_family_graph,
     tau_family_lambda2,
@@ -127,94 +131,133 @@ def test_tau_family_gap_positive(family7):
     assert est.gap > 0.05  # frozen regression floor: measured 0.0955
 
 
-def _dense_block(block):
-    # column j is the block applied to the j-th unit vector
-    return np.column_stack([block.matvec(e) for e in np.eye(block.size, dtype=block.dtype)])
+QS = (3, 5, 7, 11, 13)
 
 
-def test_character_blocks_carry_the_whole_spectrum():
-    # over all 3 * 5 characters of U_H x U_K the block spectra, with their
-    # multiplicities, are the spectrum of the flat 720-vertex graph
+def _halves(q):
+    # the operator that carries the two half-size representations
+    return f"principal:j={(q - 1) // 2}" if q % 4 == 1 else f"cuspidal:n={(q + 1) // 2}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(QS), data=st.data())
+def test_representations_are_unitary_homomorphisms(q, data):
+    table = psl2_table(q)
+    g, h = (table[data.draw(st.integers(0, len(table) - 1))] for _ in range(2))
+    sign = data.draw(st.sampled_from((1, -1)))
+    # g with either sign, h, the unreduced product g h, and -I
+    rows = [[sign * x for x in g.entries()], h.entries(),
+            _entry_mul(g.entries(), h.entries()), (-1, 0, 0, -1)]
+    for rep in irreducible_representations(q, rows):
+        pg, ph, pgh, minus = rep.matrices
+        eye = np.eye(rep.dim)
+        assert np.abs(pg @ ph - pgh).max() <= 1e-12, rep.label
+        assert np.abs(pg @ pg.conj().T - eye).max() <= 1e-12, rep.label
+        assert np.abs(minus - eye).max() <= 1e-12, rep.label
+
+
+@pytest.mark.parametrize("q", QS)
+def test_representations_fill_the_group(q):
+    # j = 0 is 1 + Steinberg and the halves count as two representations,
+    # so the squared dimensions sum to |PSL2(F_q)| over (q + 5)/2 of them
+    reps = irreducible_representations(q, [(1, 0, 0, 1)])
+    labels = [rep.label for rep in reps]
+    assert labels[0] == "principal:j=0" and _halves(q) in labels
+    squares = [1 + q * q if rep.constants else 2 * (rep.dim // 2) ** 2
+               if rep.label == _halves(q) else rep.dim ** 2 for rep in reps]
+    assert sum(squares) == psl2_order(q)
+    assert len(reps) + 2 == (q + 5) // 2
+    # over the whole group the characters are orthogonal, and each has
+    # norm 2 exactly where it holds two irreducibles
+    chars = np.array([np.trace(rep.matrices, axis1=1, axis2=2)
+                      for rep in irreducible_representations(q, psl2_table(q).entries.T)])
+    gram = chars.conj() @ chars.T / psl2_order(q)
+    expected = np.diag([2.0 if rep.constants or rep.label == _halves(q) else 1.0
+                        for rep in reps])
+    assert np.abs(gram - expected).max() <= 1e-10
+
+
+def _pair_operators(p, r, elements):
+    steps = [s for el in elements for s in (el, el.inverse())]
+    lefts = irreducible_representations(p, [s.left.entries() for s in steps])
+    rights = irreducible_representations(r, [s.right.entries() for s in steps])
+    return [PairOperator(a, b) for a in lefts for b in rights]
+
+
+def test_pair_spectra_are_the_flat_spectrum():
+    # PSL2(3) x PSL2(5): the pair spectra together are the distinct
+    # eigenvalues of the 720-vertex graph
     _, _, elements, graph = _pair_graph_3x5()
-    characters = [(k, k2) for k in range(3) for k2 in range(5)]
-    blocks = list(pair_character_blocks(3, 5, elements, characters))
-    assert [b.size for b in blocks] == [4 * 12] * 15
-    spectra = []
-    for block in blocks:
-        dense = _dense_block(block)
-        assert np.allclose(dense, dense.conj().T)
-        spectra.append(np.linalg.eigvalsh(dense))
     flat = np.linalg.eigvalsh(graph.dense_adjacency())
-    assert np.abs(np.sort(np.concatenate(spectra)) - flat).max() <= 1e-10
+    ops = _pair_operators(3, 5, elements)
+    assert len(ops) == 2 * 3
+    spectra = []
+    for op in ops:
+        dense = op.dense()
+        assert np.allclose(dense, dense.conj().T)
+        v = np.random.default_rng(1).standard_normal(op.size) + 0j
+        assert np.allclose(op.matvec(v), dense @ v)
+        spectra.append(np.linalg.eigvalsh(dense))
+        # only the pair of the two trivial-character principal series holds
+        # the constants
+        assert op.deflate == (abs(spectra[-1][-1] - 1.0) <= 1e-12)
+    pairs = np.concatenate(spectra)
+    assert np.abs(pairs[:, None] - flat[None, :]).min(axis=0).max() <= 1e-10
+    assert np.abs(pairs[:, None] - flat[None, :]).min(axis=1).max() <= 1e-10
+    assert [op.deflate for op in ops] == [True] + [False] * 5
 
 
-def test_torus_orbits_and_conjugates_give_equal_blocks():
-    # PSL2(5) x PSL2(7), 288-point blocks: the torus scales k by the squares
-    # and conjugation negates (k, k'), so a block's spectrum is that of the
-    # one representative of its class
-    p, r = 5, 7
-    elements = _random_pair_elements(p, r, seed=11)
-    characters = [(k, k2) for k in range(p) for k2 in range(r)]
-    spectra = {b.character: np.linalg.eigvalsh(_dense_block(b))
-               for b in pair_character_blocks(p, r, elements, characters)}
-    assert all(len(s) == 12 * 24 for s in spectra.values())
-
-    def orbit(k, q):
-        return {k * x * x % q for x in range(1, q)}
-
-    reps = character_orbit_representatives(p, r)
-    assert reps == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-    for k, k2 in characters:
-        (rep,) = {c for c in reps for kk, kk2 in ((k, k2), (-k % p, -k2 % r))
-                  if c[0] in orbit(kk, p) and c[1] in orbit(kk2, r)}
-        assert np.abs(spectra[k, k2] - spectra[rep]).max() <= 1e-10
-
-
-def test_trivial_character_block_alone_holds_the_constants():
-    elements = _random_pair_elements(5, 7, seed=11)
-    for block in pair_character_blocks(5, 7, elements):
-        top = np.linalg.eigvalsh(_dense_block(block))[-1]
-        assert block.deflate == (block.character == (0, 0))
-        assert block.dtype == (np.float64 if block.deflate else np.complex128)
-        assert (abs(top - 1.0) <= 1e-12) == block.deflate
-
-
-def test_character_blocks_refuse_past_the_measured_budget():
-    # p = 43 blocks (1,020,096 coset pairs) were measured; p = 61 blocks
-    # (4,173,840) were not, and are refused before any table is built
-    from soficlab.groups import ResourceBudgetError
-
-    check_character_block_budget(43, 47)
-    with pytest.raises(ResourceBudgetError):
-        next(pair_character_blocks(61, 67, []))
+def test_pair_label_names_the_trivial_or_steinberg_part():
+    _, _, elements, _ = _pair_graph_3x5()
+    op = _pair_operators(3, 5, elements)[0]
+    # constants on one factor, mean zero on the other
+    top = np.outer(np.ones(4), [1, -1, 0, 0, 0, 0])
+    assert op.label(top.ravel()) == "principal:j=0(trivial) x principal:j=0(steinberg)"
+    top = np.outer([1, -1, 0, 0], np.ones(6))
+    assert op.label(top.ravel()) == "principal:j=0(steinberg) x principal:j=0(trivial)"
 
 
 def test_block_lambda2_matches_flat_graph_at_p7(family7):
-    # the flat tau_family_graph value, converged on 110,880 vertices
+    # each representation pair is one block of the adjacency operator; the
+    # flat tau_family_graph value, converged on 110,880 vertices, is their
+    # maximum, and every p = 7 pair is solved densely with one application
     est = tau_family_lambda2(family7, seed=2)
     assert est.converged and est.residual <= 1e-8
     assert abs(est.lambda2 - 0.9044822283320535) <= 1e-12
     assert (est.size, est.degree) == (110_880, 4)
+    assert (est.pairs, est.largest_pair, est.iterations) == (24, 96, 24)
+    assert est.largest_pair <= DENSE_PAIR_LIMIT
+    assert est.pair == "cuspidal:n=2 x cuspidal:n=2"
 
 
 def test_block_lambda2_is_the_largest_block_estimate(family7, monkeypatch):
     import soficlab.spectral as spectral
 
-    solve = spectral.lambda2_estimate
-    seen = {}
+    solve = spectral._solve_pair
+    seen = []
 
-    def recording(block, *args, **kwargs):
-        seen[block.character] = solve(block, *args, **kwargs)
-        return seen[block.character]
+    def recording(op, seed):
+        seen.append(solve(op, seed)[0])
+        return seen[-1], op.last_input
 
-    monkeypatch.setattr(spectral, "lambda2_estimate", recording)
+    monkeypatch.setattr(spectral, "_solve_pair", recording)
     est = tau_family_lambda2(family7, seed=2)
-    # nine torus orbits; p = 7 and r = 11 are 3 mod 4, so conjugation pairs four
-    assert list(seen) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 10)]
-    blocks = seen.values()
-    assert est.lambda2 == max(b.lambda2 for b in blocks)
-    assert est.iterations == sum(b.iterations for b in blocks)
-    assert est.residual == max(b.residual for b in blocks)
+    assert len(seen) == 24
+    assert est.lambda2 == max(e.lambda2 for e in seen)
+    assert est.iterations == sum(e.iterations for e in seen)
+    assert est.residual == max(e.residual for e in seen)
+
+
+def test_pair_budget_refuses_past_the_largest_measured_prime():
+    # p = 61 (pairs up to 62 x 68 = 4,216 dimensions) ran end to end;
+    # p = 67 (68 x 72) is refused before any representation is built
+    from types import SimpleNamespace
+
+    from soficlab.groups import ResourceBudgetError
+
+    check_pair_budget(61, 67)
+    with pytest.raises(ResourceBudgetError):
+        tau_family_lambda2(SimpleNamespace(p=67, r_p=71), seed=2)
 
 
 def test_boundary_ratio_singleton():
