@@ -20,7 +20,6 @@ from .algebra import (
     psl2_enumerate,
     psl2_order,
     psl2_table,
-    reduce_word_mod,
 )
 from .f3vectors import (
     ApVector,

@@ -238,45 +238,6 @@ def psl2_enumerate(q: int):
     return [table[i] for i in range(len(table))]
 
 
-def reduce_word_mod(word, q: int) -> PSL2Element:
-    """Reduce a product of integer 2x2 determinant-1 matrices mod q.
-
-    The word is a sequence of ((a, b), (c, d)) integer matrices; the result
-    is the canonical image of their product.  Concatenation of words maps
-    to multiplication of images.
-    """
-    acc = PSL2Element.identity(q)
-    for m in word:
-        (a, b), (c, d) = m
-        if a * d - b * c != 1:
-            raise ValueError(f"matrix {m} does not have determinant 1")
-        acc = acc * PSL2Element(a, b, c, d, q)
-    return acc
-
-
-def mat_mul(m1, m2):
-    """Integer 2x2 matrix product (exact, arbitrary precision)."""
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def mat_inv_det1(m):
-    """Inverse of an integer 2x2 matrix with determinant 1."""
-    (a, b), (c, d) = m
-    return ((d, -b), (-c, a))
-
-
-def mat_pow(m, n: int):
-    if n < 0:
-        return mat_pow(mat_inv_det1(m), -n)
-    out = ((1, 0), (0, 1))
-    while n:
-        out = mat_mul(out, m)
-        n -= 1
-    return out
-
-
 def centralizer_fraction(g: PSL2Element) -> Fraction:
     """|C(g)| / |PSL2(F_q)| by exhaustive commutation test.
 

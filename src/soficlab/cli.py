@@ -1,9 +1,9 @@
 """Command-line driver.
 
 Subcommands: build the generator images and permutation files, run a
-verification suite, emit measurement tables as CSV, classify planted
-partitions, and demonstrate induction.  Exit codes: 0 all checks passed,
-1 a check failed, 2 usage error, 3 resource refusal.
+verification suite, emit measurement tables as CSV, and classify planted
+partitions.  Exit codes: 0 all checks passed, 1 a check failed, 2 usage
+error, 3 resource refusal.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .f3vectors import _check_p
 from .groups import (
     GenerationCheckError,
     ResourceBudgetError,
+    _check_ranks,
     build_hom_specs,
     hom_family_to_json,
 )
@@ -30,7 +31,6 @@ from .suites import (
     measure_boundary,
     measure_defect,
     measure_spectra,
-    suite_induction,
 )
 from .partitions import CANDIDATE_KEY_DIMS, CylinderPartition, classify_candidates
 from .algebra import psl2_order
@@ -146,10 +146,6 @@ def cmd_measure(args) -> int:
         cols = ["p", "generator", "family", "ratio_domain", "ratio_witness",
                 "sqrt_p_scaled", "mode"]
     elif args.table == "defect":
-        if args.mode == "exact" and any(p > 7 for p in primes):
-            print("exact defect tables past the enumerable domain are refused; "
-                  "use --mode sampled", file=sys.stderr)
-            return EXIT_RESOURCE
         rows = measure_defect(primes, samples=args.samples, seed=args.seed)
         cols = ["p", "mode", "value", "radius", "samples", "seed"]
     elif args.table == "spectra":
@@ -189,13 +185,6 @@ def cmd_partition(args) -> int:
             residuals={h.subgroup: h.residual for h in ranked},
         )
     report.finish()
-    _write_report(report, args.out)
-    _print_report(report)
-    return report.exit_code
-
-
-def cmd_induce(args) -> int:
-    report = suite_induction(seed=args.seed)
     _write_report(report, args.out)
     _print_report(report)
     return report.exit_code
@@ -247,7 +236,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "the largest prime measured end to end (p = 61)")
     me.add_argument("--samples", type=_positive_int, default=50_000)
     me.add_argument("--seed", type=_nonnegative_int, default=17)
-    me.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
     me.add_argument("--out", default=None)
     me.set_defaults(fn=cmd_measure)
 
@@ -259,11 +247,6 @@ def make_parser() -> argparse.ArgumentParser:
     pt.add_argument("--seed", type=_nonnegative_int, default=3)
     pt.add_argument("--out", default=None)
     pt.set_defaults(fn=cmd_partition)
-
-    ind = sub.add_parser("induce", help="run the induction checks")
-    ind.add_argument("--seed", type=_nonnegative_int, default=5)
-    ind.add_argument("--out", default=None)
-    ind.set_defaults(fn=cmd_induce)
     return ap
 
 
@@ -282,6 +265,8 @@ def main(argv=None) -> int:
     try:
         for p in _primes_used(args):
             _check_p(p)
+        if "m" in args:
+            _check_ranks(args.m, args.k)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,16 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    PSL2Element,
-    mat_inv_det1,
-    mat_mul,
-    mat_pow,
-    next_prime,
-    psl2_order,
-    psl2_table,
-    reduce_word_mod,
-)
+from .algebra import PSL2Element, next_prime, psl2_order, psl2_table
 from .f3vectors import (
     ApVector,
     ap_index,
@@ -37,10 +28,7 @@ from .f3vectors import (
     v2_vector,
     v_vector,
 )
-from .words import ReducedWord
-
-SANOV_A = ((1, 2), (0, 1))
-SANOV_B = ((1, 0), (2, 1))
+from .words import ReducedWord, evaluate
 
 
 class GenerationCheckError(ValueError):
@@ -52,12 +40,6 @@ class ResourceBudgetError(RuntimeError):
     exceeded its configured element budget, or a G(p) needs vector
     indices past the int64 range (3^p > 2^63 - 1: every admissible p
     from 43 on)."""
-
-
-def free_family_matrix(i: int):
-    """The i-th member (i >= 1) of the free family B^i A B^-i in SL2(Z)."""
-    bi = mat_pow(SANOV_B, i)
-    return mat_mul(mat_mul(bi, SANOV_A), mat_inv_det1(bi))
 
 
 class GpElement:
@@ -173,28 +155,14 @@ class HomSpec:
 
 
 def hom_eval(spec: HomSpec, word: ReducedWord):
-    """Image of a word: the product of generator images along its letters."""
-    imgs = {g: img for g, img in zip(spec.gen_names, spec.images)}
-    acc = None
-    for g, s in word.letters:
-        if g not in imgs:
-            raise KeyError(f"unknown generator {g!r} for {spec.name}")
-        step = imgs[g] if s == 1 else imgs[g].inverse()
-        acc = step if acc is None else acc * step
+    """Image of a word: the product of generator images along its letters
+    (see words.evaluate); the empty word maps to the identity, built as
+    g g^-1 from the first image g."""
+    acc = evaluate(word, spec.image)
     if acc is None:
-        ident = _identity_like(spec.images[0])
-        return ident
+        first = spec.images[0]
+        return first * first.inverse()
     return acc
-
-
-def _identity_like(element):
-    if isinstance(element, PairElement):
-        return PairElement(_identity_like(element.left), _identity_like(element.right))
-    if isinstance(element, GpElement):
-        return GpElement.identity(element.p)
-    if isinstance(element, PSL2Element):
-        return PSL2Element.identity(element.q)
-    raise TypeError(f"no identity known for {type(element)!r}")
 
 
 def _factors(g):
@@ -311,6 +279,20 @@ def lambda_gen_names(k: int):
     return tuple(f"b{j}" for j in range(1, k + 1))
 
 
+def _check_ranks(m: int, k: int):
+    """Refuse free ranks too small for the construction."""
+    if m < 5:
+        raise GenerationCheckError(
+            f"m = {m} < 5: the construction needs at least two undecorated "
+            "left generators plus two decorated ones and a spare letter"
+        )
+    if k < 3:
+        raise GenerationCheckError(
+            f"k = {k} < 3: the construction needs at least two undecorated "
+            "right generators plus the decorated one"
+        )
+
+
 def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
     """Construct the whole family of generator-image tables at level p.
 
@@ -323,16 +305,7 @@ def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
     projective factors (cheap at any p here) and a named
     GenerationCheckError is raised on failure.
     """
-    if m < 5:
-        raise GenerationCheckError(
-            f"m = {m} < 5: the construction needs at least two undecorated "
-            "left generators plus two decorated ones and a spare letter"
-        )
-    if k < 3:
-        raise GenerationCheckError(
-            f"k = {k} < 3: the construction needs at least two undecorated "
-            "right generators plus the decorated one"
-        )
+    _check_ranks(m, k)
     from .f3vectors import _check_p
 
     _check_p(p)
@@ -342,14 +315,17 @@ def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
     if v1.is_zero() or v2.is_zero():
         raise ValueError("decoration vectors must be nonzero")
 
-    n_avatars = max(m, k)
-    mats = {i: free_family_matrix(i) for i in range(1, n_avatars + 1)}
+    a, b = ReducedWord.gen("A"), ReducedWord.gen("B")
+    family_words = {i: b**i * a * b**-i for i in range(1, max(m, k) + 1)}
 
-    def xi(i):
-        return reduce_word_mod([mats[i]], p)
+    def avatars(q):
+        # reduction mod q is a homomorphism, so w_i mod q is B^i A B^-i
+        # evaluated on the images of A and B mod q
+        ab = HomSpec("free-family", ("A", "B"),
+                     (PSL2Element(1, 2, 0, 1, q), PSL2Element(1, 0, 2, 1, q)), f"PSL2({q})")
+        return {i: hom_eval(ab, w) for i, w in family_words.items()}
 
-    def psi(i):
-        return reduce_word_mod([mats[i]], r_p)
+    xi, psi = avatars(p), avatars(r_p)
 
     sg = sigma_gen_names(m)
     lg = lambda_gen_names(k)
@@ -358,12 +334,12 @@ def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
     for j in range(1, k + 1):
         avatar_index[f"b{j}"] = j
 
-    xi_sigma = HomSpec("xi", sg, tuple(xi(avatar_index[g]) for g in sg), f"H{p}")
-    psi_sigma = HomSpec("psi", sg, tuple(psi(avatar_index[g]) for g in sg), f"K{r_p}")
+    xi_sigma = HomSpec("xi", sg, tuple(xi[avatar_index[g]] for g in sg), f"H{p}")
+    psi_sigma = HomSpec("psi", sg, tuple(psi[avatar_index[g]] for g in sg), f"K{r_p}")
     eta = HomSpec(
         "eta",
         sg,
-        tuple(PairElement(xi(avatar_index[g]), psi(avatar_index[g])) for g in sg),
+        tuple(PairElement(xi[avatar_index[g]], psi[avatar_index[g]]) for g in sg),
         f"H{p}xK{r_p}",
     )
 
@@ -373,16 +349,16 @@ def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
     def phi_img(name):
         i = avatar_index[name]
         if name == f"a{m - 2}":
-            return GpElement(v1, xi(i))
+            return GpElement(v1, xi[i])
         if name == f"a{m - 1}":
-            return GpElement(v2, xi(i))
-        return GpElement(zero, xi(i))
+            return GpElement(v2, xi[i])
+        return GpElement(zero, xi[i])
 
     phi = HomSpec("phi", gamma, tuple(phi_img(g) for g in gamma), f"G{p}")
     phi_tilde = HomSpec(
         "phi_tilde",
         gamma,
-        tuple(PairElement(phi_img(g), psi(avatar_index[g])) for g in gamma),
+        tuple(PairElement(phi_img(g), psi[avatar_index[g]]) for g in gamma),
         f"G{p}xK{r_p}",
     )
 
@@ -391,15 +367,15 @@ def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
     def rho_img(name):
         j = avatar_index[name]
         if name == f"b{k}":
-            return GpElement(h_act(xi(j), vp), xi(j))
-        return GpElement(zero, xi(j))
+            return GpElement(h_act(xi[j], vp), xi[j])
+        return GpElement(zero, xi[j])
 
     rho = HomSpec("rho", lg, tuple(rho_img(g) for g in lg), f"G{p}")
 
     def zeta_img(name):
         if name == f"b{k}":
             return PSL2Element.identity(r_p)
-        return psi(avatar_index[name])
+        return psi[avatar_index[name]]
 
     zeta = HomSpec("zeta", lg, tuple(zeta_img(g) for g in lg), f"K{r_p}")
     rho_tilde = HomSpec(
@@ -502,7 +478,7 @@ def _gp_part(img):
     return img.left if isinstance(img, PairElement) else img
 
 
-def verify_surjectivity(spec: HomSpec, family: HomFamily, route="auto") -> SurjectivityCertificate:
+def verify_surjectivity(spec: HomSpec, family: HomFamily) -> SurjectivityCertificate:
     """Certify that a generator-image table generates its whole target.
 
     For G(p): (i) the matrix parts of all images must generate PSL2(F_p)
@@ -521,10 +497,8 @@ def verify_surjectivity(spec: HomSpec, family: HomFamily, route="auto") -> Surje
     if target == f"G{p}":
         return _verify_onto_gp(spec, family)
     if target == f"G{p}xK{family.r_p}":
-        if route == "factor-quotients":
-            return _verify_onto_gtilde_goursat(spec, family, None)
         direct = _verify_onto_gtilde_direct(spec, family)
-        if direct.ok or route == "direct":
+        if direct.ok:
             return direct
         return _verify_onto_gtilde_goursat(spec, family, direct)
     raise ValueError(f"unsupported target {target!r}")
@@ -610,9 +584,7 @@ def _verify_onto_gtilde_goursat(spec, family, direct_attempt) -> SurjectivityCer
     onto K; the only common quotient of the two factors is trivial because
     the candidate quotient orders differ, so the image is the product."""
     p, r_p = family.p, family.r_p
-    details = {}
-    if direct_attempt is not None:
-        details["direct_attempt"] = direct_attempt.details
+    details = {"direct_attempt": direct_attempt.details}
     left_spec = HomSpec(
         spec.name + "-left", spec.gen_names, tuple(i.left for i in spec.images), f"G{p}"
     )

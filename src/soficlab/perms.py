@@ -127,6 +127,10 @@ class ExactPerm:
             return ExactPerm(self.images[other.images], domain=self.domain, validate=False)
         raise TypeError("can only compose exact permutations with exact ones")
 
+    # through the attribute, so that a wrapped compose sees every product
+    def __mul__(self, other):
+        return self.compose(other)
+
     def fixed_count(self) -> int:
         return int(np.count_nonzero(self.images == np.arange(len(self.images))))
 
@@ -168,6 +172,9 @@ class ImplicitPerm:
             lambda pts: other.apply_inverse(self.apply_inverse(pts)),
         )
 
+    def __mul__(self, other):
+        return self.compose(other)
+
     def spot_check(self, rng, n=64) -> bool:
         pts = self.domain.sample(rng, n)
         back = self.apply_inverse(self.apply(pts))
@@ -200,6 +207,9 @@ class ProductPerm:
                 *(f.compose(g) for f, g in zip(self.factors, other.factors))
             )
         raise TypeError("can only compose product permutations factorwise")
+
+    def __mul__(self, other):
+        return self.compose(other)
 
     def fixed_fraction(self) -> Fraction:
         out = Fraction(1)

@@ -50,6 +50,7 @@ from .f3vectors import (
 from .groups import (
     GpElement,
     HomFamily,
+    HomSpec,
     ResourceBudgetError,
     build_hom_specs,
     hom_eval,
@@ -67,7 +68,7 @@ from .perms import (
     d_hamming,
     materialize,
 )
-from .words import ProductWord, ReducedWord, random_reduced_word
+from .words import ProductWord, ReducedWord, evaluate, random_reduced_word
 
 
 # -- the G(p) domain and its permutations ---------------------------------
@@ -238,18 +239,6 @@ ExactGpContext = GpContext
 
 # -- asymptotic homomorphisms ---------------------------------------------
 
-def _compose_letters(images: dict, word: ReducedWord, names, acc):
-    """acc followed by the images of the word's letters (inverted for
-    negative letters), composed one letter at a time; None stays None
-    for the empty word.  A letter outside names raises a KeyError."""
-    for g, s in word.letters:
-        if names is not None and g not in names:
-            raise KeyError(f"letter {g!r} is not in {names}")
-        img = images[g] if s == 1 else images[g].inverse()
-        acc = img if acc is None else acc.compose(img)
-    return acc
-
-
 @dataclass
 class AsymptoticHom:
     """Generator images for F_m x F_k acting on a common domain.
@@ -275,10 +264,12 @@ class AsymptoticHom:
         """sigma(pw), or sigma(pw) o sigma(then), as one chain of letter
         images from left to right, so that every composition gathers
         through a generator image and never through a composed word."""
+        left = {name: self.images[name] for name in self.left_names}
+        right = {name: self.images[name] for name in self.right_names}
         acc = None
         for pair in (pw,) if then is None else (pw, then):
-            acc = _compose_letters(self.images, pair.left, self.left_names, acc)
-            acc = _compose_letters(self.images, pair.right, self.right_names, acc)
+            acc = evaluate(pair.right, right.__getitem__,
+                           evaluate(pair.left, left.__getitem__, acc))
         return acc if acc is not None else self.domain.identity_perm()
 
 
@@ -586,20 +577,6 @@ def cocycle_reconstruct(c_g: np.ndarray, tau_g: ExactPerm, cover: BranchedCover)
 
 # -- induction through a coset system --------------------------------------
 
-class WordMap:
-    """A free-group homomorphism into a symmetric group: images of free
-    generators, evaluated along words."""
-
-    def __init__(self, images: dict):
-        self.images = dict(images)
-        first = next(iter(self.images.values()))
-        self.domain = first.domain
-
-    def eval(self, word: ReducedWord):
-        acc = _compose_letters(self.images, word, None, None)
-        return acc if acc is not None else self.domain.identity_perm()
-
-
 class SchreierSystem:
     """Coset section and rewriting data for a transitive action of free
     generators on cosets 0..n-1 with 0 the subgroup itself.
@@ -701,10 +678,11 @@ class InducedHom:
     """The induced model on cosets x fiber: a word sends (i, x) to
     (word . i, sigma(c(word, i)) x)."""
 
-    def __init__(self, schreier: SchreierSystem, sigma0: WordMap):
+    def __init__(self, schreier: SchreierSystem, sigma0: HomSpec):
         self.schreier = schreier
         self.sigma0 = sigma0
-        self.fiber_size = sigma0.domain.size
+        self.fiber_domain = sigma0.images[0].domain
+        self.fiber_size = self.fiber_domain.size
         self.domain = FlatDomain(schreier.n * self.fiber_size)
 
     def eval(self, word: ReducedWord) -> ExactPerm:
@@ -713,7 +691,7 @@ class InducedHom:
         base = np.arange(x, dtype=np.int64)
         for i in range(n):
             target = self.schreier.act(word, i)
-            inner = self.sigma0.eval(self.schreier.cocycle(word, i))
+            inner = hom_eval(self.sigma0, self.schreier.cocycle(word, i))
             images[i * x : (i + 1) * x] = target * x + inner.apply(base)
         return ExactPerm(images, domain=self.domain)
 
@@ -724,7 +702,7 @@ class InducedHom:
             raise ValueError("word does not lie in the subgroup")
         big = self.eval(word)
         block = big.images[: self.fiber_size]
-        return ExactPerm(block, domain=self.sigma0.domain)
+        return ExactPerm(block, domain=self.fiber_domain)
 
 
 def induce_approximation(gen_perms: dict, sigma0_images: dict, section=None) -> InducedHom:
@@ -740,4 +718,6 @@ def induce_approximation(gen_perms: dict, sigma0_images: dict, section=None) -> 
     missing = needed - set(sigma0_images)
     if missing:
         raise KeyError(f"no images for subgroup generators: {sorted(missing)}")
-    return InducedHom(schreier, WordMap(sigma0_images))
+    images = tuple(sigma0_images.values())
+    sigma0 = HomSpec("sigma0", tuple(sigma0_images), images, f"Sym({images[0].size})")
+    return InducedHom(schreier, sigma0)

@@ -286,7 +286,7 @@ def suite_induction(seed=5, n_triples=1000, fiber=60) -> RunReport:
         w = random_reduced_word(rng, names, rng.randint(0, 6))
         w_sub = schreier.cocycle_in_ambient(w, 0)  # always a subgroup word
         block = induced.restriction_to_trivial_coset(w_sub)
-        direct = induced.sigma0.eval(schreier.cocycle(w_sub, 0))
+        direct = hom_eval(induced.sigma0, schreier.cocycle(w_sub, 0))
         restr_ok &= bool(np.array_equal(block.images, direct.images))
     rep.add_check("restriction-matches-subgroup-model", restr_ok, True, restr_ok)
 
@@ -300,7 +300,7 @@ def suite_induction(seed=5, n_triples=1000, fiber=60) -> RunReport:
         w = random_reduced_word(rng, names, rng.randint(0, 6))
         renamed = ReducedWord(tuple((f"{g}|0", s) for g, s in w.letters))
         same &= bool(
-            np.array_equal(ind1.eval(w).images, ind1.sigma0.eval(renamed).images)
+            np.array_equal(ind1.eval(w).images, hom_eval(ind1.sigma0, renamed).images)
         )
     rep.add_check("index-one-identity", same, True, same)
     return rep.finish()

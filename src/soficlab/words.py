@@ -57,6 +57,20 @@ class ReducedWord:
         return " ".join(g if s == 1 else f"{g}^-1" for g, s in self.letters)
 
 
+def evaluate(word: ReducedWord, image, start=None):
+    """start times the images of the word's letters, multiplied left to right
+    with *; image(name) gives a generator's image, and a negative letter uses
+    its inverse().  An empty word with no start gives None.
+
+    This is the one word evaluator: group elements and permutations (where *
+    is composition, "after") alike."""
+    acc = start
+    for g, s in word.letters:
+        img = image(g) if s == 1 else image(g).inverse()
+        acc = img if acc is None else acc * img
+    return acc
+
+
 def _free_reduce(letters):
     stack = []
     for g, s in letters:

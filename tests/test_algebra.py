@@ -17,7 +17,6 @@ from soficlab.algebra import (
     psl2_enumerate,
     psl2_order,
     psl2_table,
-    reduce_word_mod,
 )
 
 
@@ -142,37 +141,6 @@ def test_enumeration_order_is_lexicographic():
     elems = psl2_enumerate(5)
     keys = [g.entries() for g in elems]
     assert keys == sorted(keys)
-
-
-def test_reduce_word_empty_is_identity():
-    assert reduce_word_mod([], 7).is_identity()
-
-
-def test_reduce_word_small_entries():
-    assert reduce_word_mod([((1, 2), (0, 1))], 7).entries() == (1, 2, 0, 1)
-
-
-def test_reduce_word_formal_inverse_cancels():
-    rng = random.Random(2)
-    mats = [((1, 2), (0, 1)), ((1, 0), (2, 1)), ((3, 2), (1, 1))]
-    for _ in range(100):
-        word = [rng.choice(mats) for _ in range(rng.randint(1, 6))]
-        inverse_word = [((d, -b), (-c, a)) for (a, b), (c, d) in reversed(word)]
-        assert reduce_word_mod(word + inverse_word, 11).is_identity()
-
-
-def test_reduce_word_is_multiplicative():
-    rng = random.Random(3)
-    mats = [((1, 2), (0, 1)), ((1, 0), (2, 1))]
-    for _ in range(50):
-        u = [rng.choice(mats) for _ in range(rng.randint(0, 4))]
-        v = [rng.choice(mats) for _ in range(rng.randint(0, 4))]
-        assert reduce_word_mod(u + v, 7) == reduce_word_mod(u, 7) * reduce_word_mod(v, 7)
-
-
-def test_reduce_word_rejects_bad_determinant():
-    with pytest.raises(ValueError):
-        reduce_word_mod([((2, 0), (0, 2))], 7)
 
 
 def test_centralizer_fraction_identity():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficlab.groups import HomSpec, hom_eval
 from soficlab.perms import ExactPerm, d_hamming
 from soficlab.sofic import (
     BranchedCover,
     SchreierSystem,
-    WordMap,
     cocycle_reconstruct,
     extract_almost_cocycle,
     induce_approximation,
@@ -199,7 +199,6 @@ def test_cocycle_matches_ambient_value(family7):
     # the rewritten word, evaluated in any group, equals the ambient value
     schreier = SchreierSystem(ACTION4)
     rng = random.Random(1)
-    from soficlab.groups import HomSpec, hom_eval
     from soficlab.algebra import psl2_table
 
     table = psl2_table(11)
@@ -243,7 +242,7 @@ def test_induced_restriction_is_subgroup_model():
         w = random_reduced_word(pyrng, ("x", "y"), pyrng.randint(0, 6))
         w_sub = schreier.cocycle_in_ambient(w, 0)
         block = induced.restriction_to_trivial_coset(w_sub)
-        expected = induced.sigma0.eval(schreier.cocycle(w_sub, 0))
+        expected = hom_eval(induced.sigma0, schreier.cocycle(w_sub, 0))
         assert np.array_equal(block.images, expected.images)
 
 
@@ -260,8 +259,9 @@ def test_index_one_induction_is_identity():
     images = {g: ExactPerm(rng.permutation(35).astype(np.int64))
               for g in schreier.schreier_generators()}
     induced = induce_approximation(action, images)
+    fiber_model = HomSpec("fiber", tuple(images), tuple(images.values()), "Sym(35)")
     for _ in range(20):
         w = random_reduced_word(pyrng, ("x", "y"), pyrng.randint(0, 6))
         renamed = ReducedWord(tuple((f"{g}|0", s) for g, s in w.letters))
         assert np.array_equal(induced.eval(w).images,
-                              WordMap(images).eval(renamed).images)
+                              hom_eval(fiber_model, renamed).images)

@@ -17,6 +17,7 @@ from soficlab.groups import (
     hom_family_from_json,
     hom_family_to_json,
     HomSpec,
+    sigma_gen_names,
     verify_surjectivity,
 )
 from soficlab.smallgroups import subgroup_closure
@@ -207,10 +208,24 @@ def test_certificate_words_are_pinned(name, family7):
     assert details["closure_dim"] == 7
 
 
-def test_rho_tilde_factor_quotient_route(family7):
-    cert = verify_surjectivity(family7["rho_tilde"], family7, route="factor-quotients")
+def test_rho_tilde_factor_quotient_route():
+    # at p = 19 the undecorated pair closure (3,420 x 6,072 elements) is
+    # past the closure budget, so the certificate falls back to the factors
+    family = build_hom_specs(19, 5, 3)
+    cert = verify_surjectivity(family["rho_tilde"], family)
     assert cert.ok and cert.route == "factor-quotients"
-    assert cert.details["right_factor_order"] == psl2_order(11)
+    assert cert.details["right_factor_order"] == psl2_order(23)
+
+
+@pytest.mark.parametrize("p", [7, 13, 61])
+def test_free_family_images_are_integer_reductions(p):
+    # w_i = B^i A B^-i = [[1 - 4i, 2], [-8i^2, 1 + 4i]] in SL2(Z), reduced
+    # mod p for xi and mod r(p) for psi
+    family = build_hom_specs(p, 12, 3, check=False)
+    for i, name in enumerate(sigma_gen_names(12), start=1):
+        w = (1 - 4 * i, 2, -8 * i * i, 1 + 4 * i)
+        assert family["xi"].image(name) == PSL2Element(*w, p)
+        assert family["psi"].image(name) == PSL2Element(*w, family.r_p)
 
 
 def test_surjectivity_fails_without_decoration(family7):

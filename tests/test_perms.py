@@ -52,6 +52,24 @@ def test_inverse_and_compose():
     assert np.array_equal(p.compose(q).apply(pts), p.apply(q.apply(pts)))
 
 
+def test_product_is_composition_through_compose(monkeypatch):
+    rng = np.random.default_rng(1)
+    p, q = random_exact(rng, 50), random_exact(rng, 50)
+    shift = ImplicitPerm(FlatDomain(50), lambda x: (x + 3) % 50, lambda x: (x - 3) % 50)
+    pts = rng.integers(0, 50, size=64)
+    for x, y in ((p, q), (shift, p), (shift, shift)):
+        assert np.array_equal((x * y).apply(pts), x.apply(y.apply(pts)))
+    # * reaches ExactPerm.compose through the class attribute, so a wrapper
+    # installed there sees every product, factors of a product included
+    calls = []
+    compose = ExactPerm.compose
+    monkeypatch.setattr(ExactPerm, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    both = ProductPerm(p, q) * ProductPerm(q, p)
+    assert len(calls) == 2
+    assert both.factors[0] == p.compose(q) and both.factors[1] == q.compose(p)
+
+
 def test_distance_to_self_is_zero():
     rng = np.random.default_rng(1)
     p = random_exact(rng, 100)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab.words import ProductWord, ReducedWord, random_reduced_word
+from soficlab.algebra import PSL2Element
+from soficlab.words import ProductWord, ReducedWord, evaluate, random_reduced_word
 
 GENS = ("a", "b", "c")
 
@@ -96,3 +97,15 @@ def test_free_reduction_properties(u, v, w):
     # reducing is idempotent and products reduce their concatenation
     assert ReducedWord(u.letters) == u
     assert u * v == ReducedWord(u.letters + v.letters)
+
+
+def test_evaluate_folds_images_left_to_right():
+    images = {"a": PSL2Element(1, 1, 0, 1, 7), "b": PSL2Element(1, 0, 3, 1, 7)}
+    a, b = images["a"], images["b"]
+    word = ReducedWord((("a", 1), ("b", -1), ("a", 1)))
+    assert evaluate(word, images.__getitem__) == a * b.inverse() * a
+    assert evaluate(word, images.__getitem__, start=b) == b * a * b.inverse() * a
+    assert evaluate(ReducedWord(), images.__getitem__) is None
+    assert evaluate(ReducedWord(), images.__getitem__, start=b) is b
+    with pytest.raises(KeyError):
+        evaluate(ReducedWord.gen("c"), images.__getitem__)
