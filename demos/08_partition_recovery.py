@@ -29,8 +29,7 @@ ids = left_coset_ids(table, sub)
 part = planted_coset_partition(ids)
 shift = ExactPerm((np.arange(12) + 1) % 12)
 print("cosets of the order-4 subgroup of the 12-cycle, shifted by +1:")
-print("  invariance defect:",
-      invariance_defect(part, shift, matching='optimal')["defect"])
+print("  invariance defect:", invariance_defect(part, shift)["defect"])
 print("  overlap functional:", eta_overlap(part, shift))
 
 print("\nfits against every subgroup (residual 0 only at the plant):")

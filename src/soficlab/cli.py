@@ -165,16 +165,16 @@ def cmd_measure(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    plants = list(CANDIDATE_KEY_DIMS) if args.plant == "all" else [args.plant]
+    if any(plant not in CANDIDATE_KEY_DIMS for plant in plants):
+        print(f"unknown candidate {args.plant!r}; choices: "
+              f"{', '.join(CANDIDATE_KEY_DIMS)}", file=sys.stderr)
+        return EXIT_USAGE
     report = RunReport("partition", {"p": args.p, "plant": args.plant,
                                      "seed": args.seed})
     family = build_hom_specs(args.p, args.m, args.k)
     sizes = (3**args.p, psl2_order(args.p), psl2_order(family.r_p))
-    plants = list(CANDIDATE_KEY_DIMS) if args.plant == "all" else [args.plant]
     for plant in plants:
-        if plant not in CANDIDATE_KEY_DIMS:
-            print(f"unknown candidate {plant!r}; choices: "
-                  f"{', '.join(CANDIDATE_KEY_DIMS)}", file=sys.stderr)
-            return EXIT_USAGE
         ranked = classify_candidates(
             CylinderPartition(sizes, CANDIDATE_KEY_DIMS[plant])
         )

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import PSL2Element, PSL2Table, is_prime, moebius_act, projective_line
+from .algebra import PSL2Element, PSL2Table, is_prime
 
 _POW3 = [3**i for i in range(64)]
 
@@ -36,6 +36,11 @@ def multinomial(n: int, a: int, b: int, c: int) -> int:
     return comb(n, a) * comb(n - a, b)
 
 
+def _in_sp(n0, n1, n2):
+    """S(p) membership of type counts: ints or arrays of them."""
+    return (n1 > n0 + 2) & (n1 > n2 + 2)
+
+
 @dataclass(frozen=True)
 class TypeCount:
     """Counts (n0, n1, n2) of the three residues in a vector."""
@@ -44,35 +49,17 @@ class TypeCount:
     n1: int
     n2: int
 
-    @property
-    def length(self):
-        return self.n0 + self.n1 + self.n2
-
     def in_sp(self) -> bool:
-        return self.n1 > self.n0 + 2 and self.n1 > self.n2 + 2
-
-    @staticmethod
-    def of(coords) -> "TypeCount":
-        n0 = n1 = n2 = 0
-        for v in coords:
-            if v == 0:
-                n0 += 1
-            elif v == 1:
-                n1 += 1
-            else:
-                n2 += 1
-        return TypeCount(n0, n1, n2)
+        return _in_sp(self.n0, self.n1, self.n2)
 
 
 class ApVector:
-    """A zero-sum vector in F_3^(p+1), packed 2 bits per coordinate.
-
-    The first p coordinates are free and determine the index in [0, 3^p);
-    the last coordinate is redundant but stored, so validation is a cheap
-    sum instead of a recomputation.
+    """A zero-sum vector in F_3^(p+1) as two bit-planes, the layout of the
+    point arrays below: bit i of lo is set where coordinate i is 1, bit i
+    of hi where it is 2.
     """
 
-    __slots__ = ("p", "bits")
+    __slots__ = ("p", "lo", "hi")
 
     def __init__(self, p: int, coords):
         coords = tuple(int(v) % 3 for v in coords)
@@ -80,71 +67,86 @@ class ApVector:
             raise ValueError(f"expected {p + 1} coordinates, got {len(coords)}")
         if sum(coords) % 3 != 0:
             raise ValueError("coordinates do not sum to 0 mod 3")
-        bits = 0
-        for i, v in enumerate(coords):
-            bits |= v << (2 * i)
+        lo = sum(1 << i for i, v in enumerate(coords) if v == 1)
+        hi = sum(1 << i for i, v in enumerate(coords) if v == 2)
+        self._set(p, lo, hi)
+
+    def _set(self, p, lo, hi):
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @staticmethod
+    def _planes(p: int, lo: int, hi: int) -> "ApVector":
+        x = object.__new__(ApVector)
+        x._set(p, lo, hi)
+        return x
 
     def __setattr__(self, *_):
         raise AttributeError("ApVector is immutable")
 
     @property
     def coords(self):
-        return tuple((self.bits >> (2 * i)) & 3 for i in range(self.p + 1))
+        return tuple((self.lo >> i & 1) + 2 * (self.hi >> i & 1) for i in range(self.p + 1))
 
     @staticmethod
     def zero(p: int) -> "ApVector":
-        return ApVector(p, (0,) * (p + 1))
+        return ApVector._planes(p, 0, 0)
 
     def is_zero(self) -> bool:
-        return self.bits == 0
+        return not (self.lo | self.hi)
 
     def __add__(self, other: "ApVector") -> "ApVector":
+        """The six word operations of f3_add."""
         if self.p != other.p:
             raise ValueError("parameter mismatch")
-        a, b = self.coords, other.coords
-        return ApVector(self.p, tuple((x + y) % 3 for x, y in zip(a, b)))
+        x1, x2, y1, y2 = self.lo, self.hi, other.lo, other.hi
+        t = (x1 | y2) ^ (x2 | y1)
+        return ApVector._planes(self.p, (x2 | y2) ^ t, (x1 | y1) ^ t)
 
     def __neg__(self) -> "ApVector":
-        return ApVector(self.p, tuple((-v) % 3 for v in self.coords))
+        return ApVector._planes(self.p, self.hi, self.lo)
 
     def __sub__(self, other: "ApVector") -> "ApVector":
         return self + (-other)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ApVector) and self.p == other.p and self.bits == other.bits
-        )
+        return (isinstance(other, ApVector) and self.p == other.p
+                and self.lo == other.lo and self.hi == other.hi)
 
     def __hash__(self):
-        return hash((self.p, self.bits))
+        return hash((self.p, self.lo, self.hi))
 
     def __repr__(self):
         return f"ApVector{self.coords}"
 
     def type_count(self) -> TypeCount:
-        return TypeCount.of(self.coords)
+        n1, n2 = self.lo.bit_count(), self.hi.bit_count()
+        return TypeCount(self.p + 1 - n1 - n2, n1, n2)
 
     def support(self):
-        return tuple(i for i, v in enumerate(self.coords) if v != 0)
+        nonzero = self.lo | self.hi
+        return tuple(i for i in range(self.p + 1) if nonzero >> i & 1)
 
 
 def ap_index(x: ApVector) -> int:
     """Index of x in [0, 3^p): base-3 value of the first p coordinates."""
-    c = x.coords
-    return sum(c[i] * _POW3[i] for i in range(x.p))
+    return sum(_POW3[i] * ((x.lo >> i & 1) + 2 * (x.hi >> i & 1)) for i in range(x.p))
 
 
 def ap_unindex(i: int, p: int) -> ApVector:
     if not 0 <= i < 3**p:
         raise ValueError(f"index {i} out of range for p = {p}")
-    coords = []
-    for _ in range(p):
-        coords.append(i % 3)
-        i //= 3
-    coords.append((-sum(coords)) % 3)
-    return ApVector(p, coords)
+    lo = hi = 0
+    for j in range(p):
+        i, digit = divmod(i, 3)
+        if digit == 1:
+            lo |= 1 << j
+        elif digit == 2:
+            hi |= 1 << j
+    # the last coordinate is minus the digit sum: 2 for residue 1, 1 for 2
+    residue = (lo.bit_count() + 2 * hi.bit_count()) % 3
+    return ApVector._planes(p, lo | (residue == 2) << p, hi | (residue == 1) << p)
 
 
 # -- standard vectors ---------------------------------------------------
@@ -155,7 +157,7 @@ def v_vector(p: int) -> ApVector:
 
 
 def v1_vector(p: int) -> ApVector:
-    """Default aperiodic seed (1, -1, 0, ..., 0); overridable upstream."""
+    """Default aperiodic seed (1, -1, 0, ..., 0)."""
     return v_vector(p)
 
 
@@ -174,19 +176,9 @@ def a_shift_vector(p: int) -> ApVector:
 
 # -- coordinate action of PSL2(F_p) -------------------------------------
 
-def position_of_point(pt, p: int) -> int:
-    """Position of a projective point under the fixed bijection."""
-    if pt.is_infinity():
-        return p
-    return pt.value
-
-
 def h_position_perm(h: PSL2Element):
     """src[i] = position read from when h acts: (h.x)_i = x_(h^{-1}.i)."""
-    p = h.q
-    hinv = h.inverse()
-    line = projective_line(p)
-    return tuple(position_of_point(moebius_act(hinv, line[i]), p) for i in range(p + 1))
+    return tuple(projective_action([[e] for e in h.entries()], h.q)[0][0].tolist())
 
 
 def projective_action(entries, p: int) -> tuple:
@@ -212,10 +204,17 @@ def position_table(table: PSL2Table) -> np.ndarray:
     return projective_action(table.entries, table.q)[0].astype(np.uint8)
 
 
+def _permute(src, x: ApVector) -> ApVector:
+    """y_i = x_(src[i]), plane by plane."""
+    lo = hi = 0
+    for i, s in enumerate(src):
+        lo |= (x.lo >> s & 1) << i
+        hi |= (x.hi >> s & 1) << i
+    return ApVector._planes(x.p, lo, hi)
+
+
 def h_act(h: PSL2Element, x: ApVector) -> ApVector:
-    src = h_position_perm(h)
-    c = x.coords
-    return ApVector(x.p, tuple(c[s] for s in src))
+    return _permute(h_position_perm(h), x)
 
 
 def sp_membership(x: ApVector) -> bool:
@@ -229,22 +228,15 @@ def sp_count_exact(p: int) -> int:
     """|S(p)| as an exact integer: sum of multinomials over admissible
     type-count triples of length p+1."""
     _check_p(p)
-    n = p + 1
-    total = 0
-    for n1 in range(n + 1):
-        for n2 in range(n + 1 - n1):
-            n0 = n - n1 - n2
-            if (n1 + 2 * n2) % 3 != 0:
-                continue
-            if n1 > n0 + 2 and n1 > n2 + 2:
-                total += multinomial(n, n0, n1, n2)
-    return total
+    return shift_overlap_counts(p, ApVector.zero(p))["s"]
 
 
 def _group_triples(size: int):
+    """Type-count triples of a group of coordinates, with their multinomials."""
     for u1 in range(size + 1):
         for u2 in range(size + 1 - u1):
-            yield (size - u1 - u2, u1, u2)
+            u = (size - u1 - u2, u1, u2)
+            yield u, multinomial(size, *u)
 
 
 def shift_overlap_counts(p: int, w: ApVector):
@@ -259,37 +251,24 @@ def shift_overlap_counts(p: int, w: ApVector):
     """
     if w.p != p:
         raise ValueError("parameter mismatch")
-    sizes = [0, 0, 0]
-    for v in w.coords:
-        sizes[v] += 1
-    groups = [(sizes[delta], delta) for delta in (0, 1, 2) if sizes[delta] > 0]
-
-    # accumulate over per-group type-count triples
-    both = only_s = only_shift = s_total = 0
-    # each partial state: (count_x = (n0,n1,n2), count_shift = (m0,m1,m2), weight)
+    tc = w.type_count()
+    # each partial state: (type counts of x, of x - w, number of such x),
+    # grown by one group delta at a time; in that group value j of x is
+    # value j - delta of x - w
     states = [((0, 0, 0), (0, 0, 0), 1)]
-    for size, delta in groups:
-        new_states = []
-        for u in _group_triples(size):
-            weight = multinomial(size, *u)
-            # value j of x contributes to value (j - delta) of x - w
-            shifted = [0, 0, 0]
-            for j in range(3):
-                shifted[(j - delta) % 3] = u[j]
-            for (nx, nm, wgt) in states:
-                new_states.append(
-                    (
-                        (nx[0] + u[0], nx[1] + u[1], nx[2] + u[2]),
-                        (nm[0] + shifted[0], nm[1] + shifted[1], nm[2] + shifted[2]),
-                        wgt * weight,
-                    )
-                )
-        states = new_states
+    for delta, size in enumerate((tc.n0, tc.n1, tc.n2)):
+        if size == 0:
+            continue  # an empty group would only copy every state
+        states = [((nx[0] + u[0], nx[1] + u[1], nx[2] + u[2]),
+                   (nm[0] + u[delta], nm[1] + u[(1 + delta) % 3], nm[2] + u[(2 + delta) % 3]),
+                   wgt * weight)
+                  for u, weight in _group_triples(size) for nx, nm, wgt in states]
+    both = only_s = only_shift = s_total = 0
     for (nx, nm, wgt) in states:
         if (nx[1] + 2 * nx[2]) % 3 != 0:
             continue
-        in_s = nx[1] > nx[0] + 2 and nx[1] > nx[2] + 2
-        in_shift = nm[1] > nm[0] + 2 and nm[1] > nm[2] + 2
+        in_s = _in_sp(*nx)
+        in_shift = _in_sp(*nm)
         if in_s:
             s_total += wgt
         if in_s and in_shift:
@@ -324,45 +303,40 @@ def _standard_h_generators(p: int):
     return [PSL2Element(1, 1, 0, 1, p), PSL2Element(0, -1, 1, 0, p)]
 
 
-def _reduce_against(basis, vec):
-    """Reduce vec (list mod 3) against an echelon basis [(pivot, vector)]."""
-    v = list(vec)
-    for pivot, b in basis:
-        if v[pivot] != 0:
-            coef = v[pivot] * pow(b[pivot], -1, 3) % 3
-            v = [(x - coef * y) % 3 for x, y in zip(v, b)]
-    return v
-
-
-def invariant_closure_dim(x: ApVector, generators=None) -> int:
+def invariant_closure_dim(x: ApVector) -> int:
     """Dimension over F_3 of the smallest subgroup of A(p) containing x
     that is stable under the coordinate action of PSL2(F_p).
 
     Alternates orbit expansion (apply generator actions to the current
     basis) with linear-span closure until nothing new appears.
     """
-    p = x.p
     if x.is_zero():
         return 0
-    gens = generators if generators is not None else _standard_h_generators(p)
-    perms = [h_position_perm(g) for g in gens]
-    basis = []  # list of (pivot, vector) in echelon form
+    srcs = [h_position_perm(g) for g in _standard_h_generators(x.p)]
+    # pivot -> vector that is 1 at its pivot, its first nonzero coordinate;
+    # reduced in insertion order, each vector is 0 at all earlier pivots
+    basis = {}
 
-    def insert(vec):
-        v = _reduce_against(basis, vec)
-        for i, val in enumerate(v):
-            if val != 0:
-                basis.append((i, v))
-                return True
-        return False
+    def insert(v):
+        for pivot, b in basis.items():
+            if v.lo >> pivot & 1:
+                v = v - b
+            elif v.hi >> pivot & 1:
+                v = v + b
+        if v.is_zero():
+            return False
+        nonzero = v.lo | v.hi
+        pivot = (nonzero & -nonzero).bit_length() - 1
+        basis[pivot] = v if v.lo >> pivot & 1 else -v
+        return True
 
-    insert(list(x.coords))
+    insert(x)
     changed = True
     while changed:
         changed = False
-        for _, b in list(basis):
-            for src in perms:
-                if insert([b[s] for s in src]):
+        for b in list(basis.values()):
+            for src in srcs:
+                if insert(_permute(src, b)):
                     changed = True
     return len(basis)
 
@@ -372,8 +346,9 @@ def invariant_closure_dim(x: ApVector, generators=None) -> int:
 # Point arrays hold each vector as two bit-planes in the last axis of a
 # (..., 2) uint64 array (the bit-slicing of Boothby and Bradshaw): bit i of
 # plane 0 is set where coordinate i is 1, bit i of plane 1 where it is 2.
-# The p+1 <= 40 coordinates fit one word per plane.  Fresh arrays are laid
-# out plane-major, so each plane is contiguous; every helper works on any
+# The p+1 <= 64 coordinates fit one word per plane, and an ApVector holds
+# the same two planes as Python ints.  Fresh arrays are laid out
+# plane-major, so each plane is contiguous; every helper works on any
 # leading shape and broadcasts like numpy.
 
 # Row b: the 8 bits of the byte b, least significant first.
@@ -504,7 +479,7 @@ def vectors_equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def vector_points(x: ApVector) -> np.ndarray:
     """The (2,) planes of one vector."""
-    return decode_indices([ap_index(x)], x.p)[0]
+    return np.array([x.lo, x.hi], dtype=np.uint64)
 
 
 def act_rows(positions: np.ndarray, x: ApVector) -> np.ndarray:
@@ -520,8 +495,7 @@ def sp_mask(points: np.ndarray, p: int) -> np.ndarray:
     popcounts n1 and n2 of the planes and n0 = p+1 - n1 - n2."""
     n1 = np.bitwise_count(points[..., 0])
     n2 = np.bitwise_count(points[..., 1])
-    n0 = (p + 1) - n1 - n2
-    return (n1 > n0 + 2) & (n1 > n2 + 2)
+    return _in_sp((p + 1) - n1 - n2, n1, n2)
 
 
 def shifted_index_map(points: np.ndarray, w: ApVector) -> np.ndarray:

@@ -293,7 +293,7 @@ def _check_ranks(m: int, k: int):
         )
 
 
-def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
+def build_hom_specs(p, m, k, check=True) -> HomFamily:
     """Construct the whole family of generator-image tables at level p.
 
     Free generators receive the free family w_i = B^i A B^-i as matrix
@@ -310,10 +310,7 @@ def build_hom_specs(p, m, k, v1=None, v2=None, check=True) -> HomFamily:
 
     _check_p(p)
     r_p = next_prime(p)
-    v1 = v1 if v1 is not None else v1_vector(p)
-    v2 = v2 if v2 is not None else v2_vector(p)
-    if v1.is_zero() or v2.is_zero():
-        raise ValueError("decoration vectors must be nonzero")
+    v1, v2 = v1_vector(p), v2_vector(p)
 
     a, b = ReducedWord.gen("A"), ReducedWord.gen("B")
     family_words = {i: b**i * a * b**-i for i in range(1, max(m, k) + 1)}

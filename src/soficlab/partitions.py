@@ -54,46 +54,22 @@ def _pair_counts(a: np.ndarray, b: np.ndarray, width: int):
     return uniq // width, uniq % width, counts
 
 
-def invariance_defect(partition: LabeledPartition, sigma: ExactPerm,
-                      matching="greedy") -> dict:
-    """(1/N) sum over blocks of |sigma(X_k) symdiff X_m(k)| for a matched
-    block permutation m; 'optimal' solves the assignment problem exactly,
-    'greedy' pairs blocks by descending overlap."""
+def invariance_defect(partition: LabeledPartition, sigma: ExactPerm) -> dict:
+    """(1/N) sum over blocks of |sigma(X_k) symdiff X_m(k)| for the block
+    permutation m that solves the assignment problem exactly."""
     ids = partition.block_ids
     n = partition.size
     b = partition.n_blocks
-    rows, cols, counts = _pair_counts(ids, ids[sigma.images], b)
-    if matching == "optimal":
-        if b > 1000:
-            raise ValueError("optimal matching is quadratic; use greedy above 10^3 blocks")
-        from scipy.optimize import linear_sum_assignment
+    if b > 1000:
+        raise ValueError("optimal matching is quadratic; refused above 10^3 blocks")
+    from scipy.optimize import linear_sum_assignment
 
-        dense = np.zeros((b, b), dtype=np.int64)
-        dense[rows, cols] = counts
-        ri, ci = linear_sum_assignment(-dense)
-        match = dict(zip(ri.tolist(), ci.tolist()))
-        total = int(dense[ri, ci].sum())
-    elif matching == "greedy":
-        order = np.argsort(-counts, kind="stable")
-        match = {}
-        used = set()
-        total = 0
-        for idx in order:
-            k, l = int(rows[idx]), int(cols[idx])
-            if k in match or l in used:
-                continue
-            match[k] = l
-            used.add(l)
-            total += int(counts[idx])
-        free_targets = [l for l in range(b) if l not in used]
-        lookup = {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, counts)}
-        for k in range(b):
-            if k not in match:
-                l = free_targets.pop()
-                match[k] = l
-                total += lookup.get((k, l), 0)
-    else:
-        raise ValueError(f"unknown matching strategy {matching!r}")
+    rows, cols, counts = _pair_counts(ids, ids[sigma.images], b)
+    dense = np.zeros((b, b), dtype=np.int64)
+    dense[rows, cols] = counts
+    ri, ci = linear_sum_assignment(-dense)
+    match = dict(zip(ri.tolist(), ci.tolist()))
+    total = int(dense[ri, ci].sum())
     defect = Fraction(2 * n - 2 * total, n)
     return {"defect": defect, "matching": match}
 

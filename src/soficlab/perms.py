@@ -43,7 +43,7 @@ class FlatDomain:
         return x == y
 
     def identity_perm(self):
-        return ExactPerm(np.arange(self.size, dtype=np.int64), domain=self)
+        return ExactPerm(np.arange(self.size, dtype=np.int64))
 
     def index(self, points):
         return points
@@ -90,12 +90,10 @@ class TupleDomain:
 class ExactPerm:
     """A permutation stored as a dense image array."""
 
-    def __init__(self, images, domain=None, validate=True):
+    def __init__(self, images, validate=True):
         images = np.asarray(images, dtype=np.int64)
         self.images = images
-        self.domain = domain if domain is not None else FlatDomain(len(images))
-        if self.domain.size != len(images):
-            raise ValueError("image array does not cover the domain")
+        self.domain = FlatDomain(len(images))
         if validate:
             counts = np.bincount(images, minlength=len(images))
             if not np.all(counts == 1):
@@ -118,13 +116,13 @@ class ExactPerm:
             inv[self.images] = np.arange(len(self.images), dtype=np.int64)
             # no back link from the inverse: a cycle would keep both image
             # arrays alive until a full garbage collection
-            self._inverse = ExactPerm(inv, domain=self.domain, validate=False)
+            self._inverse = ExactPerm(inv, validate=False)
         return self._inverse
 
     def compose(self, other: "ExactPerm") -> "ExactPerm":
         """self after other: x -> self(other(x))."""
         if isinstance(other, ExactPerm):
-            return ExactPerm(self.images[other.images], domain=self.domain, validate=False)
+            return ExactPerm(self.images[other.images], validate=False)
         raise TypeError("can only compose exact permutations with exact ones")
 
     # through the attribute, so that a wrapped compose sees every product
@@ -255,7 +253,7 @@ def materialize(perm) -> ExactPerm:
     images = np.empty(perm.size, dtype=np.int64)
     for rows, pts in domain.blocks():
         images[rows] = domain.index(perm.apply(pts)).ravel()
-    return ExactPerm(images, domain=FlatDomain(perm.size))
+    return ExactPerm(images)
 
 
 def _point_block(points, rows: slice):

@@ -312,19 +312,14 @@ def build_tilde_sigma(sigma: AsymptoticHom) -> AsymptoticHom:
     the K factor never contributes defect."""
     family = sigma.family
     kt = psl2_table(family.r_p)
-    k_domain = FlatDomain(len(kt))
     psi, zeta = family["psi"], family["zeta"]
     images = {}
     for name in sigma.left_names:
         arr = kt.left_mul_perm(psi.image(name))
-        images[name] = ProductPerm(
-            sigma.images[name], ExactPerm(arr, domain=k_domain)
-        )
+        images[name] = ProductPerm(sigma.images[name], ExactPerm(arr))
     for name in sigma.right_names:
         arr = kt.right_mul_perm(zeta.image(name).inverse())
-        images[name] = ProductPerm(
-            sigma.images[name], ExactPerm(arr, domain=k_domain)
-        )
+        images[name] = ProductPerm(sigma.images[name], ExactPerm(arr))
     domain = images["t"].domain
     return AsymptoticHom(
         domain=domain,
@@ -537,7 +532,7 @@ def lift_branched_cover(sigma: ExactPerm, tau: ExactPerm, cover: BranchedCover) 
         dst = cover.fibers[tau.images[y]]
         used = np.isin(dst, sp[src[good]], assume_unique=True)
         out[src[~good]] = dst[~used]
-    return ExactPerm(out, domain=sigma.domain)
+    return ExactPerm(out)
 
 
 def extract_almost_cocycle(sigma_map: dict, tau_map: dict, cover: BranchedCover,
@@ -681,8 +676,7 @@ class InducedHom:
     def __init__(self, schreier: SchreierSystem, sigma0: HomSpec):
         self.schreier = schreier
         self.sigma0 = sigma0
-        self.fiber_domain = sigma0.images[0].domain
-        self.fiber_size = self.fiber_domain.size
+        self.fiber_size = sigma0.images[0].size
         self.domain = FlatDomain(schreier.n * self.fiber_size)
 
     def eval(self, word: ReducedWord) -> ExactPerm:
@@ -691,9 +685,10 @@ class InducedHom:
         base = np.arange(x, dtype=np.int64)
         for i in range(n):
             target = self.schreier.act(word, i)
-            inner = hom_eval(self.sigma0, self.schreier.cocycle(word, i))
-            images[i * x : (i + 1) * x] = target * x + inner.apply(base)
-        return ExactPerm(images, domain=self.domain)
+            cocycle = self.schreier.cocycle(word, i)
+            inner = hom_eval(self.sigma0, cocycle).apply(base) if len(cocycle) else base
+            images[i * x : (i + 1) * x] = target * x + inner
+        return ExactPerm(images)
 
     def restriction_to_trivial_coset(self, word: ReducedWord) -> ExactPerm:
         """For subgroup words (those fixing coset 0): the induced action on
@@ -702,7 +697,7 @@ class InducedHom:
             raise ValueError("word does not lie in the subgroup")
         big = self.eval(word)
         block = big.images[: self.fiber_size]
-        return ExactPerm(block, domain=self.fiber_domain)
+        return ExactPerm(block)
 
 
 def induce_approximation(gen_perms: dict, sigma0_images: dict, section=None) -> InducedHom:

@@ -463,9 +463,8 @@ def boundary_ratio_slab(p: int, elements: dict) -> dict:
 
 # -- Kazhdan constants on small groups --------------------------------------
 
-def kazhdan_bounds(table: np.ndarray, gens, direct=True, seed=0, restarts=8,
-                   maxiter=400) -> dict:
-    """Spectral sandwich and an optional direct minimization.
+def kazhdan_bounds(table: np.ndarray, gens, seed=0, restarts=8, maxiter=400) -> dict:
+    """Spectral sandwich and a direct minimization.
 
     Both bounds come from the regular-representation adjacency gap on the
     complement of constants.  For any unit mean-zero vector the squared
@@ -491,16 +490,14 @@ def kazhdan_bounds(table: np.ndarray, gens, direct=True, seed=0, restarts=8,
     vals = np.linalg.eigvalsh(graph.dense_adjacency())
     lambda2 = float(vals[-2])
     gap = 1.0 - lambda2
-    out = {
+    return {
         "lambda2": lambda2,
         "gap": gap,
         "lower": sqrt(max(gap, 0.0) / len(gens)),
         "upper": sqrt(2.0 * len(gens) * max(gap, 0.0)),
+        "direct": _kazhdan_direct(table, gens, seed=seed, restarts=restarts,
+                                  maxiter=maxiter),
     }
-    if direct:
-        out["direct"] = _kazhdan_direct(table, gens, seed=seed, restarts=restarts,
-                                        maxiter=maxiter)
-    return out
 
 
 def _objective(xi, rep_arrays):

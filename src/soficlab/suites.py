@@ -352,7 +352,7 @@ def suite_partition(seed=3, p=7, m=5, k=3, noise_levels=(0.01, 0.05)) -> RunRepo
     shift = ExactPerm((np.arange(12) + 1) % 12)
     ov = eta_overlap(part12, shift)
     rep.add_check("overlap-of-block-permuting-map", ov, 1.0, ov == 1.0)
-    dv = invariance_defect(part12, shift, matching="optimal")["defect"]
+    dv = invariance_defect(part12, shift)["defect"]
     rep.add_check("defect-of-block-permuting-map", dv, 0, dv == 0)
 
     # the six product candidates, each planted as a fiber partition

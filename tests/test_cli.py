@@ -238,8 +238,16 @@ def test_partition_command(tmp_path):
     assert report["checks"][0]["pass"]
 
 
-def test_partition_rejects_unknown_candidate(capsys):
-    assert main(["partition", "--p", "7", "--plant", "nonsense"]) == 2
+def test_partition_rejects_unknown_candidate(capsys, monkeypatch):
+    import soficlab.cli
+
+    def refuse(*args):
+        raise AssertionError("build_hom_specs ran before --plant was checked")
+
+    monkeypatch.setattr(soficlab.cli, "build_hom_specs", refuse)
+    for p in ("7", "37"):
+        assert main(["partition", "--p", p, "--plant", "nonsense"]) == 2
+    assert "unknown candidate 'nonsense'" in capsys.readouterr().err
 
 
 def test_measure_spectra_refuses_oversized_graphs_before_any_work(

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab.algebra import PSL2Element, psl2_enumerate, psl2_table
+from soficlab.algebra import (
+    PSL2Element,
+    moebius_act,
+    projective_line,
+    psl2_enumerate,
+    psl2_table,
+)
 from soficlab.f3vectors import (
     ApVector,
     TypeCount,
@@ -21,7 +27,6 @@ from soficlab.f3vectors import (
     encode_coords,
     f3_add,
     h_act,
-    h_position_perm,
     invariant_closure_dim,
     permutation_tables,
     permute_coords,
@@ -35,6 +40,7 @@ from soficlab.f3vectors import (
     v1_vector,
     v2_vector,
     v_vector,
+    vector_points,
 )
 
 PRIMES = (7, 13, 19, 31, 37)
@@ -132,7 +138,7 @@ def test_membership_examples():
     assert not sp_membership(ApVector.zero(7))
     # counts (3, 4, 1): 4 is not greater than 3 + 2
     y = ApVector(7, (1, 1, 1, 1, 2, 0, 0, 0))
-    assert TypeCount.of(y.coords) == TypeCount(3, 4, 1)
+    assert y.type_count() == TypeCount(3, 4, 1)
     assert not sp_membership(y)
 
 
@@ -255,7 +261,12 @@ def test_decode_indices_matches_scalar_unindex(p, data):
 
 @lru_cache(maxsize=None)
 def _stacked_position_rows(q):
-    return np.array([h_position_perm(h) for h in psl2_enumerate(q)], dtype=np.uint8)
+    """Oracle: row h holds the position of h^(-1) applied to each point of
+    P^1(F_q), by the scalar Moebius action (infinity is position q)."""
+    line = projective_line(q)
+    return np.array([[q if pt.is_infinity() else pt.value
+                      for pt in (moebius_act(h.inverse(), x) for x in line)]
+                     for h in psl2_enumerate(q)], dtype=np.uint8)
 
 
 @settings(max_examples=20, deadline=None)
@@ -321,3 +332,43 @@ def test_popcount_sp_mask_matches_scalar_membership(p, data):
         coords[j], coords[-1] = 0, coords[j]
     x = ApVector(p, coords)
     assert bool(sp_mask(_points(np.array(coords, dtype=np.uint8)), p)) == sp_membership(x)
+
+
+# -- ApVector's planes against coordinate tuples ----------------------------
+
+def _tuple_vector(data, p):
+    """Random zero-sum coordinates: p free ones and minus their sum."""
+    coords = data.draw(st.lists(st.integers(0, 2), min_size=p, max_size=p))
+    return tuple(coords) + ((-sum(coords)) % 3,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((7, 13, 37, 61)), data=st.data())
+def test_vector_arithmetic_matches_coordinate_tuples(p, data):
+    a, b = _tuple_vector(data, p), _tuple_vector(data, p)
+    x, y = ApVector(p, a), ApVector(p, b)
+    assert x.coords == a
+    assert (x + y).coords == tuple((u + v) % 3 for u, v in zip(a, b))
+    assert (-x).coords == tuple((-u) % 3 for u in a)
+    assert (x - y).coords == tuple((u - v) % 3 for u, v in zip(a, b))
+    assert x.type_count() == TypeCount(a.count(0), a.count(1), a.count(2))
+    assert x.support() == tuple(i for i, u in enumerate(a) if u)
+    assert x.is_zero() == (not any(a))
+    # [[a, b], [c, d]] with a != 0, times [[0, -1], [1, 0]] or not: any element
+    a0, b0, c0 = (data.draw(st.integers(lo, p - 1)) for lo in (1, 0, 0))
+    h = PSL2Element(a0, b0, c0, (1 + b0 * c0) * pow(a0, -1, p), p)
+    if data.draw(st.booleans()):
+        h = PSL2Element(0, -1, 1, 0, p) * h
+    line = projective_line(p)
+    src = [p if pt.is_infinity() else pt.value
+           for pt in (moebius_act(h.inverse(), x) for x in line)]
+    assert h_act(h, x).coords == tuple(a[s] for s in src)
+
+
+@pytest.mark.parametrize("p", (43, 61))
+def test_vector_points_past_the_int64_index(p):
+    coords = a_shift_vector(p).coords
+    planes = [sum(1 << i for i, v in enumerate(coords) if v == c) for c in (1, 2)]
+    points = vector_points(a_shift_vector(p))
+    assert points.dtype == np.uint64
+    assert points.tolist() == planes

@@ -41,14 +41,13 @@ def test_partition_rejects_empty_blocks():
 def test_block_preserving_map_has_zero_defect():
     part = LabeledPartition([0, 0, 1, 1, 2, 2])
     sigma = ExactPerm([1, 0, 3, 2, 5, 4])
-    for matching in ("greedy", "optimal"):
-        assert invariance_defect(part, sigma, matching)["defect"] == 0
+    assert invariance_defect(part, sigma)["defect"] == 0
 
 
 def test_coset_translation_permutes_blocks():
     ids = left_coset_ids(cyclic_table(12), range(0, 12, 3))
     part = planted_coset_partition(ids)
-    out = invariance_defect(part, shift_perm(12), matching="optimal")
+    out = invariance_defect(part, shift_perm(12))
     assert out["defect"] == 0
 
 
@@ -57,20 +56,14 @@ def test_perturbed_partition_defect_bounded():
     ids = np.arange(1200) // 100
     part = planted_coset_partition(ids)
     noisy = relabel_noise(part, 0.05, rng)
-    out = invariance_defect(noisy, shift_perm(1200, 100), matching="optimal")
+    out = invariance_defect(noisy, shift_perm(1200, 100))
     assert 0 < out["defect"] <= Fraction(2, 10)
 
 
-def test_greedy_never_beats_optimal():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        ids = rng.integers(0, 6, size=60)
-        ids[:6] = np.arange(6)  # all blocks nonempty
-        part = LabeledPartition(ids)
-        sigma = ExactPerm(rng.permutation(60).astype(np.int64))
-        greedy = invariance_defect(part, sigma, "greedy")["defect"]
-        optimal = invariance_defect(part, sigma, "optimal")["defect"]
-        assert optimal <= greedy
+def test_invariance_defect_refuses_past_a_thousand_blocks():
+    assert invariance_defect(LabeledPartition(np.arange(1000)), shift_perm(1000))["defect"] == 0
+    with pytest.raises(ValueError, match="10\\^3 blocks"):
+        invariance_defect(LabeledPartition(np.arange(1001)), shift_perm(1001))
 
 
 def test_overlap_identity_is_one_exactly():
@@ -97,7 +90,7 @@ def test_overlap_one_iff_defect_zero():
         part = LabeledPartition(ids)
         sigma = ExactPerm(rng.permutation(40).astype(np.int64))
         ov = eta_overlap(part, sigma)
-        defect = invariance_defect(part, sigma, "optimal")["defect"]
+        defect = invariance_defect(part, sigma)["defect"]
         assert (abs(ov - 1.0) < 1e-12) == (defect == 0)
 
 
