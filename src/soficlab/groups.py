@@ -37,7 +37,7 @@ class GenerationCheckError(ValueError):
 
 class ResourceBudgetError(RuntimeError):
     """A computation was refused for its size: a closure's ambient group
-    exceeded its configured element budget, or a G(p) needs vector
+    exceeded CLOSURE_BUDGET elements, or a G(p) needs vector
     indices past the int64 range (3^p > 2^63 - 1: every admissible p
     from 43 on)."""
 
@@ -165,6 +165,10 @@ def hom_eval(spec: HomSpec, word: ReducedWord):
     return acc
 
 
+# the largest ambient group a closure searches
+CLOSURE_BUDGET = 2_000_000
+
+
 def _factors(g):
     """The PSL2 parts of a closure generator: g itself, or both parts of
     a PairElement."""
@@ -182,18 +186,18 @@ class Closure:
     number of elements reached; closure[element] rebuilds the word of the
     search path to element over the generator names.  Raises
     ResourceBudgetError, before any search array is allocated, when the
-    ambient group has more than max_elements elements.
+    ambient group has more than CLOSURE_BUDGET elements.
     """
 
-    def __init__(self, generators, names=(), order_bound=None, max_elements=2_000_000):
+    def __init__(self, generators, names=(), order_bound=None):
         self.letters = [(name, s) for name in names for s in (1, -1)]
         self.tables = [psl2_table(f.q) for f in _factors(generators[0])]
         self.shape = tuple(len(t) for t in self.tables)
         n = math.prod(self.shape)
-        if n > max_elements:
+        if n > CLOSURE_BUDGET:
             raise ResourceBudgetError(
                 f"closure in a group of order {n} exceeds the budget of "
-                f"{max_elements} elements"
+                f"{CLOSURE_BUDGET} elements"
             )
         steps = []
         for g in generators:
@@ -240,17 +244,17 @@ class Closure:
         return ReducedWord(tuple(reversed(letters)))
 
 
-def bfs_closure_order(generators, order_bound=None, max_elements=2_000_000) -> int:
+def bfs_closure_order(generators, order_bound=None) -> int:
     """Order of the subgroup the generators generate (see Closure); the
     search stops once order_bound elements are reached.  0 for no
     generators."""
     generators = list(generators)
-    return len(Closure(generators, (), order_bound, max_elements)) if generators else 0
+    return len(Closure(generators, (), order_bound)) if generators else 0
 
 
-def bfs_closure_with_words(named_generators: dict, max_elements=2_000_000) -> Closure:
+def bfs_closure_with_words(named_generators: dict) -> Closure:
     """Full closure with one witnessing word per element (see Closure)."""
-    return Closure(list(named_generators.values()), named_generators, None, max_elements)
+    return Closure(list(named_generators.values()), named_generators)
 
 
 @dataclass

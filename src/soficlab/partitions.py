@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .perms import ExactPerm, read_binary, write_binary
+from .perms import ExactPerm
 
 FACTOR_ORDER = ("a", "h", "y")
 
@@ -278,24 +278,3 @@ def relabel_noise(partition: LabeledPartition, epsilon: float, rng) -> LabeledPa
         sizes[new] += 1
         moved += 1
     return LabeledPartition(ids)
-
-
-# -- partition exchange format ----------------------------------------------
-
-PARTITION_MAGIC = b"SPRT"
-PARTITION_VERSION = 1
-
-
-def write_partition(path, partition: LabeledPartition, sidecar: dict = None):
-    ids = np.ascontiguousarray(partition.block_ids, dtype="<u4")
-    write_binary(path, PARTITION_MAGIC, PARTITION_VERSION,
-                 (partition.size, partition.n_blocks), ids, sidecar)
-
-
-def read_partition(path) -> LabeledPartition:
-    (_, blocks), ids = read_binary(path, PARTITION_MAGIC, PARTITION_VERSION, 2,
-                                   "<u4", "partition")
-    part = LabeledPartition(ids.astype(np.int64))
-    if part.n_blocks != blocks:
-        raise ValueError("block count in header does not match the data")
-    return part

@@ -28,6 +28,8 @@ EXACT_DOMAIN_BUDGET = 5_000_000
 # Implicit maps run on at most about this many points at a time (sampled
 # distances and domain enumeration alike), which bounds their temporaries.
 SAMPLE_BLOCK = 1 << 16
+# the confidence of every sampled distance's Hoeffding radius
+CONFIDENCE = 0.99
 
 
 class FlatDomain:
@@ -173,11 +175,6 @@ class ImplicitPerm:
     def __mul__(self, other):
         return self.compose(other)
 
-    def spot_check(self, rng, n=64) -> bool:
-        pts = self.domain.sample(rng, n)
-        back = self.apply_inverse(self.apply(pts))
-        return bool(np.all(self.domain.points_equal(back, pts)))
-
 
 class ProductPerm:
     """A coordinatewise permutation of a product domain."""
@@ -263,14 +260,14 @@ def _point_block(points, rows: slice):
     return points[rows]
 
 
-def d_hamming(sigma, tau, mode="exact", samples=None, seed=None, confidence=0.99):
+def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     """Normalized Hamming distance between two permutations of one domain.
 
     Exact mode returns a Fraction with radius 0.  Sampled mode requires an
     explicit seed (estimates must be reproducible) and returns the
     empirical disagreement fraction over uniform points together with the
-    Hoeffding radius at the given confidence; the points are drawn at once
-    and compared in blocks of SAMPLE_BLOCK.
+    Hoeffding radius at CONFIDENCE; the points are drawn at once and
+    compared in blocks of SAMPLE_BLOCK.
     """
     if sigma.domain != tau.domain:
         raise ValueError("domain mismatch")
@@ -297,74 +294,47 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None, confidence=0.99
             agree += int(np.count_nonzero(eq))
         value = 1.0 - float(agree) / samples
         return DHEstimate(
-            value, hoeffding_radius(samples, confidence), confidence, "sampled",
+            value, hoeffding_radius(samples, CONFIDENCE), CONFIDENCE, "sampled",
             samples=samples, seed=seed,
         )
     raise ValueError(f"unknown mode {mode!r}")
 
 
 # -- binary exchange format ----------------------------------------------
-#
-# Every binary file is a little-endian header (4-byte magic, u32 version,
-# u64 fields, the first of which is the entry count) followed by the
-# entries; provenance goes to a JSON sidecar next to the file.
-
-def write_binary(path, magic: bytes, version: int, fields, entries: np.ndarray,
-                 sidecar: dict = None):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(f"<4sI{len(fields)}Q", magic, version, *fields))
-        fh.write(entries.tobytes())
-    if sidecar is not None:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def read_binary(path, magic: bytes, version: int, n_fields: int, dtype, kind: str):
-    """The u64 header fields and the entries of a file, after checking its
-    magic, version and length; errors name the file kind."""
-    header = struct.Struct(f"<4sI{n_fields}Q")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < header.size:
-        raise ValueError(f"truncated {kind} file: shorter than its header")
-    got_magic, got_version, *fields = header.unpack_from(data)
-    if got_magic != magic:
-        raise ValueError(f"not a {kind} file")
-    if got_version != version:
-        raise ValueError(f"unsupported {kind} format version {got_version}")
-    extra = len(data) - header.size - np.dtype(dtype).itemsize * fields[0]
-    if extra:
-        raise ValueError(f"{kind} file has {extra} trailing bytes" if extra > 0
-                         else f"truncated {kind} file")
-    return fields, np.frombuffer(data, dtype=dtype, offset=header.size)
-
 
 PERM_MAGIC = b"SPRM"
 PERM_VERSION = 1
+_PERM_HEADER = struct.Struct("<4sIQ")
 
 
 def write_perm(path, perm: ExactPerm, sidecar: dict = None):
     """Write a permutation as SPRM: magic, u32 version, u64 N, N u64
     images, little-endian; provenance goes to a JSON sidecar."""
     images = np.ascontiguousarray(perm.images, dtype="<u8")
-    write_binary(path, PERM_MAGIC, PERM_VERSION, (perm.size,), images, sidecar)
+    with open(path, "wb") as fh:
+        fh.write(_PERM_HEADER.pack(PERM_MAGIC, PERM_VERSION, perm.size))
+        fh.write(images.tobytes())
+    if sidecar is not None:
+        with open(str(path) + ".json", "w") as fh:
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def read_perm(path) -> ExactPerm:
-    _, data = read_binary(path, PERM_MAGIC, PERM_VERSION, 1, "<u8", "permutation")
-    return ExactPerm(data.astype(np.int64))
-
-
-COVER_MAGIC = b"SCVR"
-
-
-def write_cover(path, theta: np.ndarray, sidecar: dict = None):
-    """Fiber-map file: same header scheme, entries are base-point images."""
-    arr = np.ascontiguousarray(np.asarray(theta), dtype="<u8")
-    write_binary(path, COVER_MAGIC, PERM_VERSION, (len(arr),), arr, sidecar)
-
-
-def read_cover(path) -> np.ndarray:
-    _, data = read_binary(path, COVER_MAGIC, PERM_VERSION, 1, "<u8", "cover")
-    return data.astype(np.int64)
+    """The permutation of an SPRM file, after checking its magic, version
+    and length."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < _PERM_HEADER.size:
+        raise ValueError("truncated permutation file: shorter than its header")
+    magic, version, n = _PERM_HEADER.unpack_from(data)
+    if magic != PERM_MAGIC:
+        raise ValueError("not a permutation file")
+    if version != PERM_VERSION:
+        raise ValueError(f"unsupported permutation format version {version}")
+    extra = len(data) - _PERM_HEADER.size - 8 * n
+    if extra:
+        raise ValueError(f"permutation file has {extra} trailing bytes" if extra > 0
+                         else "truncated permutation file")
+    return ExactPerm(np.frombuffer(data, dtype="<u8", offset=_PERM_HEADER.size)
+                     .astype(np.int64))

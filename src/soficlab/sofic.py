@@ -157,17 +157,13 @@ class GpContext:
         # row i: the position permutation of the i-th matrix
         self.positions = position_table(self.table)
 
-    def _tables(self, h: PSL2Element):
-        """Byte tables of the coordinate permutation of h."""
-        return permutation_tables(self.positions[self.table.index(h)])
-
     def left_mult(self, g: GpElement):
         """x -> g x."""
         return ImplicitPerm(self.domain, self._left_fn(g),
                             _built_on_first_call(lambda: self._left_fn(g.inverse())))
 
     def _left_fn(self, g: GpElement):
-        tables = self._tables(g.h)
+        tables = permutation_tables(self.positions[self.table.index(g.h)])
         v = vector_points(g.a)
         h_row = self.table.left_mul_perm(g.h)
 
@@ -194,35 +190,31 @@ class GpContext:
         return fn
 
     def t_perm(self, a0: ApVector, h0: PSL2Element):
-        """The slab involution: left-translate T by (a0, h0), translate the
-        shifted slab back, fix the rest."""
+        """The slab involution for g0 = (a0, h0): x -> g0 x on T, x -> g0^-1 x
+        on the shifted slab g0 T = (S + a0) x H, fixing the rest."""
         if (h0 * h0).is_identity():
             raise ValueError("the translating matrix part must not square to e")
         p = self.p
         if shift_overlap_counts(p, a0)["both"]:
             raise ValueError("slab and shifted slab are not disjoint")
-        a0v, neg_a0v = vector_points(a0), vector_points(-a0)
-        tables_f, tables_b = self._tables(h0), self._tables(h0.inverse())
-        row_f = self.table.left_mul_perm(h0)
-        row_b = self.table.left_mul_perm(h0.inverse())
+        g0 = GpElement(a0, h0)
+        forward, back = self._left_fn(g0), self._left_fn(g0.inverse())
+        neg_a0v = vector_points(-a0)
 
         def fn(pts):
             points, h_idx = pts
             shape = np.broadcast_shapes(points.shape[:-1], np.shape(h_idx))
-            shifted = f3_add(points, neg_a0v)
             # S and S + a0 are disjoint, so the two writes never overlap
-            fwd = np.nonzero(np.broadcast_to(sp_mask(points, p), shape))
-            back = np.nonzero(np.broadcast_to(sp_mask(shifted, p), shape))
+            in_s = np.nonzero(np.broadcast_to(sp_mask(points, p), shape))
+            in_shift = np.nonzero(np.broadcast_to(sp_mask(f3_add(points, neg_a0v), p),
+                                                  shape))
             points = np.broadcast_to(points, shape + (2,))
-            shifted = np.broadcast_to(shifted, shape + (2,))
-            moved_f = f3_add(permute_coords(take_points(points, fwd), tables_f), a0v)
-            moved_b = permute_coords(take_points(shifted, back), tables_b)
             new_pts, new_h = empty_points(shape), np.array(np.broadcast_to(h_idx, shape))
             new_pts[...] = points
-            put_points(new_pts, fwd, moved_f)
-            put_points(new_pts, back, moved_b)
-            new_h[fwd] = row_f[new_h[fwd]]
-            new_h[back] = row_b[new_h[back]]
+            for rows, translate in ((in_s, forward), (in_shift, back)):
+                moved, moved_h = translate((take_points(points, rows), new_h[rows]))
+                put_points(new_pts, rows, moved)
+                new_h[rows] = moved_h
             return (new_pts, new_h)
 
         # the slab map is an involution
@@ -361,11 +353,15 @@ def _lambda_words_bfs(k: int, max_len: int):
 # The condition-3 word search stops after this many words; the report
 # says whether it did.
 WORD_SEARCH_CAP = 20_000
+# The search runs over right words of at most this length, and computes
+# the exact commutator defect of at least this many of them.
+WORD_SEARCH_LEN = 8
+EXACT_DEFECT_CAP = 40
+# The defect a commutator witness and the slice displacement must reach.
+DEFECT_THRESHOLD = Fraction(1, 243)
 
 
-def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=8,
-                       n_word_pairs=100, seed=7, exact_defect_cap=40,
-                       threshold=Fraction(1, 243)) -> dict:
+def four_condition_report(sigma: AsymptoticHom, n_word_pairs=100, seed=7) -> dict:
     """Exact four-condition report for an enumerable G(p) model.
 
     (1) zero defect on word pairs without t;
@@ -378,11 +374,10 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     (4) the minimum over slice pairs of the displaced fraction of each
         A(p)-slice under the t image.
     """
-    if sigma is None:
-        sigma = build_sigma(p, m, k)
     if sigma.mode != "exact":
         raise ResourceBudgetError("the four-condition report needs the exact mode")
     family = sigma.family
+    p = family.p
     import random as _random
 
     rng = _random.Random(seed)
@@ -427,20 +422,20 @@ def four_condition_report(p, m, k, sigma: AsymptoticHom = None, word_search_len=
     witness = None
     searched = 0
     cap_reached = False
-    for word in _lambda_words_bfs(k, word_search_len):
+    for word in _lambda_words_bfs(family.k, WORD_SEARCH_LEN):
         searched += 1
         lb = lower_bound(word)
         if lb > best[0]:
             best = (lb, word)
-        if len(tested) < exact_defect_cap or (lb >= threshold and witness is None):
+        if len(tested) < EXACT_DEFECT_CAP or (lb >= DEFECT_THRESHOLD and witness is None):
             defect = exact_commutator_defect(word)
             tested.append(
                 {"word": repr(word), "lower_bound": lb, "defect": defect,
                  "respects_bound": defect >= lb}
             )
-            if lb >= threshold and witness is None and defect >= threshold:
+            if lb >= DEFECT_THRESHOLD and witness is None and defect >= DEFECT_THRESHOLD:
                 witness = tested[-1]
-        if witness is not None and searched >= exact_defect_cap:
+        if witness is not None and searched >= EXACT_DEFECT_CAP:
             break
         if searched >= WORD_SEARCH_CAP:
             cap_reached = True
@@ -582,7 +577,7 @@ class SchreierSystem:
     cocycle values rewrite into exactly these letters.
     """
 
-    def __init__(self, gen_perms: dict, section=None):
+    def __init__(self, gen_perms: dict):
         self.gen_perms = {g: np.asarray(pm, dtype=np.int64) for g, pm in gen_perms.items()}
         self.n = len(next(iter(self.gen_perms.values())))
         for g, pm in self.gen_perms.items():
@@ -590,9 +585,6 @@ class SchreierSystem:
                 raise ValueError(f"action of {g!r} is not a permutation")
         self.inv_perms = {g: np.argsort(pm) for g, pm in self.gen_perms.items()}
         self._build_tree()
-        if section is not None:
-            self._validate_section(section)
-            self.section = list(section)
         # a pair (g, i) rewrites to nothing exactly when its cocycle value
         # is freely trivial; everything else is a free generator
         self.trivial_pairs = set()
@@ -616,17 +608,6 @@ class SchreierSystem:
                         queue.append(i)
         if any(w is None for w in self.section):
             raise ValueError("coset action is not transitive")
-
-    def _validate_section(self, section):
-        if len(section) != self.n:
-            raise ValueError("invalid section: wrong length")
-        if not section[0].is_identity():
-            raise ValueError("invalid section: trivial coset must map to e")
-        for i, w in enumerate(section):
-            if self.act(w, 0) != i:
-                raise ValueError(f"invalid section: word for coset {i} lands elsewhere")
-            if w.letters and ReducedWord(w.letters[1:]) not in section:
-                raise ValueError("invalid section: not prefix-closed")
 
     def act(self, word: ReducedWord, i: int) -> int:
         for g, s in reversed(word.letters):
@@ -700,7 +681,7 @@ class InducedHom:
         return ExactPerm(block)
 
 
-def induce_approximation(gen_perms: dict, sigma0_images: dict, section=None) -> InducedHom:
+def induce_approximation(gen_perms: dict, sigma0_images: dict) -> InducedHom:
     """Induce a model of the ambient free group from one of a finite-index
     subgroup presented through a transitive coset action.
 
@@ -708,7 +689,7 @@ def induce_approximation(gen_perms: dict, sigma0_images: dict, section=None) -> 
     SchreierSystem.schreier_generators) to a permutation; missing names
     raise a KeyError naming the unrewritable value.
     """
-    schreier = SchreierSystem(gen_perms, section=section)
+    schreier = SchreierSystem(gen_perms)
     needed = set(schreier.schreier_generators())
     missing = needed - set(sigma0_images)
     if missing:

@@ -463,7 +463,14 @@ def boundary_ratio_slab(p: int, elements: dict) -> dict:
 
 # -- Kazhdan constants on small groups --------------------------------------
 
-def kazhdan_bounds(table: np.ndarray, gens, seed=0, restarts=8, maxiter=400) -> dict:
+# The direct minimization's random restarts and SLSQP iterations per
+# restart, and the tolerance of the amplification inequality.
+KAZHDAN_RESTARTS = 8
+KAZHDAN_MAXITER = 400
+AMPLIFICATION_SLACK = 1e-9
+
+
+def kazhdan_bounds(table: np.ndarray, gens, seed=0) -> dict:
     """Spectral sandwich and a direct minimization.
 
     Both bounds come from the regular-representation adjacency gap on the
@@ -495,8 +502,7 @@ def kazhdan_bounds(table: np.ndarray, gens, seed=0, restarts=8, maxiter=400) -> 
         "gap": gap,
         "lower": sqrt(max(gap, 0.0) / len(gens)),
         "upper": sqrt(2.0 * len(gens) * max(gap, 0.0)),
-        "direct": _kazhdan_direct(table, gens, seed=seed, restarts=restarts,
-                                  maxiter=maxiter),
+        "direct": _kazhdan_direct(table, gens, seed=seed),
     }
 
 
@@ -504,7 +510,7 @@ def _objective(xi, rep_arrays):
     return max(float(np.linalg.norm(xi[arr] - xi)) for arr in rep_arrays)
 
 
-def _kazhdan_direct(table, gens, seed=0, restarts=8, maxiter=400) -> float:
+def _kazhdan_direct(table, gens, seed=0) -> float:
     from scipy import optimize
 
     n = len(table)
@@ -519,7 +525,7 @@ def _kazhdan_direct(table, gens, seed=0, restarts=8, maxiter=400) -> float:
         nrm = np.linalg.norm(xi)
         return xi / nrm if nrm > 1e-12 else None
 
-    for _ in range(restarts):
+    for _ in range(KAZHDAN_RESTARTS):
         x0 = rng.standard_normal(n)
         xi0 = project(x0)
         if xi0 is None:
@@ -541,7 +547,7 @@ def _kazhdan_direct(table, gens, seed=0, restarts=8, maxiter=400) -> float:
         cons.append({"type": "ineq", "fun": lambda z: z[n]})
         res = optimize.minimize(
             lambda z: z[n], z0, constraints=cons, method="SLSQP",
-            options={"maxiter": maxiter, "ftol": 1e-12},
+            options={"maxiter": KAZHDAN_MAXITER, "ftol": 1e-12},
         )
         xi = project(res.x[:n])
         if xi is not None:
@@ -550,8 +556,7 @@ def _kazhdan_direct(table, gens, seed=0, restarts=8, maxiter=400) -> float:
     return best
 
 
-def verify_amplification(table: np.ndarray, gens, trials=1000, seed=0,
-                         kappa=None, slack=1e-9):
+def verify_amplification(table: np.ndarray, gens, trials=1000, seed=0, kappa=None):
     """Check (kappa/2) max over the whole group of the displacement of a
     random vector against the max over the generators, in the left regular
     representation.  Returns (ok, witness)."""
@@ -567,7 +572,7 @@ def verify_amplification(table: np.ndarray, gens, trials=1000, seed=0,
         xi = rng.standard_normal(n)
         lhs = 0.5 * kappa * _objective(xi, rep_all)
         rhs = _objective(xi, rep_gens)
-        if lhs > rhs + slack:
+        if lhs > rhs + AMPLIFICATION_SLACK:
             return False, {"xi": xi, "lhs": lhs, "rhs": rhs}
     return True, None
 

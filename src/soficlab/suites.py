@@ -37,6 +37,7 @@ from .smallgroups import (
     symmetric_table,
 )
 from .sofic import (
+    DEFECT_THRESHOLD,
     build_sigma,
     build_tilde_sigma,
     cocycle_reconstruct,
@@ -60,19 +61,20 @@ from .spectral import (
 from .words import ProductWord, ReducedWord, random_reduced_word
 
 DEFAULT_PRIMES = (7, 13, 19, 31, 37)
+# the free ranks of F_m x F_k that every suite and table builds
+M, K = 5, 3
 
 
 # -- suite: the four conditions at p = 7 ------------------------------------
 
-def suite_four_conditions(p=7, m=5, k=3, seed=7, word_search_len=8) -> RunReport:
-    rep = RunReport("verify four-conditions", {"p": p, "m": m, "k": k, "seed": seed})
-    family = build_hom_specs(p, m, k)
-    sigma = build_sigma(p, m, k, family=family)
+def suite_four_conditions(p=7, seed=7) -> RunReport:
+    rep = RunReport("verify four-conditions", {"p": p, "m": M, "k": K, "seed": seed})
+    family = build_hom_specs(p, M, K)
+    sigma = build_sigma(p, M, K, family=family)
     # constructing the exact t image validates bijectivity; record it
     rep.add_check("t-image-bijection", True, True, True,
                   domain=sigma.domain.size)
-    out = four_condition_report(p, m, k, sigma=sigma, word_search_len=word_search_len,
-                             seed=seed)
+    out = four_condition_report(sigma, seed=seed)
     rep.add_check("no-t-word-pairs-defect", out["cond1_defect_max"], 0,
                   out["cond1_defect_max"] == 0, pairs=out["cond1_pairs"])
     rep.add_check("t-fixed-fraction", out["cond2_fixed_fraction"], Fraction(1, 3),
@@ -80,7 +82,7 @@ def suite_four_conditions(p=7, m=5, k=3, seed=7, word_search_len=8) -> RunReport
     witness = out["cond3_witness"]
     rep.add_check(
         "commutator-witness-found", witness["defect"] if witness else 0,
-        Fraction(1, 243), witness is not None,
+        DEFECT_THRESHOLD, witness is not None,
         word=witness["word"] if witness else None,
         searched=out["cond3_words_searched"],
         word_cap=out["cond3_word_cap"],
@@ -90,25 +92,26 @@ def suite_four_conditions(p=7, m=5, k=3, seed=7, word_search_len=8) -> RunReport
     rep.add_check("commutator-defect-vs-displacement-bound", all_respect, True,
                   all_respect, tested=len(out["cond3_tested"]))
     rep.add_check("slice-displacement-min", out["cond4_min_displacement"],
-                  Fraction(1, 243),
-                  out["cond4_min_displacement"] >= Fraction(1, 243))
+                  DEFECT_THRESHOLD,
+                  out["cond4_min_displacement"] >= DEFECT_THRESHOLD)
     return rep.finish()
 
 
 # -- suite: the product model moves almost everything ------------------------
 
-def _random_nontrivial_word(rng, names, max_len, reject=None, tries=200):
-    for _ in range(tries):
+def _random_nontrivial_word(rng, names, max_len, reject):
+    for _ in range(200):
         w = random_reduced_word(rng, names, rng.randint(1, max_len))
-        if reject is None or not reject(w):
+        if not reject(w):
             return w
     raise RuntimeError("could not sample a word outside the rejected set")
 
 
-def suite_soficity(p=7, m=5, k=3, seed=1, n_pairs=50, n_right=20) -> RunReport:
-    rep = RunReport("verify soficity", {"p": p, "m": m, "k": k, "seed": seed})
-    family = build_hom_specs(p, m, k)
-    sigma = build_sigma(p, m, k, family=family)
+def suite_soficity(p=7, seed=1) -> RunReport:
+    n_pairs, n_right = 50, 20
+    rep = RunReport("verify soficity", {"p": p, "m": M, "k": K, "seed": seed})
+    family = build_hom_specs(p, M, K)
+    sigma = build_sigma(p, M, K, family=family)
     if sigma.mode != "exact":
         raise ResourceBudgetError("the soficity suite needs the exact mode")
     tilde = build_tilde_sigma(sigma)
@@ -154,7 +157,8 @@ def suite_soficity(p=7, m=5, k=3, seed=1, n_pairs=50, n_right=20) -> RunReport:
 
 # -- suite: branched covers --------------------------------------------------
 
-def suite_covers(seed=42, n_instances=100, max_points=10_000) -> RunReport:
+def suite_covers(seed=42) -> RunReport:
+    n_instances, max_points = 100, 10_000
     rep = RunReport("verify covers", {"seed": seed, "instances": n_instances})
     rng = np.random.default_rng(seed)
 
@@ -241,7 +245,8 @@ def _random_perm_rows(rng, d):
 
 # -- suite: induction through a coset system ---------------------------------
 
-def suite_induction(seed=5, n_triples=1000, fiber=60) -> RunReport:
+def suite_induction(seed=5) -> RunReport:
+    n_triples, fiber = 1000, 60
     rep = RunReport("verify induction", {"seed": seed, "triples": n_triples})
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
@@ -308,7 +313,7 @@ def suite_induction(seed=5, n_triples=1000, fiber=60) -> RunReport:
 
 # -- suite: partitions --------------------------------------------------------
 
-def suite_partition(seed=3, p=7, m=5, k=3, noise_levels=(0.01, 0.05)) -> RunReport:
+def suite_partition(seed=3, p=7) -> RunReport:
     rep = RunReport("verify partition", {"seed": seed, "p": p})
     np_rng = np.random.default_rng(seed)
 
@@ -340,9 +345,9 @@ def suite_partition(seed=3, p=7, m=5, k=3, noise_levels=(0.01, 0.05)) -> RunRepo
     # noise tolerance on a synthetic coset structure
     n, blocks = 10_000, 20
     ids = np.arange(n) // (n // blocks)
-    for eps in noise_levels:
+    for eps in (0.01, 0.05):
         bound = 2 * Fraction(eps).limit_denominator(10**6)
-        noisy = relabel_noise(planted_coset_partition(ids), float(eps), np_rng)
+        noisy = relabel_noise(planted_coset_partition(ids), eps, np_rng)
         fit = coset_fit(noisy, ids, subgroup_order=n // blocks)
         rep.add_check(f"noise-residual-eps-{eps}", fit.residual, bound,
                       fit.residual <= bound)
@@ -356,7 +361,7 @@ def suite_partition(seed=3, p=7, m=5, k=3, noise_levels=(0.01, 0.05)) -> RunRepo
     rep.add_check("defect-of-block-permuting-map", dv, 0, dv == 0)
 
     # the six product candidates, each planted as a fiber partition
-    family = build_hom_specs(p, m, k)
+    family = build_hom_specs(p, M, K)
     sizes = (3**p, psl2_order(p), psl2_order(family.r_p))
     six_ok = True
     strict6 = True
@@ -431,11 +436,11 @@ SUITES = {
 
 # -- measurement tables -------------------------------------------------------
 
-def measure_boundary(primes=DEFAULT_PRIMES, m=5, k=3) -> list:
+def measure_boundary(primes=DEFAULT_PRIMES) -> list:
     """Exact slab boundary ratios per right generator and prime."""
     rows = []
     for p in primes:
-        family = build_hom_specs(p, m, k)
+        family = build_hom_specs(p, M, K)
         rho = family["rho"]
         ratios = boundary_ratio_slab(
             p, {name: rho.image(name) for name in rho.gen_names}
@@ -458,25 +463,25 @@ def measure_boundary(primes=DEFAULT_PRIMES, m=5, k=3) -> list:
     return rows
 
 
-def measure_defect(primes=DEFAULT_PRIMES, m=5, k=3, samples=50_000, seed=17) -> list:
+def measure_defect(primes=DEFAULT_PRIMES, samples=50_000, seed=17) -> list:
     """Commutator defect of the t image against the decorated right
     generator: exact on enumerable domains, sampled elsewhere."""
     rows = []
-    u = ProductWord(ReducedWord(), ReducedWord.gen(f"b{k}"))
+    u = ProductWord(ReducedWord(), ReducedWord.gen(f"b{K}"))
     v = ProductWord(ReducedWord.gen("t"), ReducedWord())
     for p in primes:
-        sigma = build_sigma(p, m, k)
+        sigma = build_sigma(p, M, K)
         if sigma.mode == "exact":
             est = hom_defect(sigma, u, v)
             rows.append({"p": p, "mode": "exact", "value": est.value,
-                         "radius": 0.0, "seed": None, "samples": None})
+                         "radius": 0.0, "samples": None, "seed": None})
         est = hom_defect(sigma, u, v, mode="sampled", samples=samples, seed=seed + p)
         rows.append({"p": p, "mode": "sampled", "value": est.value,
-                     "radius": est.radius, "seed": seed + p, "samples": samples})
+                     "radius": est.radius, "samples": samples, "seed": seed + p})
     return rows
 
 
-def measure_spectra(primes=DEFAULT_PRIMES, m=5, k=3, seed=2) -> list:
+def measure_spectra(primes=DEFAULT_PRIMES, seed=2) -> list:
     """Gap of the paired-projective Cayley graphs on the undecorated left
     generators, from the irreducible representation pairs of
     PSL2(F_p) x PSL2(F_r); columns follow the documented CSV layout, N is
@@ -487,7 +492,7 @@ def measure_spectra(primes=DEFAULT_PRIMES, m=5, k=3, seed=2) -> list:
         check_pair_budget(p, next_prime(p))
     rows = []
     for p in primes:
-        est = tau_family_lambda2(build_hom_specs(p, m, k), seed=seed)
+        est = tau_family_lambda2(build_hom_specs(p, M, K), seed=seed)
         rows.append(
             {
                 "p": p,

@@ -35,6 +35,16 @@ from soficlab.suites import (
 
 PRIMES = (7, 13, 19, 31, 37)
 
+# canonical_json() digests of the suite reports at the seeds below; the
+# constants the suites run with must reproduce them byte for byte
+REPORT_DIGESTS = {
+    "four-conditions": "ca1759a35d8f139386b2acd7269442e2f76cde1f0cddd0642b451b403f05d5d3",
+    "soficity": "49b5ca17e3babc1515395427c3b09c4802a7031b7657837184f0b76670734a99",
+    "covers": "d0e10a0c2e8c9a4ae664b9561db6c3cb2e02186cde0d6d3af2714ab90454375f",
+    "induction": "20fddd2275e4682e2604f19b14b9492ea940465c6da4cbb4d6026af32b67481a",
+    "partition": "fa97ca1093bf850892a04137600e83e4b94987ea66b7dc4b5a8de8db7b4a8b50",
+}
+
 
 def _line(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -81,6 +91,7 @@ def test_criterion_04_four_condition_suite():
     rep = suite_four_conditions(p=7, seed=7)
     detail = "; ".join(f"{c['name']}={c['value']}" for c in rep.checks)
     _line(4, rep.all_pass, detail)
+    assert rep.digest() == REPORT_DIGESTS["four-conditions"]
     _budget(4, time.monotonic() - t0, 120)
 
 
@@ -89,6 +100,7 @@ def test_criterion_05_displacement_suite():
     rep = suite_soficity(p=7, seed=1)
     detail = "; ".join(f"{c['name']}={c['value']}" for c in rep.checks)
     _line(5, rep.all_pass, detail)
+    assert rep.digest() == REPORT_DIGESTS["soficity"]
     _budget(5, time.monotonic() - t0, 120)
 
 
@@ -154,6 +166,7 @@ def test_criterion_09_cover_suite():
     rep = suite_covers(seed=42)
     _line(9, rep.all_pass,
           "; ".join(f"{c['name']}={c['value']}" for c in rep.checks))
+    assert rep.digest() == REPORT_DIGESTS["covers"]
     _budget(9, time.monotonic() - t0, 60)
 
 
@@ -162,6 +175,7 @@ def test_criterion_10_induction_suite():
     rep = suite_induction(seed=5)
     _line(10, rep.all_pass,
           "; ".join(f"{c['name']}={c['value']}" for c in rep.checks))
+    assert rep.digest() == REPORT_DIGESTS["induction"]
     _budget(10, time.monotonic() - t0, 60)
 
 
@@ -170,6 +184,7 @@ def test_criterion_11_partition_suite():
     rep = suite_partition(seed=3)
     _line(11, rep.all_pass,
           "; ".join(f"{c['name']}={c['value']}" for c in rep.checks))
+    assert rep.digest() == REPORT_DIGESTS["partition"]
     _budget(11, time.monotonic() - t0, 180)
 
 

@@ -147,15 +147,6 @@ def test_schreier_requires_transitivity():
         SchreierSystem({"x": [0, 1], "y": [0, 1]})  # both letters act trivially
 
 
-def test_schreier_section_validation():
-    schreier = SchreierSystem(ACTION4)
-    SchreierSystem(ACTION4, section=schreier.section)  # the tree section passes
-    bad = list(schreier.section)
-    bad[0] = ReducedWord.gen("x")
-    with pytest.raises(ValueError):
-        SchreierSystem(ACTION4, section=bad)
-
-
 def test_cocycle_identity_random_triples():
     schreier = SchreierSystem(ACTION4)
     rng = random.Random(0)

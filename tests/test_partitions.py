@@ -16,9 +16,7 @@ from soficlab.partitions import (
     eta_overlap,
     invariance_defect,
     planted_coset_partition,
-    read_partition,
     relabel_noise,
-    write_partition,
 )
 from soficlab.perms import ExactPerm
 from soficlab.smallgroups import (
@@ -217,22 +215,3 @@ def test_coset_ids_consistent_with_point_factors():
     # cosets of the middle-factor projection: id = h part
     expected = (np.arange(60) // 5) % 4
     assert np.array_equal(ids, expected)
-
-
-def test_partition_file_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    ids = rng.integers(0, 9, size=500)
-    ids[:9] = np.arange(9)
-    part = LabeledPartition(ids)
-    path = tmp_path / "p.sprt"
-    write_partition(path, part, sidecar={"domain": "test", "seed": 8})
-    back = read_partition(path)
-    assert back == part
-    assert (tmp_path / "p.sprt.json").exists()
-
-
-def test_partition_file_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bad.sprt"
-    path.write_bytes(b"XXXX" + b"\0" * 20)
-    with pytest.raises(ValueError):
-        read_partition(path)

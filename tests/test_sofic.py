@@ -120,7 +120,7 @@ def test_slice_identity_against_brute_force(sigma7, family7):
 
 
 def test_four_condition_report(sigma7):
-    rep = four_condition_report(7, 5, 3, sigma=sigma7, n_word_pairs=20, seed=3)
+    rep = four_condition_report(sigma7, n_word_pairs=20, seed=3)
     assert rep["cond1_defect_max"] == 0
     assert rep["cond2_fixed_fraction"] >= Fraction(1, 3)
     assert rep["cond3_witness"] is not None
@@ -132,7 +132,7 @@ def test_four_condition_report(sigma7):
 
 
 def test_word_search_reports_its_cap(sigma7, family7, monkeypatch):
-    rep = four_condition_report(7, 5, 3, sigma=sigma7, n_word_pairs=1, seed=3)
+    rep = four_condition_report(sigma7, n_word_pairs=1, seed=3)
     assert rep["cond3_word_cap"] == WORD_SEARCH_CAP == 20_000
     assert rep["cond3_cap_reached"] is False
     assert rep["cond3_words_searched"] < WORD_SEARCH_CAP
