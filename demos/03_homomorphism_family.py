@@ -35,8 +35,10 @@ print(f"  {order} elements = {psl2_order(7)} x {psl2_order(11)}")
 print("\nsurjectivity certificates:")
 for name in ("phi", "rho", "phi_tilde", "rho_tilde"):
     cert = verify_surjectivity(family[name], family)
+    # a product target is certified through its G(p) factor
+    details = cert.details.get("left_factor", cert.details)
     print(f"  {name}: onto={cert.ok} via {cert.route}, "
-          f"closure dim {cert.details.get('closure_dim', '-')}")
+          f"closure dim {details.get('closure_dim', '-')}")
 
 doc = hom_family_to_json(family)
 print(f"\nserialized family: {len(doc)} bytes of versioned JSON")

@@ -37,7 +37,7 @@ for name in sigma.right_names:
                    ProductWord(ReducedWord.gen("t"), ReducedWord()))
     print(f"  against {name}: defect {d.value} = {float(d.value):.4f}")
 
-report = four_condition_report(sigma, n_word_pairs=20)
+report = four_condition_report(sigma)
 print("\nfour-condition report:")
 print("  (1) max t-free defect:", report["cond1_defect_max"])
 print("  (2) t fixed fraction: ", report["cond2_fixed_fraction"])

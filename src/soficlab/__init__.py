@@ -24,18 +24,15 @@ from .algebra import (
 from .f3vectors import (
     ApVector,
     TypeCount,
-    ap_index,
     ap_unindex,
     disjointness_check_ap_shift,
     h_act,
     invariant_closure_dim,
     sp_count_exact,
-    sp_membership,
     sp_shift_diff_exact,
 )
 from .groups import (
     GpElement,
-    GpIndexer,
     HomFamily,
     HomSpec,
     PairElement,
@@ -59,7 +56,6 @@ from .sofic import (
 from .spectral import (
     CayleyGraph,
     SpectrumEstimate,
-    boundary_ratio_explicit,
     boundary_ratio_slab,
     kazhdan_bounds,
     lambda2_estimate,

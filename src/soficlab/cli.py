@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .f3vectors import _check_p
 from .groups import (
+    GenerationCheckError,
     ResourceBudgetError,
-    _check_ranks,
     build_hom_specs,
     hom_family_to_json,
 )
@@ -26,6 +26,8 @@ from .report import RunReport, jsonable
 from .sofic import build_sigma, build_tilde_sigma
 from .suites import (
     DEFAULT_PRIMES,
+    K,
+    M,
     SUITES,
     measure_boundary,
     measure_defect,
@@ -61,11 +63,11 @@ def _print_report(report: RunReport) -> None:
 def cmd_build(args) -> int:
     report = RunReport(
         "build",
-        {"p": args.p, "m": args.m, "k": args.k, "seed": args.seed},
+        {"p": args.p, "m": M, "k": K, "seed": args.seed},
     )
     # build the whole model first: a refused build leaves no directory
-    family = build_hom_specs(args.p, args.m, args.k)
-    sigma = build_sigma(args.p, args.m, args.k, family=family)
+    family = build_hom_specs(args.p, M, K)
+    sigma = build_sigma(args.p, M, K, family=family)
     if sigma.mode == "exact":
         tilde = build_tilde_sigma(sigma)
     out_dir = Path(args.out)
@@ -102,10 +104,10 @@ def cmd_build(args) -> int:
             "version": 1,
             "p": args.p,
             "r_p": family.r_p,
-            "m": args.m,
-            "k": args.k,
+            "m": M,
+            "k": K,
             "domain_size": str(3**args.p * psl2_order(args.p)),
-            "note": "domain too large to enumerate; rebuild from homspecs.json",
+            "note": "domain too large to enumerate; generator images are in homspecs.json",
         }
         path = out_dir / "implicit_model.json"
         path.write_text(json.dumps(desc, indent=2, sort_keys=True) + "\n")
@@ -165,7 +167,7 @@ def cmd_partition(args) -> int:
         return EXIT_USAGE
     report = RunReport("partition", {"p": args.p, "plant": args.plant,
                                      "seed": args.seed})
-    family = build_hom_specs(args.p, args.m, args.k)
+    family = build_hom_specs(args.p, M, K)
     sizes = (3**args.p, psl2_order(args.p), psl2_order(family.r_p))
     for plant in plants:
         ranked = classify_candidates(
@@ -209,8 +211,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="construct generator images and permutations")
     b.add_argument("--p", type=int, required=True)
-    b.add_argument("--m", type=int, default=5)
-    b.add_argument("--k", type=int, default=3)
     b.add_argument("--seed", type=_nonnegative_int, default=0)
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)
@@ -234,8 +234,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("partition", help="classify planted fiber partitions")
     pt.add_argument("--p", type=int, default=7)
-    pt.add_argument("--m", type=int, default=5)
-    pt.add_argument("--k", type=int, default=3)
     pt.add_argument("--plant", default="all")
     pt.add_argument("--seed", type=_nonnegative_int, default=3)
     pt.add_argument("--out", default=None)
@@ -258,8 +256,6 @@ def main(argv=None) -> int:
     try:
         for p in _primes_used(args):
             _check_p(p)
-        if "m" in args:
-            _check_ranks(args.m, args.k)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -268,7 +264,9 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except GenerationCheckError as exc:
+        # only a failed check exits 1: any other error is a fault of the
+        # program and ends in a traceback
         print(f"check failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -49,9 +49,6 @@ class TypeCount:
     n1: int
     n2: int
 
-    def in_sp(self) -> bool:
-        return _in_sp(self.n0, self.n1, self.n2)
-
 
 class ApVector:
     """A zero-sum vector in F_3^(p+1) as two bit-planes, the layout of the
@@ -127,11 +124,6 @@ class ApVector:
     def support(self):
         nonzero = self.lo | self.hi
         return tuple(i for i in range(self.p + 1) if nonzero >> i & 1)
-
-
-def ap_index(x: ApVector) -> int:
-    """Index of x in [0, 3^p): base-3 value of the first p coordinates."""
-    return sum(_POW3[i] * ((x.lo >> i & 1) + 2 * (x.hi >> i & 1)) for i in range(x.p))
 
 
 def ap_unindex(i: int, p: int) -> ApVector:
@@ -215,11 +207,6 @@ def _permute(src, x: ApVector) -> ApVector:
 
 def h_act(h: PSL2Element, x: ApVector) -> ApVector:
     return _permute(h_position_perm(h), x)
-
-
-def sp_membership(x: ApVector) -> bool:
-    """True iff the 1-count beats both other counts by more than 2."""
-    return x.type_count().in_sp()
 
 
 # -- exact counting ------------------------------------------------------
@@ -401,14 +388,6 @@ def decode_indices(idx: np.ndarray, p: int) -> np.ndarray:
     return _stack((lo, hi))
 
 
-def coords_matrix(p: int) -> np.ndarray:
-    """(3^p, 2) point array of all A(p) vectors in index order."""
-    n = 3**p
-    if n > 5_000_000:
-        raise ValueError(f"3^{p} is too large to materialize")
-    return decode_indices(np.arange(n, dtype=np.int64), p)
-
-
 @lru_cache(maxsize=None)
 def _index_tables(p: int) -> np.ndarray:
     """(2, bytes, 256) int64: the index weight c * 3^i of each set bit i < p
@@ -496,8 +475,3 @@ def sp_mask(points: np.ndarray, p: int) -> np.ndarray:
     n1 = np.bitwise_count(points[..., 0])
     n2 = np.bitwise_count(points[..., 1])
     return _in_sp((p + 1) - n1 - n2, n1, n2)
-
-
-def shifted_index_map(points: np.ndarray, w: ApVector) -> np.ndarray:
-    """Index map a -> index(a + w) over all vectors of a point array."""
-    return encode_coords(f3_add(points, vector_points(w)), w.p)

@@ -20,8 +20,6 @@ import numpy as np
 from .algebra import PSL2Element, next_prime, psl2_order, psl2_table
 from .f3vectors import (
     ApVector,
-    ap_index,
-    ap_unindex,
     h_act,
     invariant_closure_dim,
     v1_vector,
@@ -115,23 +113,6 @@ class PairElement:
 
     def __repr__(self):
         return f"({self.left!r}, {self.right!r})"
-
-
-class GpIndexer:
-    """Bijective index on G(p): index(a, h) = ap_index(a) * |H| + h_index."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.table = psl2_table(p)
-        self.h_order = len(self.table)
-        self.size = 3**p * self.h_order
-
-    def index(self, g: GpElement) -> int:
-        return ap_index(g.a) * self.h_order + self.table.index(g.h)
-
-    def unindex(self, i: int) -> GpElement:
-        ai, hi = divmod(i, self.h_order)
-        return GpElement(ap_unindex(ai, self.p), self.table[hi])
 
 
 @dataclass(frozen=True)
@@ -475,10 +456,6 @@ class SurjectivityCertificate:
         return self.ok
 
 
-def _gp_part(img):
-    return img.left if isinstance(img, PairElement) else img
-
-
 def verify_surjectivity(spec: HomSpec, family: HomFamily) -> SurjectivityCertificate:
     """Certify that a generator-image table generates its whole target.
 
@@ -488,37 +465,28 @@ def verify_surjectivity(spec: HomSpec, family: HomFamily) -> SurjectivityCertifi
     A(p).  The product is found explicitly: a decorated generator times a
     word in undecorated ones cancelling its matrix part.
 
-    For the product target the same two steps run with the pair of matrix
-    parts (direct route); if the undecorated images do not generate the
-    full product of factors, falls back to a quotient-order argument on
-    the factors (both factors simple-or-monolithic of distinct orders).
+    For the product target G(p) x K the G(p) part is certified this way
+    and the K part by its closure; the two factors have no common
+    nontrivial quotient, so the image is the whole product (Goursat's
+    lemma).
     """
     p = family.p
     target = spec.target
     if target == f"G{p}":
         return _verify_onto_gp(spec, family)
     if target == f"G{p}xK{family.r_p}":
-        direct = _verify_onto_gtilde_direct(spec, family)
-        if direct.ok:
-            return direct
-        return _verify_onto_gtilde_goursat(spec, family, direct)
+        return _verify_onto_gtilde_goursat(spec, family)
     raise ValueError(f"unsupported target {target!r}")
 
 
 def _split_by_decoration(spec: HomSpec):
     zero_gens, decorated = {}, {}
     for g, img in zip(spec.gen_names, spec.images):
-        if _gp_part(img).a.is_zero():
+        if img.a.is_zero():
             zero_gens[g] = img
         else:
             decorated[g] = img
     return zero_gens, decorated
-
-
-def _matrix_part(img):
-    """The PSL2 part of a G(p) element, or the pair of PSL2 parts of a
-    G(p) x K element."""
-    return PairElement(img.left.h, img.right) if isinstance(img, PairElement) else img.h
 
 
 def _witness(spec, zero_gens, decorated, words) -> dict:
@@ -526,13 +494,13 @@ def _witness(spec, zero_gens, decorated, words) -> dict:
     its matrix part: the product is a pure vector, recorded with the
     dimension of its invariant closure."""
     name, img = next(iter(decorated.items()))
-    cancel = words[_matrix_part(img).inverse()]
+    cancel = words[img.h.inverse()]
     zero_part = HomSpec("zero-part", tuple(zero_gens), tuple(zero_gens.values()), spec.target)
     witness = img * hom_eval(zero_part, cancel)
-    assert _matrix_part(witness).is_identity()
-    vector = _gp_part(witness).a
+    assert witness.h.is_identity()
     return {"witness_generator": name, "cancelling_word": repr(cancel),
-            "witness_vector": vector.coords, "closure_dim": invariant_closure_dim(vector)}
+            "witness_vector": witness.a.coords,
+            "closure_dim": invariant_closure_dim(witness.a)}
 
 
 def _verify_onto_gp(spec: HomSpec, family: HomFamily) -> SurjectivityCertificate:
@@ -549,7 +517,7 @@ def _verify_onto_gp(spec: HomSpec, family: HomFamily) -> SurjectivityCertificate
         details["reason"] = "all vector parts zero: image lies in the matrix factor"
         return SurjectivityCertificate(False, spec.target, "no-decoration", details)
 
-    words = bfs_closure_with_words({g: _matrix_part(img) for g, img in zero_gens.items()})
+    words = bfs_closure_with_words({g: img.h for g, img in zero_gens.items()})
     if len(words) != h_order:
         details["reason"] = "undecorated images do not generate the matrix factor"
         details["undecorated_order"] = len(words)
@@ -560,37 +528,16 @@ def _verify_onto_gp(spec: HomSpec, family: HomFamily) -> SurjectivityCertificate
                                    "trivial-matrix-part-witness", details)
 
 
-def _verify_onto_gtilde_direct(spec, family) -> SurjectivityCertificate:
-    p = family.p
-    pair_order = psl2_order(p) * psl2_order(family.r_p)
-    details = {}
-    zero_gens, decorated = _split_by_decoration(spec)
-    if not decorated:
-        details["reason"] = "all vector parts zero"
-        return SurjectivityCertificate(False, spec.target, "no-decoration", details)
-    try:
-        words = bfs_closure_with_words({g: _matrix_part(img) for g, img in zero_gens.items()})
-    except ResourceBudgetError:
-        words = {}
-    details["undecorated_pair_order"] = len(words)
-    if len(words) != pair_order:
-        return SurjectivityCertificate(False, spec.target, "direct", details)
-
-    details.update(_witness(spec, zero_gens, decorated, words))
-    return SurjectivityCertificate(details["closure_dim"] == p, spec.target, "direct", details)
-
-
-def _verify_onto_gtilde_goursat(spec, family, direct_attempt) -> SurjectivityCertificate:
+def _verify_onto_gtilde_goursat(spec, family) -> SurjectivityCertificate:
     """Factorwise route: the G(p) part must be onto G(p), the second part
     onto K; the only common quotient of the two factors is trivial because
     the candidate quotient orders differ, so the image is the product."""
     p, r_p = family.p, family.r_p
-    details = {"direct_attempt": direct_attempt.details}
     left_spec = HomSpec(
         spec.name + "-left", spec.gen_names, tuple(i.left for i in spec.images), f"G{p}"
     )
     left_cert = _verify_onto_gp(left_spec, family)
-    details["left_factor"] = left_cert.details
+    details = {"left_factor": left_cert.details}
     k_order = psl2_order(r_p)
     right_order = bfs_closure_order(
         [i.right for i in spec.images if not i.right.is_identity()],
@@ -624,18 +571,6 @@ def _element_to_json(el):
     raise TypeError(f"cannot serialize {type(el)!r}")
 
 
-def _element_from_json(obj):
-    kind = obj["kind"]
-    if kind == "psl2":
-        return PSL2Element(*obj["m"], obj["q"])
-    if kind == "gp":
-        h = _element_from_json(obj["h"])
-        return GpElement(ApVector(obj["p"], obj["a"]), h)
-    if kind == "pair":
-        return PairElement(_element_from_json(obj["left"]), _element_from_json(obj["right"]))
-    raise ValueError(f"unknown element kind {kind!r}")
-
-
 HOMSPEC_FORMAT_VERSION = 1
 
 
@@ -660,29 +595,3 @@ def hom_family_to_json(family: HomFamily) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def hom_family_from_json(text: str) -> HomFamily:
-    doc = json.loads(text)
-    if doc.get("format") != "soficlab-homspec":
-        raise ValueError("not a homspec document")
-    if doc.get("version") != HOMSPEC_FORMAT_VERSION:
-        raise ValueError(f"unsupported homspec version {doc.get('version')}")
-    p = doc["p"]
-    specs = {
-        name: HomSpec(
-            name,
-            tuple(h["gens"]),
-            tuple(_element_from_json(i) for i in h["images"]),
-            h["target"],
-        )
-        for name, h in doc["homs"].items()
-    }
-    return HomFamily(
-        p=p,
-        r_p=doc["r_p"],
-        m=doc["m"],
-        k=doc["k"],
-        specs=specs,
-        v1=ApVector(p, doc["v1"]),
-        v2=ApVector(p, doc["v2"]),
-    )

@@ -244,10 +244,6 @@ def candidate_coset_ids(name: str, sizes) -> np.ndarray:
     return coset_ids_by_dims(CANDIDATE_KEY_DIMS[name], sizes)
 
 
-def cylinder_block_ids(partition: CylinderPartition) -> np.ndarray:
-    return coset_ids_by_dims(partition.key_dims, partition.sizes)
-
-
 # -- planted partitions and noise -------------------------------------------
 
 def planted_coset_partition(coset_ids) -> LabeledPartition:

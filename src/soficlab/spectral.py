@@ -432,20 +432,6 @@ def _solve_pair(op: PairOperator, seed: int) -> tuple:
 
 # -- boundary ratios --------------------------------------------------------
 
-def boundary_ratio_explicit(mask: np.ndarray, right_translations: dict) -> dict:
-    """max over generators of |Tg symdiff T| / |domain| for an explicit
-    subset mask; right_translations maps names to the permutations
-    x -> x g."""
-    n = len(mask)
-    if int(mask.sum()) * 2 > n:
-        raise ValueError("the witness set must fill at most half the domain")
-    per = {}
-    for name, rt in right_translations.items():
-        mask_tg = mask[rt.inverse().images]
-        per[name] = Fraction(int(np.count_nonzero(mask ^ mask_tg)), n)
-    return {"per_generator": per, "max": max(per.values())}
-
-
 def boundary_ratio_slab(p: int, elements: dict) -> dict:
     """Same ratio for the slab T = S(p) x H(p) under right translation by
     G(p) elements, computed exactly at any p: each matrix slice

@@ -74,7 +74,7 @@ def suite_four_conditions(p=7, seed=7) -> RunReport:
     # constructing the exact t image validates bijectivity; record it
     rep.add_check("t-image-bijection", True, True, True,
                   domain=sigma.domain.size)
-    out = four_condition_report(sigma, seed=seed)
+    out = four_condition_report(sigma)
     rep.add_check("no-t-word-pairs-defect", out["cond1_defect_max"], 0,
                   out["cond1_defect_max"] == 0, pairs=out["cond1_pairs"])
     rep.add_check("t-fixed-fraction", out["cond2_fixed_fraction"], Fraction(1, 3),

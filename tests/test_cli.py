@@ -81,23 +81,29 @@ def test_inadmissible_p_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_build_rejects_small_m(tmp_path, capsys):
-    out = tmp_path / "x"
-    assert main(["build", "--p", "7", "--m", "4", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "usage error" in err and "m = 4 < 5" in err
-    assert not out.exists()
+def test_only_a_failed_check_exits_1(capsys, monkeypatch):
+    import soficlab.cli
+    from soficlab.groups import GenerationCheckError
+
+    def failing(**kwargs):
+        raise GenerationCheckError("p = 7 too small: check 'x' reached 1 of 2")
+
+    monkeypatch.setitem(soficlab.cli.SUITES, "covers", failing)
+    assert main(["verify", "covers"]) == 1
+    assert "check failure: p = 7 too small" in capsys.readouterr().err
 
 
-def test_partition_rejects_small_k(capsys, monkeypatch):
+def test_other_value_errors_propagate(monkeypatch):
+    # a ValueError that is not a failed check is a programming error, and
+    # must not read as one
     import soficlab.cli
 
-    built = []
-    monkeypatch.setattr(soficlab.cli, "build_hom_specs",
-                        lambda *args: built.append(args))
-    assert main(["partition", "--p", "7", "--k", "2"]) == 2
-    assert "k = 2 < 3" in capsys.readouterr().err
-    assert built == []
+    def broken(**kwargs):
+        raise ValueError("not a check")
+
+    monkeypatch.setitem(soficlab.cli.SUITES, "covers", broken)
+    with pytest.raises(ValueError, match="not a check"):
+        main(["verify", "covers"])
 
 
 def test_verify_covers(tmp_path):

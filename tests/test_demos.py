@@ -1,5 +1,7 @@
-"""Every demo runs to completion as a script."""
+"""Every demo runs to completion as a script, and every name the package
+exports is reached by its own code, a demo or the benchmark."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+PACKAGE = ROOT / "src" / "soficlab"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -19,3 +22,29 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def _references(path):
+    """The names a file reads or imports, and the dotted parts of its string
+    constants (the benchmark's tracer names its targets in strings); the
+    name a def or class statement binds is not among them."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_every_export_is_reached_outside_the_tests():
+    # test oracles live in tests/, not in the package
+    init = PACKAGE / "__init__.py"
+    exported = [alias.asname or alias.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    files = [f for f in (*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                         *(ROOT / "perfbench").glob("*.py")) if f != init]
+    used = {name for f in files for name in _references(f)}
+    assert [name for name in exported if name not in used] == []

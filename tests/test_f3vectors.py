@@ -19,9 +19,7 @@ from soficlab.f3vectors import (
     ApVector,
     TypeCount,
     a_shift_vector,
-    ap_index,
     ap_unindex,
-    coords_matrix,
     decode_indices,
     disjointness_check_ap_shift,
     encode_coords,
@@ -32,16 +30,16 @@ from soficlab.f3vectors import (
     permute_coords,
     position_table,
     shift_overlap_counts,
-    shifted_index_map,
     sp_count_exact,
     sp_mask,
-    sp_membership,
     sp_shift_diff_exact,
     v1_vector,
     v2_vector,
     v_vector,
     vector_points,
 )
+
+from conftest import ap_index, coords_matrix, shifted_index_map, sp_membership
 
 PRIMES = (7, 13, 19, 31, 37)
 

@@ -13,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab.algebra import PSL2Element
-from soficlab.f3vectors import (
-    a_shift_vector,
-    decode_indices,
-    sp_membership,
-)
-from soficlab.groups import GpElement, GpIndexer
+from soficlab.f3vectors import a_shift_vector, decode_indices
+from soficlab.groups import GpElement
 from soficlab.sofic import build_sigma
+
+from conftest import GpIndexer, sp_membership
 
 GENERATORS = ("a1", "a2", "a3", "a4", "t", "b1", "b2", "b3")
 INDEXER = GpIndexer(7)

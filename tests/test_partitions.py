@@ -12,7 +12,7 @@ from soficlab.partitions import (
     candidate_subgroup_order,
     classify_candidates,
     coset_fit,
-    cylinder_block_ids,
+    coset_ids_by_dims,
     eta_overlap,
     invariance_defect,
     planted_coset_partition,
@@ -173,6 +173,10 @@ def test_coset_fit_selects_planted_subgroup_s4():
             fits.append((fit.residual, cand))
         best_residual, best = min(fits, key=lambda t: t[0])
         assert best_residual == 0 and best == sub
+
+
+def cylinder_block_ids(partition: CylinderPartition) -> np.ndarray:
+    return coset_ids_by_dims(partition.key_dims, partition.sizes)
 
 
 def test_six_candidates_closed_form_matches_explicit():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,16 +8,14 @@ import pytest
 from soficlab.algebra import PSL2Element
 from soficlab.f3vectors import (
     ApVector,
-    ap_index,
-    coords_matrix,
+    a_shift_vector,
     decode_indices,
-    shifted_index_map,
     sp_count_exact,
     sp_mask,
     v_vector,
 )
-from soficlab.groups import GpIndexer, hom_eval
-from soficlab.perms import SAMPLE_BLOCK, d_hamming
+from soficlab.groups import GenerationCheckError, GpElement, hom_eval
+from soficlab.perms import SAMPLE_BLOCK, d_hamming, materialize
 from soficlab.sofic import (
     WORD_SEARCH_CAP,
     ExactGpContext,
@@ -25,9 +24,10 @@ from soficlab.sofic import (
     build_sigma,
     hom_defect,
     four_condition_report,
-    slab_right_translate_count,
 )
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
+
+from conftest import GpIndexer, ap_index, coords_matrix, shifted_index_map, slab_mask
 
 GAMMA = ("a1", "a2", "a3", "a4")
 LAMBDA = ("b1", "b2", "b3")
@@ -67,8 +67,7 @@ def test_t_fixed_fraction_formula(sigma7):
 
 
 def test_t_maps_slab_onto_shifted_slab(sigma7):
-    ctx: ExactGpContext = sigma7.meta["context"]
-    mask_t = ctx.slab_mask()
+    mask_t = slab_mask(7)
     images = sigma7.images["t"].images
     hit = np.zeros(len(mask_t), dtype=bool)
     hit[images[mask_t]] = True
@@ -82,6 +81,7 @@ def test_t_maps_slab_onto_shifted_slab(sigma7):
 
 
 def test_no_t_defect_is_exactly_zero(sigma7):
+    # the sampled oracle for condition 1's generator commutators
     rng = random.Random(1)
     for _ in range(100):
         u = pw(random_reduced_word(rng, GAMMA, rng.randint(0, 4)),
@@ -104,6 +104,14 @@ def test_t_against_decorated_right_is_defective(sigma7):
     assert d.value >= Fraction(2 * 168 * 120, 367416)  # displacement lower bound
 
 
+def slab_right_translate_count(ctx: GpContext, g: GpElement) -> int:
+    """Brute-force |T \\ T g| over the flat domain."""
+    mask_t = slab_mask(ctx.p)
+    right = materialize(ctx.right_mult_inv(g))  # x -> x g^(-1)
+    mask_tg = mask_t[right.images]  # x in Tg  <=>  x g^(-1) in T
+    return int(np.count_nonzero(mask_t & ~mask_tg))
+
+
 def test_slice_identity_against_brute_force(sigma7, family7):
     # |T \ T(w,u)| = |H| * |S \ (S + w)|: brute force over the whole domain
     ctx: ExactGpContext = sigma7.meta["context"]
@@ -120,8 +128,9 @@ def test_slice_identity_against_brute_force(sigma7, family7):
 
 
 def test_four_condition_report(sigma7):
-    rep = four_condition_report(sigma7, n_word_pairs=20, seed=3)
+    rep = four_condition_report(sigma7)
     assert rep["cond1_defect_max"] == 0
+    assert rep["cond1_pairs"] == 4 * 3
     assert rep["cond2_fixed_fraction"] >= Fraction(1, 3)
     assert rep["cond3_witness"] is not None
     assert rep["cond3_witness"]["defect"] >= Fraction(1, 243)
@@ -131,8 +140,16 @@ def test_four_condition_report(sigma7):
     assert rep["cond4_min_displacement"] == Fraction(4 * sp_count_exact(7), 3**7)
 
 
+def test_condition_1_sees_a_noncommuting_letter(sigma7):
+    # with the t image in place of a1's, condition 1 must find t's
+    # commutator with b3
+    images = dict(sigma7.images, a1=sigma7.images["t"])
+    rep = four_condition_report(dataclasses.replace(sigma7, images=images))
+    assert rep["cond1_defect_max"] == Fraction(1075, 5103)
+
+
 def test_word_search_reports_its_cap(sigma7, family7, monkeypatch):
-    rep = four_condition_report(sigma7, n_word_pairs=1, seed=3)
+    rep = four_condition_report(sigma7)
     assert rep["cond3_word_cap"] == WORD_SEARCH_CAP == 20_000
     assert rep["cond3_cap_reached"] is False
     assert rep["cond3_words_searched"] < WORD_SEARCH_CAP
@@ -145,6 +162,16 @@ def test_word_search_reports_its_cap(sigma7, family7, monkeypatch):
     check = next(c for c in suites.suite_four_conditions(p=7, seed=7).checks
                  if c["name"] == "commutator-witness-found")
     assert (check["word_cap"], check["cap_reached"]) == (20_000, False)
+
+
+def test_slab_involution_hypotheses_are_checks():
+    ctx = GpContext(7)
+    # h0 must not square to e
+    with pytest.raises(GenerationCheckError, match="square to e"):
+        ctx.t_perm(a_shift_vector(7), PSL2Element.identity(7))
+    # a zero shift makes the shifted slab the slab itself
+    with pytest.raises(GenerationCheckError, match="not disjoint"):
+        ctx.t_perm(ApVector.zero(7), PSL2Element(1, 1, 0, 1, 7))
 
 
 def test_sampled_defect_agrees_with_exact(sigma7):

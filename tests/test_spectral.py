@@ -21,7 +21,6 @@ from soficlab.smallgroups import (
 from soficlab.spectral import (
     DENSE_PAIR_LIMIT,
     PairOperator,
-    boundary_ratio_explicit,
     boundary_ratio_slab,
     check_pair_budget,
     cycle_graph,
@@ -33,6 +32,8 @@ from soficlab.spectral import (
     tau_family_lambda2,
     verify_amplification,
 )
+
+from conftest import slab_mask
 
 
 def test_cycle_ground_truth():
@@ -260,6 +261,20 @@ def test_pair_budget_refuses_past_the_largest_measured_prime():
         tau_family_lambda2(SimpleNamespace(p=67, r_p=71), seed=2)
 
 
+def boundary_ratio_explicit(mask: np.ndarray, right_translations: dict) -> dict:
+    """max over generators of |Tg symdiff T| / |domain| for an explicit
+    subset mask; right_translations maps names to the permutations
+    x -> x g."""
+    n = len(mask)
+    if int(mask.sum()) * 2 > n:
+        raise ValueError("the witness set must fill at most half the domain")
+    per = {}
+    for name, rt in right_translations.items():
+        mask_tg = mask[rt.inverse().images]
+        per[name] = Fraction(int(np.count_nonzero(mask ^ mask_tg)), n)
+    return {"per_generator": per, "max": max(per.values())}
+
+
 def test_boundary_ratio_singleton():
     n = 12
     table = cyclic_table(n)
@@ -310,7 +325,7 @@ def test_slab_boundary_matches_brute_force(sigma7, family7):
 
     ctx: ExactGpContext = sigma7.meta["context"]
     g = family7["rho"].image("b3")
-    mask_t = ctx.slab_mask()
+    mask_t = slab_mask(7)
     right = materialize(ctx.right_mult_inv(g))
     mask_tg = mask_t[right.images]
     brute = Fraction(int(np.count_nonzero(mask_t ^ mask_tg)), len(mask_t))
