@@ -22,7 +22,7 @@ from soficlab.f3vectors import (
 print("p      |S|/3^p      |S sym (v+S)|/3^p   scaled by sqrt(p)")
 for p in (7, 13, 19, 31, 37):
     density = Fraction(sp_count_exact(p), 3**p)
-    shift = Fraction(sp_shift_diff_exact(p, v_vector(p)), 3**p)
+    shift = Fraction(sp_shift_diff_exact(v_vector(p)), 3**p)
     print(f"{p:<6} {float(density):<12.5f} {float(shift):<19.5f} "
           f"{float(shift) * math.sqrt(p):.4f}")
 

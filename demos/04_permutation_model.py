@@ -10,10 +10,11 @@ the model is probed.
 import random
 from fractions import Fraction
 
+from soficlab.groups import build_hom_specs
 from soficlab.sofic import build_sigma, hom_defect, four_condition_report
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
 
-sigma = build_sigma(7, 5, 3)
+sigma = build_sigma(build_hom_specs(7, 5, 3))
 print(f"domain size {sigma.domain.size}, mode {sigma.mode}")
 
 t_img = sigma.images["t"]

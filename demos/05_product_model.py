@@ -14,7 +14,7 @@ from soficlab.sofic import build_sigma, build_tilde_sigma, hom_defect
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
 
 family = build_hom_specs(7, 5, 3)
-tilde = build_tilde_sigma(build_sigma(7, 5, 3, family=family))
+tilde = build_tilde_sigma(build_sigma(family))
 print(f"product domain size: {tilde.domain.size:,}")
 print(f"fixed-point budget 1/(2(r-1)) = 1/{2 * (family.r_p - 1)}")
 

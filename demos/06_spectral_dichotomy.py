@@ -37,7 +37,7 @@ for p in (7, 13, 19):
 print("\nnon-expander side, exact boundary ratios of the slab witness:")
 print("p      |Tg sym T|/|G|   |Tg sym T|/|T|")
 for p in (7, 13, 19, 31, 37):
-    diff = sp_shift_diff_exact(p, v_vector(p))
+    diff = sp_shift_diff_exact(v_vector(p))
     ratio_g = Fraction(diff, 3**p)
     ratio_t = Fraction(diff, sp_count_exact(p))
     print(f"{p:<6} {float(ratio_g):<16.5f} {float(ratio_t):.5f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -41,10 +42,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# verification suites that build at a chosen p
-P_SUITES = ("four-conditions", "soficity", "partition")
-
-
 def _write_report(report: RunReport, out_dir) -> None:
     if out_dir is None:
         return
@@ -67,7 +64,7 @@ def cmd_build(args) -> int:
     )
     # build the whole model first: a refused build leaves no directory
     family = build_hom_specs(args.p, M, K)
-    sigma = build_sigma(args.p, M, K, family=family)
+    sigma = build_sigma(family)
     if sigma.mode == "exact":
         tilde = build_tilde_sigma(sigma)
     out_dir = Path(args.out)
@@ -119,12 +116,16 @@ def cmd_build(args) -> int:
     return report.exit_code
 
 
+def _suite_options(args) -> dict:
+    """--p and --seed, for the suite's parameters of those names only."""
+    given = {"p": args.p, "seed": args.seed}
+    taken = inspect.signature(SUITES[args.suite]).parameters
+    return {name: value for name, value in given.items()
+            if name in taken and value is not None}
+
+
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    kwargs = {"seed": args.seed}
-    if args.suite in P_SUITES and args.p:
-        kwargs["p"] = args.p
-    report = suite(**kwargs)
+    report = SUITES[args.suite](**_suite_options(args))
     _write_report(report, args.out)
     _print_report(report)
     return report.exit_code
@@ -245,9 +246,7 @@ def _primes_used(args) -> tuple:
     """Every prime the parsed command builds for, from --p or --primes."""
     if args.command == "measure":
         return args.primes or ()
-    if args.command == "verify" and args.suite not in P_SUITES:
-        return ()
-    p = getattr(args, "p", None)
+    p = _suite_options(args).get("p") if args.command == "verify" else args.p
     return () if p is None else (p,)
 
 

@@ -121,10 +121,6 @@ class ApVector:
         n1, n2 = self.lo.bit_count(), self.hi.bit_count()
         return TypeCount(self.p + 1 - n1 - n2, n1, n2)
 
-    def support(self):
-        nonzero = self.lo | self.hi
-        return tuple(i for i in range(self.p + 1) if nonzero >> i & 1)
-
 
 def ap_unindex(i: int, p: int) -> ApVector:
     if not 0 <= i < 3**p:
@@ -215,7 +211,7 @@ def sp_count_exact(p: int) -> int:
     """|S(p)| as an exact integer: sum of multinomials over admissible
     type-count triples of length p+1."""
     _check_p(p)
-    return shift_overlap_counts(p, ApVector.zero(p))["s"]
+    return shift_overlap_counts(ApVector.zero(p))["s"]
 
 
 def _group_triples(size: int):
@@ -226,8 +222,9 @@ def _group_triples(size: int):
             yield u, multinomial(size, *u)
 
 
-def shift_overlap_counts(p: int, w: ApVector):
-    """Joint counts of (x in S, x - w in S) over x in A(p), exactly.
+def shift_overlap_counts(w: ApVector):
+    """Joint counts of (x in S, x - w in S) over x in A(p), exactly, with p
+    the level of w.
 
     Coordinates are grouped by the value of w there; within a group the
     shift subtracts a constant, so the type counts of x and of x - w are
@@ -236,8 +233,6 @@ def shift_overlap_counts(p: int, w: ApVector):
 
     Returns a dict with keys 'both', 'only_s', 'only_shift', 's'.
     """
-    if w.p != p:
-        raise ValueError("parameter mismatch")
     tc = w.type_count()
     # each partial state: (type counts of x, of x - w, number of such x),
     # grown by one group delta at a time; in that group value j of x is
@@ -267,20 +262,15 @@ def shift_overlap_counts(p: int, w: ApVector):
     return {"both": both, "only_s": only_s, "only_shift": only_shift, "s": s_total}
 
 
-def sp_shift_diff_exact(p: int, w: ApVector) -> int:
-    """Exact |S(p) symdiff (w + S(p))| for a shift w of small support."""
-    if len(w.support()) > 4:
-        raise ValueError(
-            "shift support exceeds 4 coordinates; use sampling or "
-            "shift_overlap_counts directly"
-        )
-    counts = shift_overlap_counts(p, w)
+def sp_shift_diff_exact(w: ApVector) -> int:
+    """Exact |S(p) symdiff (w + S(p))|, with p the level of w."""
+    counts = shift_overlap_counts(w)
     return counts["only_s"] + counts["only_shift"]
 
 
 def disjointness_check_ap_shift(p: int) -> bool:
     """True iff (a(p) + S(p)) and S(p) are disjoint, exactly."""
-    counts = shift_overlap_counts(p, a_shift_vector(p))
+    counts = shift_overlap_counts(a_shift_vector(p))
     return counts["both"] == 0
 
 

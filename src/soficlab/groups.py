@@ -247,8 +247,6 @@ class HomFamily:
     m: int
     k: int
     specs: dict
-    v1: ApVector = None
-    v2: ApVector = None
     checks: dict = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> HomSpec:
@@ -278,7 +276,7 @@ def _check_ranks(m: int, k: int):
         )
 
 
-def build_hom_specs(p, m, k, check=True) -> HomFamily:
+def build_hom_specs(p, m, k) -> HomFamily:
     """Construct the whole family of generator-image tables at level p.
 
     Free generators receive the free family w_i = B^i A B^-i as matrix
@@ -286,9 +284,9 @@ def build_hom_specs(p, m, k, check=True) -> HomFamily:
     mod p and mod r(p) gives the two projective quotients; the vector
     decorations on a_(m-2), a_(m-1) and b_k produce the maps onto G(p).
 
-    With check=True each generation hypothesis is verified on the
-    projective factors (cheap at any p here) and a named
-    GenerationCheckError is raised on failure.
+    Each generation hypothesis is verified on the projective factors
+    (cheap at any p here) and a named GenerationCheckError is raised on
+    failure.
     """
     _check_ranks(m, k)
     from .f3vectors import _check_p
@@ -372,8 +370,6 @@ def build_hom_specs(p, m, k, check=True) -> HomFamily:
         r_p=r_p,
         m=m,
         k=k,
-        v1=v1,
-        v2=v2,
         specs={
             "xi": xi_sigma,
             "psi": psi_sigma,
@@ -385,8 +381,7 @@ def build_hom_specs(p, m, k, check=True) -> HomFamily:
             "rho_tilde": rho_tilde,
         },
     )
-    if check:
-        run_generation_checks(family)
+    run_generation_checks(family)
     return family
 
 
@@ -582,8 +577,8 @@ def hom_family_to_json(family: HomFamily) -> str:
         "r_p": family.r_p,
         "m": family.m,
         "k": family.k,
-        "v1": list(family.v1.coords),
-        "v2": list(family.v2.coords),
+        "v1": list(v1_vector(family.p).coords),
+        "v2": list(v2_vector(family.p).coords),
         "homs": {
             name: {
                 "target": s.target,

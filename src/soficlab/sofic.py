@@ -21,7 +21,7 @@ finite-index subgroup through a Schreier coset system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -42,6 +42,7 @@ from .f3vectors import (
     put_points,
     shift_overlap_counts,
     sp_mask,
+    sp_shift_diff_exact,
     take_points,
     vector_points,
     vectors_equal,
@@ -52,7 +53,6 @@ from .groups import (
     HomFamily,
     HomSpec,
     ResourceBudgetError,
-    build_hom_specs,
     hom_eval,
     lambda_gen_names,
     sigma_gen_names,
@@ -76,15 +76,38 @@ from .words import ProductWord, ReducedWord, evaluate
 DECODE_BLOCK = 1 << 14
 
 
-class GpPairDomain:
-    """G(p) as pairs (points, matrix index): a (..., 2) uint64 array of A(p)
-    vectors as bit-planes (see f3vectors) and an int64 array of PSL2
-    indices; the flat index of a pair is a_idx * |H| + h_idx."""
+def _built_on_first_call(make):
+    """make()'s batch map, built when it is first applied: exact models
+    never apply their images' inverses, so they never build them."""
+    build = cache(make)
+    return lambda pts: build()(pts)
+
+
+class GpContext:
+    """G(p) as the domain of the model's permutations, with builders for
+    the permutations its generators induce.
+
+    A batch of points is a pair (vectors, h_idx): a (..., 2) uint64 array
+    of A(p) vectors as bit-planes (see f3vectors) and an int64 array of
+    PSL2 indices whose leading shapes broadcast together; the flat index of
+    a pair is a_idx * |H| + h_idx.  Each builder makes one batch map:
+    fixed coordinate permutations run as byte tables, shifts as bit-plane
+    sums mod 3, and S(p) tests as popcounts.  Every builder returns the map
+    and its inverse as an ImplicitPerm on this domain; an exact model is
+    these maps enumerated once by perms.materialize.
+    """
 
     def __init__(self, p: int):
+        if 3**p > np.iinfo(np.int64).max:
+            raise ResourceBudgetError(
+                f"A({p}) has 3^{p} vectors, past the int64 index range"
+            )
         self.p = p
+        self.table = psl2_table(p)
         self.h_order = psl2_order(p)
         self.size = 3**p * self.h_order
+        # row i: the position permutation of the i-th matrix
+        self.positions = position_table(self.table)
 
     def sample(self, rng, n):
         a = rng.integers(0, 3**self.p, size=n, dtype=np.int64)
@@ -119,47 +142,14 @@ class GpPairDomain:
         return ImplicitPerm(self, lambda pts: pts, lambda pts: pts)
 
     def __eq__(self, other):
-        return isinstance(other, GpPairDomain) and self.p == other.p
+        return isinstance(other, GpContext) and self.p == other.p
 
     def __repr__(self):
-        return f"GpPairDomain(p={self.p})"
-
-
-def _built_on_first_call(make):
-    """make()'s batch map, built when it is first applied: exact models
-    never apply their images' inverses, so they never build them."""
-    build = cache(make)
-    return lambda pts: build()(pts)
-
-
-class GpContext:
-    """Builders for the permutations of G(p) that the model's generators
-    induce.
-
-    Each builder makes one batch map on points (vectors, h_idx): a (..., 2)
-    bit-plane array and matrix indices whose leading shapes broadcast
-    together.  Fixed coordinate permutations run as byte tables, shifts as
-    bit-plane sums mod 3, and S(p) tests as popcounts.  Every builder
-    returns the map and its inverse as an ImplicitPerm on GpPairDomain; an
-    exact model is these maps enumerated once by perms.materialize.
-    """
-
-    def __init__(self, p: int):
-        if 3**p > np.iinfo(np.int64).max:
-            raise ResourceBudgetError(
-                f"A({p}) has 3^{p} vectors, past the int64 index range"
-            )
-        # so p <= 39: the p+1 coordinates fit a 40-bit plane word
-        assert p + 1 <= 40
-        self.p = p
-        self.table = psl2_table(p)
-        self.domain = GpPairDomain(p)
-        # row i: the position permutation of the i-th matrix
-        self.positions = position_table(self.table)
+        return f"GpContext(p={self.p})"
 
     def left_mult(self, g: GpElement):
         """x -> g x."""
-        return ImplicitPerm(self.domain, self._left_fn(g),
+        return ImplicitPerm(self, self._left_fn(g),
                             _built_on_first_call(lambda: self._left_fn(g.inverse())))
 
     def _left_fn(self, g: GpElement):
@@ -175,7 +165,7 @@ class GpContext:
 
     def right_mult_inv(self, g: GpElement):
         """x -> x g^(-1)."""
-        return ImplicitPerm(self.domain, self._right_fn(g.inverse()),
+        return ImplicitPerm(self, self._right_fn(g.inverse()),
                             _built_on_first_call(lambda: self._right_fn(g)))
 
     def _right_fn(self, g: GpElement):
@@ -195,7 +185,7 @@ class GpContext:
         if (h0 * h0).is_identity():
             raise GenerationCheckError("the translating matrix part must not square to e")
         p = self.p
-        if shift_overlap_counts(p, a0)["both"]:
+        if shift_overlap_counts(a0)["both"]:
             raise GenerationCheckError("slab and shifted slab are not disjoint")
         g0 = GpElement(a0, h0)
         forward, back = self._left_fn(g0), self._left_fn(g0.inverse())
@@ -218,7 +208,7 @@ class GpContext:
             return (new_pts, new_h)
 
         # the slab map is an involution
-        return ImplicitPerm(self.domain, fn, fn)
+        return ImplicitPerm(self, fn, fn)
 
 
 # The benchmark's tracer wraps right_mult_inv through this name's class dict.
@@ -238,12 +228,17 @@ class AsymptoticHom:
     """
 
     domain: object
-    left_names: tuple
-    right_names: tuple
     images: dict
-    family: HomFamily = None
-    mode: str = "exact"
-    meta: dict = field(default_factory=dict)
+    family: HomFamily
+    mode: str
+
+    @property
+    def left_names(self):
+        return sigma_gen_names(self.family.m)
+
+    @property
+    def right_names(self):
+        return lambda_gen_names(self.family.k)
 
     def image(self, name: str):
         return self.images[name]
@@ -261,35 +256,26 @@ class AsymptoticHom:
         return acc if acc is not None else self.domain.identity_perm()
 
 
-def build_sigma(p, m, k, family: HomFamily = None, mode: str = None) -> AsymptoticHom:
-    """The G(p) model: left generators act by left multiplication, right
-    generators by inverse right multiplication, t by the slab involution
-    with a0 = (0,0,1,...,1) and h0 the image of [[1,1],[0,1]]."""
-    if mode is None:
-        mode = "exact" if 3**p * psl2_order(p) <= EXACT_DOMAIN_BUDGET else "implicit"
+def build_sigma(family: HomFamily) -> AsymptoticHom:
+    """The G(p) model of the family's level and ranks: left generators act
+    by left multiplication, right generators by inverse right
+    multiplication, t by the slab involution with a0 = (0,0,1,...,1) and
+    h0 the image of [[1,1],[0,1]].  The model is exact (enumerated) when
+    G(p) has at most EXACT_DOMAIN_BUDGET points and implicit otherwise."""
+    p = family.p
     ctx = GpContext(p)
-    if family is None:
-        family = build_hom_specs(p, m, k)
-    a0 = a_shift_vector(p)
-    h0 = PSL2Element(1, 1, 0, 1, p)
     images = {}
     phi, rho = family["phi"], family["rho"]
-    for name in sigma_gen_names(m)[:-1]:
+    for name in sigma_gen_names(family.m)[:-1]:
         images[name] = ctx.left_mult(phi.image(name))
-    images["t"] = ctx.t_perm(a0, h0)
-    for name in lambda_gen_names(k):
+    images["t"] = ctx.t_perm(a_shift_vector(p), PSL2Element(1, 1, 0, 1, p))
+    for name in lambda_gen_names(family.k):
         images[name] = ctx.right_mult_inv(rho.image(name))
+    mode = "exact" if ctx.size <= EXACT_DOMAIN_BUDGET else "implicit"
     if mode == "exact":
         images = {name: materialize(perm) for name, perm in images.items()}
-    return AsymptoticHom(
-        domain=images["t"].domain,
-        left_names=sigma_gen_names(m),
-        right_names=lambda_gen_names(k),
-        images=images,
-        family=family,
-        mode=mode,
-        meta={"a0": a0.coords, "h0": h0.entries(), "context": ctx},
-    )
+    return AsymptoticHom(domain=images["t"].domain, images=images, family=family,
+                         mode=mode)
 
 
 def build_tilde_sigma(sigma: AsymptoticHom) -> AsymptoticHom:
@@ -308,23 +294,17 @@ def build_tilde_sigma(sigma: AsymptoticHom) -> AsymptoticHom:
     for name in sigma.right_names:
         arr = kt.right_mul_perm(zeta.image(name).inverse())
         images[name] = ProductPerm(sigma.images[name], ExactPerm(arr))
-    domain = images["t"].domain
-    return AsymptoticHom(
-        domain=domain,
-        left_names=sigma.left_names,
-        right_names=sigma.right_names,
-        images=images,
-        family=family,
-        mode=sigma.mode,
-        meta=dict(sigma.meta),
-    )
+    return AsymptoticHom(domain=images["t"].domain, images=images, family=family,
+                         mode=sigma.mode)
 
 
 def hom_defect(sigma: AsymptoticHom, u: ProductWord, v: ProductWord,
-               mode="exact", samples=None, seed=None) -> DHEstimate:
-    """d_H(sigma(u) o sigma(v), sigma(uv))."""
+               samples=None, seed=None) -> DHEstimate:
+    """d_H(sigma(u) o sigma(v), sigma(uv)): exact, or estimated from the
+    given number of seeded samples."""
     lhs = sigma.eval(u, then=v)
     rhs = sigma.eval(u * v)
+    mode = "exact" if samples is None else "sampled"
     return d_hamming(lhs, rhs, mode=mode, samples=samples, seed=seed)
 
 
@@ -368,7 +348,7 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
     (2) fixed-point fraction of the t image;
     (3) search for a right word whose commutator with t has large defect,
         scoring words by the exact slab displacement 2|T \\ T r(h)| / |G|
-        (per slice |T \\ T(w,u)| = |H| * |S \\ (S+w)|, by shift_overlap_counts)
+        (per slice |T \\ T(w,u)| = |H| * |S \\ (S+w)|, by sp_shift_diff_exact)
         and checking the exact defect against that lower bound on a sample;
         the search covers at most WORD_SEARCH_CAP words;
     (4) the minimum over slice pairs of the displaced fraction of each
@@ -396,8 +376,7 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
     n_a = 3**p
 
     def lower_bound(word):
-        counts = shift_overlap_counts(p, hom_eval(rho, word).a)
-        return Fraction(counts["only_s"] + counts["only_shift"], n_a)
+        return Fraction(sp_shift_diff_exact(hom_eval(rho, word).a), n_a)
 
     t_word = ProductWord(ReducedWord.gen("t"))
 

@@ -41,7 +41,7 @@ from math import sqrt
 import numpy as np
 
 from .algebra import psl2_order, psl2_table
-from .f3vectors import projective_action, shift_overlap_counts
+from .f3vectors import projective_action, sp_shift_diff_exact
 from .groups import GpElement, ResourceBudgetError
 from .perms import EXACT_DOMAIN_BUDGET, ExactPerm
 from .smallgroups import inverse_index, left_regular_perms
@@ -432,18 +432,16 @@ def _solve_pair(op: PairOperator, seed: int) -> tuple:
 
 # -- boundary ratios --------------------------------------------------------
 
-def boundary_ratio_slab(p: int, elements: dict) -> dict:
+def boundary_ratio_slab(elements: dict) -> dict:
     """Same ratio for the slab T = S(p) x H(p) under right translation by
     G(p) elements, computed exactly at any p: each matrix slice
     contributes |S symdiff (S + w)| with w the vector part, so the ratio
     is that count over 3^p."""
     per = {}
-    n = 3**p
     for name, g in elements.items():
         if not isinstance(g, GpElement):
             raise TypeError("slab boundary ratios act by G(p) elements")
-        counts = shift_overlap_counts(p, g.a)
-        per[name] = Fraction(counts["only_s"] + counts["only_shift"], n)
+        per[name] = Fraction(sp_shift_diff_exact(g.a), 3**g.a.p)
     return {"per_generator": per, "max": max(per.values())}
 
 

@@ -67,10 +67,9 @@ M, K = 5, 3
 
 # -- suite: the four conditions at p = 7 ------------------------------------
 
-def suite_four_conditions(p=7, seed=7) -> RunReport:
-    rep = RunReport("verify four-conditions", {"p": p, "m": M, "k": K, "seed": seed})
-    family = build_hom_specs(p, M, K)
-    sigma = build_sigma(p, M, K, family=family)
+def suite_four_conditions(p=7) -> RunReport:
+    rep = RunReport("verify four-conditions", {"p": p, "m": M, "k": K})
+    sigma = build_sigma(build_hom_specs(p, M, K))
     # constructing the exact t image validates bijectivity; record it
     rep.add_check("t-image-bijection", True, True, True,
                   domain=sigma.domain.size)
@@ -111,7 +110,7 @@ def suite_soficity(p=7, seed=1) -> RunReport:
     n_pairs, n_right = 50, 20
     rep = RunReport("verify soficity", {"p": p, "m": M, "k": K, "seed": seed})
     family = build_hom_specs(p, M, K)
-    sigma = build_sigma(p, M, K, family=family)
+    sigma = build_sigma(family)
     if sigma.mode != "exact":
         raise ResourceBudgetError("the soficity suite needs the exact mode")
     tilde = build_tilde_sigma(sigma)
@@ -443,7 +442,7 @@ def measure_boundary(primes=DEFAULT_PRIMES) -> list:
         family = build_hom_specs(p, M, K)
         rho = family["rho"]
         ratios = boundary_ratio_slab(
-            p, {name: rho.image(name) for name in rho.gen_names}
+            {name: rho.image(name) for name in rho.gen_names}
         )["per_generator"]
         slab = sp_count_exact(p)
         for name in rho.gen_names:
@@ -470,12 +469,12 @@ def measure_defect(primes=DEFAULT_PRIMES, samples=50_000, seed=17) -> list:
     u = ProductWord(ReducedWord(), ReducedWord.gen(f"b{K}"))
     v = ProductWord(ReducedWord.gen("t"), ReducedWord())
     for p in primes:
-        sigma = build_sigma(p, M, K)
+        sigma = build_sigma(build_hom_specs(p, M, K))
         if sigma.mode == "exact":
             est = hom_defect(sigma, u, v)
             rows.append({"p": p, "mode": "exact", "value": est.value,
                          "radius": 0.0, "samples": None, "seed": None})
-        est = hom_defect(sigma, u, v, mode="sampled", samples=samples, seed=seed + p)
+        est = hom_defect(sigma, u, v, samples=samples, seed=seed + p)
         rows.append({"p": p, "mode": "sampled", "value": est.value,
                      "radius": est.radius, "samples": samples, "seed": seed + p})
     return rows

@@ -25,7 +25,7 @@ def family7():
 
 @pytest.fixture(scope="session")
 def sigma7(family7):
-    return build_sigma(7, 5, 3, family=family7)
+    return build_sigma(family7)
 
 
 @pytest.fixture(scope="session")

@@ -72,6 +72,7 @@ def test_build_rejects_bad_p(tmp_path, capsys):
     ["verify", "soficity", "--p", "9"],
     ["partition", "--p", "11"],
     ["measure", "boundary", "--primes", "7,25"],
+    ["verify", "soficity", "--p", "11"],
 ])
 def test_inadmissible_p_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -107,10 +108,24 @@ def test_other_value_errors_propagate(monkeypatch):
 
 
 def test_verify_covers(tmp_path):
+    # the covers suite takes no p, so --p is neither checked nor passed
     out = tmp_path / "covers"
-    assert main(["verify", "covers", "--seed", "42", "--out", str(out)]) == 0
+    assert main(["verify", "covers", "--seed", "42", "--p", "11",
+                 "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_verify_four_conditions_takes_no_seed(tmp_path, sigma7, monkeypatch):
+    # --seed reaches only the suites that take one; the four-conditions
+    # suite takes none, so its report does not record it
+    import soficlab.suites
+
+    monkeypatch.setattr(soficlab.suites, "build_sigma", lambda family: sigma7)
+    out = tmp_path / "d"
+    assert main(["verify", "four-conditions", "--seed", "5", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["parameters"] == {"k": 3, "m": 5, "p": 7}
 
 
 def test_verify_induction():

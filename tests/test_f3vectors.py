@@ -182,23 +182,21 @@ def test_count_matches_monte_carlo_p13():
 
 
 def test_shift_diff_zero_shift():
-    assert sp_shift_diff_exact(7, ApVector.zero(7)) == 0
+    assert sp_shift_diff_exact(ApVector.zero(7)) == 0
 
 
 def test_shift_diff_matches_exhaustive_p7():
+    # the slab shift a(p) has support p - 1; S and S + a(p) are disjoint,
+    # so their symmetric difference is 2|S(7)| = 408
     mask = brute_force_sp_indices(7)
-    shifted = np.zeros(3**7, dtype=bool)
-    shifted[shifted_index_map(coords_matrix(7), v_vector(7))[mask]] = True
-    assert sp_shift_diff_exact(7, v_vector(7)) == int((mask ^ shifted).sum()) == 240
-
-
-def test_shift_diff_support_limit():
-    with pytest.raises(ValueError):
-        sp_shift_diff_exact(7, a_shift_vector(7))
+    for w, diff in ((v_vector(7), 240), (a_shift_vector(7), 408)):
+        shifted = np.zeros(3**7, dtype=bool)
+        shifted[shifted_index_map(coords_matrix(7), w)[mask]] = True
+        assert sp_shift_diff_exact(w) == int((mask ^ shifted).sum()) == diff
 
 
 def test_shift_ratio_decays_with_fitted_constant():
-    ratios = [Fraction(sp_shift_diff_exact(p, v_vector(p)), 3**p) for p in PRIMES]
+    ratios = [Fraction(sp_shift_diff_exact(v_vector(p)), 3**p) for p in PRIMES]
     c = max(float(r) * sqrt(p) for r, p in zip(ratios, PRIMES))
     for r, p in zip(ratios, PRIMES):
         assert float(r) <= c / sqrt(p) + 1e-15
@@ -218,7 +216,7 @@ def test_disjointness_conditioned_count_p13():
 
 
 def test_zero_shift_overlaps_everything():
-    counts = shift_overlap_counts(7, ApVector.zero(7))
+    counts = shift_overlap_counts(ApVector.zero(7))
     assert counts["both"] == counts["s"] == 204
     assert counts["only_s"] == counts["only_shift"] == 0
 
@@ -350,7 +348,6 @@ def test_vector_arithmetic_matches_coordinate_tuples(p, data):
     assert (-x).coords == tuple((-u) % 3 for u in a)
     assert (x - y).coords == tuple((u - v) % 3 for u, v in zip(a, b))
     assert x.type_count() == TypeCount(a.count(0), a.count(1), a.count(2))
-    assert x.support() == tuple(i for i, u in enumerate(a) if u)
     assert x.is_zero() == (not any(a))
     # [[a, b], [c, d]] with a != 0, times [[0, -1], [1, 0]] or not: any element
     a0, b0, c0 = (data.draw(st.integers(lo, p - 1)) for lo in (1, 0, 0))

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from soficlab.algebra import PSL2Element
 from soficlab.f3vectors import a_shift_vector, decode_indices
+from soficlab import sofic
 from soficlab.groups import GpElement
-from soficlab.sofic import build_sigma
 
 from conftest import GpIndexer, sp_membership
 
@@ -24,9 +24,12 @@ INDEXER = GpIndexer(7)
 
 
 @pytest.fixture(scope="module")
-def models(family7):
-    return {mode: build_sigma(7, 5, 3, family=family7, mode=mode)
-            for mode in ("exact", "implicit")}
+def models(sigma7, family7):
+    # with no exact budget, build_sigma builds the implicit model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sofic, "EXACT_DOMAIN_BUDGET", 0)
+        implicit = sofic.build_sigma(family7)
+    return {"exact": sigma7, "implicit": implicit}
 
 
 def expected_image(family, name, x: GpElement) -> GpElement:

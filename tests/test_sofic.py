@@ -14,13 +14,12 @@ from soficlab.f3vectors import (
     sp_mask,
     v_vector,
 )
-from soficlab.groups import GenerationCheckError, GpElement, hom_eval
+from soficlab import sofic
+from soficlab.groups import GenerationCheckError, GpElement, build_hom_specs, hom_eval
 from soficlab.perms import SAMPLE_BLOCK, d_hamming, materialize
 from soficlab.sofic import (
     WORD_SEARCH_CAP,
-    ExactGpContext,
     GpContext,
-    GpPairDomain,
     build_sigma,
     hom_defect,
     four_condition_report,
@@ -112,9 +111,9 @@ def slab_right_translate_count(ctx: GpContext, g: GpElement) -> int:
     return int(np.count_nonzero(mask_t & ~mask_tg))
 
 
-def test_slice_identity_against_brute_force(sigma7, family7):
+def test_slice_identity_against_brute_force(family7):
     # |T \ T(w,u)| = |H| * |S \ (S + w)|: brute force over the whole domain
-    ctx: ExactGpContext = sigma7.meta["context"]
+    ctx = GpContext(7)
     rho = family7["rho"]
     rng = random.Random(2)
     for _ in range(5):
@@ -159,7 +158,7 @@ def test_word_search_reports_its_cap(sigma7, family7, monkeypatch):
     monkeypatch.setattr(suites, "build_hom_specs", lambda *args: family7)
     monkeypatch.setattr(suites, "build_sigma", lambda *args, **kwargs: sigma7)
     monkeypatch.setattr(suites, "four_condition_report", lambda *args, **kwargs: rep)
-    check = next(c for c in suites.suite_four_conditions(p=7, seed=7).checks
+    check = next(c for c in suites.suite_four_conditions(p=7).checks
                  if c["name"] == "commutator-witness-found")
     assert (check["word_cap"], check["cap_reached"]) == (20_000, False)
 
@@ -178,7 +177,7 @@ def test_sampled_defect_agrees_with_exact(sigma7):
     u = pw(right=ReducedWord.gen("b3"))
     v = pw(ReducedWord.gen("t"))
     exact = hom_defect(sigma7, u, v).value
-    est = hom_defect(sigma7, u, v, mode="sampled", samples=40_000, seed=4)
+    est = hom_defect(sigma7, u, v, samples=40_000, seed=4)
     assert abs(est.value - float(exact)) <= est.radius
 
 
@@ -225,11 +224,13 @@ def test_tilde_matches_sigma_defect(tilde7, sigma7):
     assert hom_defect(tilde7, u, v).value == hom_defect(sigma7, u, v).value
 
 
-def test_implicit_mode_agrees_with_exact_at_p7():
+def test_implicit_mode_agrees_with_exact_at_p7(sigma7, family7, monkeypatch):
     # the implicit construction is exercised at p = 7 where the exact one
-    # can arbitrate
-    exact = build_sigma(7, 5, 3, mode="exact")
-    implicit = build_sigma(7, 5, 3, mode="implicit")
+    # can arbitrate; with no exact budget, build_sigma builds it
+    exact = sigma7
+    monkeypatch.setattr(sofic, "EXACT_DOMAIN_BUDGET", 0)
+    implicit = build_sigma(family7)
+    assert (exact.mode, implicit.mode) == ("exact", "implicit")
     rng = np.random.default_rng(7)
     pts = implicit.domain.sample(rng, 2000)
     flat = implicit.domain.index(pts)
@@ -246,7 +247,7 @@ def test_implicit_mode_agrees_with_exact_at_p7():
 
 
 def test_implicit_mode_selected_beyond_budget():
-    sigma13 = build_sigma(13, 5, 3)
+    sigma13 = build_sigma(build_hom_specs(13, 5, 3))
     assert sigma13.mode == "implicit"
     rng = np.random.default_rng(8)
     perm = sigma13.eval(pw(ReducedWord.gen("t"), ReducedWord.gen("b3")))
@@ -257,7 +258,7 @@ def test_implicit_mode_selected_beyond_budget():
 
 def test_exact_mode_refused_beyond_budget():
     with pytest.raises(ValueError):
-        build_sigma(13, 5, 3, mode="exact")
+        materialize(build_sigma(build_hom_specs(13, 5, 3)).images["t"])
 
 
 def test_implicit_slab_overlap_refused():
@@ -269,7 +270,7 @@ def test_implicit_slab_overlap_refused():
 
 @pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 7])
 def test_sampled_blocks_count_like_one_pass(samples):
-    sigma13 = build_sigma(13, 5, 3)
+    sigma13 = build_sigma(build_hom_specs(13, 5, 3))
     t, b3 = sigma13.images["t"], sigma13.images["b3"]
     lhs, rhs = b3.compose(t), t.compose(b3)
     pts = sigma13.domain.sample(np.random.default_rng(5), samples)
@@ -279,7 +280,7 @@ def test_sampled_blocks_count_like_one_pass(samples):
 
 
 def test_every_generator_inverts_at_p37():
-    sigma37 = build_sigma(37, 5, 3)
+    sigma37 = build_sigma(build_hom_specs(37, 5, 3))
     assert sigma37.mode == "implicit"
     domain = sigma37.domain
     pts = domain.sample(np.random.default_rng(37), 2000)
@@ -297,6 +298,6 @@ def test_pair_points_equal_compares_both_planes():
     points = decode_indices(np.array([ap_index(a), ap_index(b)]), 13)
     h = np.zeros(2, dtype=np.int64)
     assert points[0, 0] == points[1, 0]
-    domain = GpPairDomain(13)
+    domain = GpContext(13)
     assert domain.points_equal((points[:1], h[:1]), (points[1:], h[1:])).tolist() == [False]
     assert domain.points_equal((points, h), (points, h)).tolist() == [True, True]

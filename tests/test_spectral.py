@@ -308,35 +308,35 @@ def test_boundary_symdiff_equals_complement_symdiff():
 
 def test_slab_boundary_undecorated_is_zero(family7):
     rho = family7["rho"]
-    out = boundary_ratio_slab(7, {"b1": rho.image("b1"), "b2": rho.image("b2")})
+    out = boundary_ratio_slab({"b1": rho.image("b1"), "b2": rho.image("b2")})
     assert out["max"] == 0
 
 
 def test_slab_boundary_decorated_matches_shift_count(family7):
     rho = family7["rho"]
-    out = boundary_ratio_slab(7, {"b3": rho.image("b3")})
-    assert out["max"] == Fraction(sp_shift_diff_exact(7, v_vector(7)), 3**7)
+    out = boundary_ratio_slab({"b3": rho.image("b3")})
+    assert out["max"] == Fraction(sp_shift_diff_exact(v_vector(7)), 3**7)
 
 
-def test_slab_boundary_matches_brute_force(sigma7, family7):
+def test_slab_boundary_matches_brute_force(family7):
     # |Tg symdiff T| / |G| against a full-domain count at p = 7
     from soficlab.perms import materialize
-    from soficlab.sofic import ExactGpContext
+    from soficlab.sofic import GpContext
 
-    ctx: ExactGpContext = sigma7.meta["context"]
+    ctx = GpContext(7)
     g = family7["rho"].image("b3")
     mask_t = slab_mask(7)
     right = materialize(ctx.right_mult_inv(g))
     mask_tg = mask_t[right.images]
     brute = Fraction(int(np.count_nonzero(mask_t ^ mask_tg)), len(mask_t))
-    assert boundary_ratio_slab(7, {"b3": g})["max"] == brute
+    assert boundary_ratio_slab({"b3": g})["max"] == brute
 
 
 def test_witness_ratio_bounded_by_density(family7):
     # |Tg symdiff T|/|T| <= 243 * (|S symdiff (S+v)| / 3^p) since the slab
     # fills at least 1/243 of the domain
     for p in (7, 13):
-        diff = sp_shift_diff_exact(p, v_vector(p))
+        diff = sp_shift_diff_exact(v_vector(p))
         witness_ratio = Fraction(diff, sp_count_exact(p))
         assert witness_ratio <= 243 * Fraction(diff, 3**p)
 

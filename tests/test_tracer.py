@@ -54,3 +54,19 @@ def test_tracer_wraps_resolve_and_uninstall_restores():
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert changed == []
+
+
+def test_traced_defect_table_names_its_modes():
+    # the tracer names d_hamming calls by their mode keyword and
+    # build_sigma calls by the mode of the model built
+    from soficlab import suites
+
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        suites.measure_defect((7,), samples=2000, seed=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.bucket["perms.d_hamming.sampled.samples"] == 2000
+    assert tracer.bucket["perms.d_hamming.exact.points"] == 367_416
+    assert "sofic.build_sigma.exact.s" in tracer.bucket
