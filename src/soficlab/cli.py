@@ -35,7 +35,7 @@ from .suites import (
     measure_spectra,
 )
 from .partitions import CANDIDATE_KEY_DIMS, CylinderPartition, classify_candidates
-from .algebra import psl2_order
+from .algebra import next_prime, psl2_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -168,8 +168,7 @@ def cmd_partition(args) -> int:
         return EXIT_USAGE
     report = RunReport("partition", {"p": args.p, "plant": args.plant,
                                      "seed": args.seed})
-    family = build_hom_specs(args.p, M, K)
-    sizes = (3**args.p, psl2_order(args.p), psl2_order(family.r_p))
+    sizes = (3**args.p, psl2_order(args.p), psl2_order(next_prime(args.p)))
     for plant in plants:
         ranked = classify_candidates(
             CylinderPartition(sizes, CANDIDATE_KEY_DIMS[plant])

@@ -300,6 +300,29 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def commutator_defects(t: ExactPerm):
+    """The function r_at -> d_H(t o r, r o t) for permutations r of t's
+    domain, given as r's map on index arrays, which it runs on supp(t)
+    and t(supp(t)) only.
+
+    Off supp(t) and r^-1(supp(t)) both sides send x to r(x); every point
+    of r^-1(supp(t)) \\ supp(t) disagrees, and there are as many of them
+    as points x of supp(t) with r(x) outside supp(t), that is with
+    t(r(x)) = r(x).
+    """
+    support = np.flatnonzero(t.images != np.arange(t.size))
+    t_support = t.images[support]
+
+    def defect(r_at) -> Fraction:
+        r_x = r_at(support)
+        t_r_x = t.images[r_x]
+        differ = np.count_nonzero(t_r_x != r_at(t_support))
+        leave = np.count_nonzero(t_r_x == r_x)
+        return Fraction(int(differ + leave), t.size)
+
+    return defect
+
+
 # -- binary exchange format ----------------------------------------------
 
 PERM_MAGIC = b"SPRM"

@@ -65,6 +65,7 @@ from .perms import (
     FlatDomain,
     ImplicitPerm,
     ProductPerm,
+    commutator_defects,
     d_hamming,
     materialize,
 )
@@ -240,9 +241,6 @@ class AsymptoticHom:
     def right_names(self):
         return lambda_gen_names(self.family.k)
 
-    def image(self, name: str):
-        return self.images[name]
-
     def eval(self, pw: ProductWord, then: ProductWord = None):
         """sigma(pw), or sigma(pw) o sigma(then), as one chain of letter
         images from left to right, so that every composition gathers
@@ -254,6 +252,15 @@ class AsymptoticHom:
             acc = evaluate(pair.right, right.__getitem__,
                            evaluate(pair.left, left.__getitem__, acc))
         return acc if acc is not None else self.domain.identity_perm()
+
+    def apply(self, pw: ProductWord, points):
+        """sigma(pw) at a batch of points: the letter images act from the
+        right end of the pair (right word first), apply for positive letters
+        and apply_inverse for negative ones, so no word image is built."""
+        for g, s in reversed(pw.left.letters + pw.right.letters):
+            image = self.images[g]
+            points = image.apply(points) if s == 1 else image.apply_inverse(points)
+        return points
 
 
 def build_sigma(family: HomFamily) -> AsymptoticHom:
@@ -350,7 +357,12 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
         scoring words by the exact slab displacement 2|T \\ T r(h)| / |G|
         (per slice |T \\ T(w,u)| = |H| * |S \\ (S+w)|, by sp_shift_diff_exact)
         and checking the exact defect against that lower bound on a sample;
-        the search covers at most WORD_SEARCH_CAP words;
+        the search covers at most WORD_SEARCH_CAP words.  The exact defect
+        is read on supp(t) alone (perms.commutator_defects): t o r and
+        r o t agree off supp(t) and r^-1(supp(t)), so
+        d_H = (#{x in supp(t) : t(r(x)) != r(t(x))}
+               + |supp(t)| - #{x in supp(t) : r(x) in supp(t)}) / |G|,
+        with r applied letter by letter to supp(t) and t(supp(t));
     (4) the minimum over slice pairs of the displaced fraction of each
         A(p)-slice under the t image.
     """
@@ -378,11 +390,11 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
     def lower_bound(word):
         return Fraction(sp_shift_diff_exact(hom_eval(rho, word).a), n_a)
 
-    t_word = ProductWord(ReducedWord.gen("t"))
+    defect_against_t = commutator_defects(t_image)
 
     def exact_commutator_defect(word):
         w = ProductWord(right=word)
-        return d_hamming(sigma.eval(t_word, then=w), sigma.eval(w, then=t_word)).value
+        return defect_against_t(lambda pts: sigma.apply(w, pts))
 
     best = (Fraction(0), None)
     tested = []

@@ -259,13 +259,26 @@ def test_partition_command(tmp_path):
     assert report["checks"][0]["pass"]
 
 
+def test_partition_needs_no_homomorphism_family(monkeypatch):
+    # K's modulus is next_prime(p); past p = 151 the family's closures
+    # would exceed their budget, but the partition is closed-form
+    import soficlab.cli
+
+    def refuse(*args):
+        raise AssertionError("partition built the homomorphism family")
+
+    monkeypatch.setattr(soficlab.cli, "build_hom_specs", refuse)
+    for p in ("7", "157"):
+        assert main(["partition", "--p", p]) == 0
+
+
 def test_partition_rejects_unknown_candidate(capsys, monkeypatch):
     import soficlab.cli
 
     def refuse(*args):
-        raise AssertionError("build_hom_specs ran before --plant was checked")
+        raise AssertionError("partition sizes were computed before --plant was checked")
 
-    monkeypatch.setattr(soficlab.cli, "build_hom_specs", refuse)
+    monkeypatch.setattr(soficlab.cli, "psl2_order", refuse)
     for p in ("7", "37"):
         assert main(["partition", "--p", p, "--plant", "nonsense"]) == 2
     assert "unknown candidate 'nonsense'" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from soficlab.perms import (
@@ -12,6 +12,7 @@ from soficlab.perms import (
     FlatDomain,
     ImplicitPerm,
     ProductPerm,
+    commutator_defects,
     d_hamming,
     hoeffding_radius,
     read_perm,
@@ -155,6 +156,23 @@ def test_perm_file_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 12)
     with pytest.raises(ValueError):
         read_perm(path)
+
+
+# -- commutator defects on the support of t ----------------------------------
+
+_two_perms = st.integers(1, 200).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(perms=_two_perms)
+@example(perms=([0, 1, 2, 3, 4], [3, 0, 4, 1, 2]))   # t = identity
+@example(perms=([3, 0, 4, 1, 2], [0, 1, 2, 3, 4]))   # r = identity
+@example(perms=([1, 2, 3, 4, 0], [0, 2, 1, 4, 3]))   # t moves every point
+@example(perms=([1, 0, 3, 2], [1, 0, 3, 2]))         # r = t
+def test_support_commutator_defect_matches_dense(perms):
+    t, r = (ExactPerm(np.array(x, dtype=np.int64)) for x in perms)
+    assert commutator_defects(t)(r.apply) == d_hamming(t * r, r * t).value
 
 
 # -- binary files as properties ----------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from soficlab.f3vectors import (
 )
 from soficlab import sofic
 from soficlab.groups import GenerationCheckError, GpElement, build_hom_specs, hom_eval
-from soficlab.perms import SAMPLE_BLOCK, d_hamming, materialize
+from soficlab.perms import SAMPLE_BLOCK, ExactPerm, commutator_defects, d_hamming, materialize
 from soficlab.sofic import (
     WORD_SEARCH_CAP,
     GpContext,
@@ -24,6 +25,7 @@ from soficlab.sofic import (
     hom_defect,
     four_condition_report,
 )
+from soficlab.suites import _random_nontrivial_word, suite_soficity
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
 
 from conftest import GpIndexer, ap_index, coords_matrix, shifted_index_map, slab_mask
@@ -161,6 +163,81 @@ def test_word_search_reports_its_cap(sigma7, family7, monkeypatch):
     check = next(c for c in suites.suite_four_conditions(p=7).checks
                  if c["name"] == "commutator-witness-found")
     assert (check["word_cap"], check["cap_reached"]) == (20_000, False)
+
+
+def test_apply_matches_eval(sigma7):
+    rng = random.Random(8)
+    np_rng = np.random.default_rng(8)
+    for _ in range(10):
+        w = pw(random_reduced_word(rng, GAMMA + ("t",), rng.randint(0, 4)),
+               random_reduced_word(rng, LAMBDA, rng.randint(0, 4)))
+        pts = np_rng.integers(0, sigma7.domain.size, size=500)
+        assert np.array_equal(sigma7.apply(w, pts), sigma7.eval(w).apply(pts))
+
+
+def test_support_commutator_defect_matches_dense_model(sigma7):
+    # condition 3's defect, read on supp(t), against both sides of the
+    # commutator evaluated in full
+    defect = commutator_defects(sigma7.images["t"])
+    t_word = pw(ReducedWord.gen("t"))
+    for word in itertools.islice(sofic._lambda_words_bfs(3, 8), 200):
+        w = pw(right=word)
+        dense = d_hamming(sigma7.eval(t_word, then=w), sigma7.eval(w, then=t_word))
+        assert defect(lambda pts: sigma7.apply(w, pts)) == dense.value
+
+
+def test_four_condition_report_composes_only_condition_1(sigma7, monkeypatch):
+    # condition 1 composes each of its 12 generator pairs both ways;
+    # condition 3 builds no word permutation
+    calls = []
+    compose = ExactPerm.compose
+    monkeypatch.setattr(ExactPerm, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    four_condition_report(sigma7)
+    assert len(calls) == 24
+
+
+def full_soficity_values(tilde, family, seed):
+    """The worst fixed fraction and the displacement verdict of
+    suite_soficity's sampled words, with every product evaluated in full,
+    and the number of words whose K factor fixes a point."""
+    rng = random.Random(seed)
+    psi, rho = family["psi"], family["rho"]
+    left, right = list(tilde.left_names), list(tilde.right_names)
+    worst = Fraction(0)
+    k_fixing = 0
+    for _ in range(50):
+        g = _random_nontrivial_word(rng, left, 6,
+                                    reject=lambda w: hom_eval(psi, w).is_identity())
+        h = random_reduced_word(rng, right, rng.randint(0, 4))
+        product = tilde.eval(pw(g, h))
+        worst = max(worst, product.fixed_fraction())
+        k_fixing += product.factors[1].fixed_count() > 0
+    displaced = True
+    for _ in range(20):
+        h = _random_nontrivial_word(rng, right, 5,
+                                    reject=lambda w: hom_eval(rho, w).is_identity())
+        product = tilde.eval(pw(right=h))
+        d = d_hamming(product, tilde.domain.identity_perm())
+        displaced = displaced and d.value == 1
+        k_fixing += product.factors[1].fixed_count() > 0
+    return worst, displaced, k_fixing
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_soficity_k_factor_shortcut_matches_full_products(sigma7, tilde7, family7,
+                                                         seed, monkeypatch):
+    import soficlab.suites as suites
+
+    monkeypatch.setattr(suites, "build_hom_specs", lambda *args: family7)
+    monkeypatch.setattr(suites, "build_sigma", lambda family: sigma7)
+    monkeypatch.setattr(suites, "build_tilde_sigma", lambda sigma: tilde7)
+    checks = {c["name"]: c for c in suite_soficity(7, seed).checks}
+    worst, displaced, k_fixing = full_soficity_values(tilde7, family7, seed)
+    # the shortcut is not taken everywhere: some words reach the G(p) factor
+    assert k_fixing > 0
+    assert Fraction(checks["fixed-fraction-nontrivial-left"]["value"]) == worst
+    assert checks["right-translation-displacement"]["pass"] is displaced
 
 
 def test_slab_involution_hypotheses_are_checks():
