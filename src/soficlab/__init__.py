@@ -41,7 +41,7 @@ from .groups import (
     hom_eval,
     verify_surjectivity,
 )
-from .perms import DHEstimate, ExactPerm, ImplicitPerm, ProductPerm, d_hamming
+from .perms import DHEstimate, ExactPerm, ImplicitPerm, d_hamming
 from .sofic import (
     AsymptoticHom,
     BranchedCover,

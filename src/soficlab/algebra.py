@@ -249,28 +249,11 @@ def centralizer_fraction(g: PSL2Element) -> Fraction:
 
 
 def centralizer_fraction_max(q: int) -> Fraction:
-    """max over g != e of |C(g)| / |PSL2(F_q)|, vectorized over the group."""
-    table = psl2_table(q)
-    n = len(table)
-    ent = table.entries
-    identity = table.index(PSL2Element.identity(q))
-    best = Fraction(0)
-    for i, g in enumerate(ent.T.tolist()):
-        if i == identity:
-            continue
-        # g*h and h*g entrywise over all h at once
-        p1 = np.stack(_entry_mul(g, ent)) % q
-        p2 = np.stack(_entry_mul(ent, g)) % q
-        count = int(np.count_nonzero(_canon_equal(p1, p2, q)))
-        frac = Fraction(count, n)
-        if frac > best:
-            best = frac
-    return best
+    """max over g != e of |C(g)| / |PSL2(F_q)|, in closed form.
 
-
-def _canon_equal(p1: np.ndarray, p2: np.ndarray, q: int) -> np.ndarray:
-    """Columnwise: do the 4-entry columns of p1 and p2 represent the same
-    PSL2 class (equal or negatives of each other mod q)?"""
-    eq = np.all(p1 == p2, axis=0)
-    neg = np.all(p1 == (q - p2) % q, axis=0)
-    return eq | neg
+    By Dickson's classification of the subgroups of PSL2(F_q), the largest
+    centralizer of a nonidentity element is the dihedral centralizer of an
+    involution, of order q + 1 when q = 3 mod 4, or the unipotent one, of
+    order q, otherwise.
+    """
+    return Fraction(q + 1 if q % 4 == 3 else q, psl2_order(q))

@@ -65,8 +65,6 @@ def cmd_build(args) -> int:
     # build the whole model first: a refused build leaves no directory
     family = build_hom_specs(args.p, M, K)
     sigma = build_sigma(family)
-    if sigma.mode == "exact":
-        tilde = build_tilde_sigma(sigma)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.parameters["r_p"] = family.r_p
@@ -86,9 +84,9 @@ def cmd_build(args) -> int:
                 "seed": args.seed,
             })
             report.add_artifact(path.name, path)
-        for name, perm in tilde.images.items():
+        for name, perm in build_tilde_sigma(family).images.items():
             path = out_dir / f"tilde_{name}_second_factor.sprm"
-            write_perm(path, perm.factors[1], sidecar={
+            write_perm(path, perm, sidecar={
                 "p": args.p, "r_p": family.r_p, "generator": name,
                 "construction": "second-factor", "seed": args.seed,
             })
@@ -166,8 +164,7 @@ def cmd_partition(args) -> int:
         print(f"unknown candidate {args.plant!r}; choices: "
               f"{', '.join(CANDIDATE_KEY_DIMS)}", file=sys.stderr)
         return EXIT_USAGE
-    report = RunReport("partition", {"p": args.p, "plant": args.plant,
-                                     "seed": args.seed})
+    report = RunReport("partition", {"p": args.p, "plant": args.plant})
     sizes = (3**args.p, psl2_order(args.p), psl2_order(next_prime(args.p)))
     for plant in plants:
         ranked = classify_candidates(
@@ -235,7 +232,6 @@ def make_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("partition", help="classify planted fiber partitions")
     pt.add_argument("--p", type=int, default=7)
     pt.add_argument("--plant", default="all")
-    pt.add_argument("--seed", type=_nonnegative_int, default=3)
     pt.add_argument("--out", default=None)
     pt.set_defaults(fn=cmd_partition)
     return ap

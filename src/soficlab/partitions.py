@@ -196,52 +196,14 @@ def cylinder_coset_fit(partition: CylinderPartition, candidate: str) -> CosetHyp
     return CosetHypothesis(candidate, order, assignment, residual, coverage)
 
 
-def classify_candidates(partition, sizes=None):
+def classify_candidates(partition: CylinderPartition):
     """Rank the six candidate normal subgroups of the product by their
-    coset-fit residual against the given partition.
-
-    Cylinder partitions are classified exactly in closed form; explicit
-    partitions need the factor sizes to build each candidate's coset ids.
-    Returns a residual-sorted list of CosetHypothesis.
+    coset-fit residual against the given cylinder partition, exactly and in
+    closed form.  Returns a residual-sorted list of CosetHypothesis.
     """
-    results = []
-    if isinstance(partition, CylinderPartition):
-        for name in CANDIDATE_KEY_DIMS:
-            results.append(cylinder_coset_fit(partition, name))
-    else:
-        if sizes is None:
-            raise ValueError("explicit classification needs the factor sizes")
-        for name in CANDIDATE_KEY_DIMS:
-            ids = candidate_coset_ids(name, sizes)
-            results.append(
-                coset_fit(partition, ids, subgroup=name,
-                          subgroup_order=candidate_subgroup_order(name, sizes))
-            )
+    results = [cylinder_coset_fit(partition, name) for name in CANDIDATE_KEY_DIMS]
     results.sort(key=lambda h: (h.residual, h.subgroup))
     return results
-
-
-def product_point_factors(sizes):
-    """(a, h, y) index arrays for the flat product domain."""
-    na, nh, ny = sizes
-    idx = np.arange(na * nh * ny, dtype=np.int64)
-    y = idx % ny
-    gh = idx // ny
-    return gh // nh, gh % nh, y
-
-
-def coset_ids_by_dims(dims, sizes) -> np.ndarray:
-    a, h, y = product_point_factors(sizes)
-    parts = {"a": a, "h": h, "y": y}
-    ids = np.zeros(len(a), dtype=np.int64)
-    for d in FACTOR_ORDER:
-        if d in dims:
-            ids = ids * sizes[FACTOR_ORDER.index(d)] + parts[d]
-    return ids
-
-
-def candidate_coset_ids(name: str, sizes) -> np.ndarray:
-    return coset_ids_by_dims(CANDIDATE_KEY_DIMS[name], sizes)
 
 
 # -- planted partitions and noise -------------------------------------------

@@ -4,9 +4,6 @@ Exact permutations are dense int64 image arrays, validated once as
 bijections.  Implicit permutations are pairs of vectorized callables on
 point batches; they exist because the domains here grow like 3^p * |H|
 and stop being materializable long before they stop being samplable.
-A product permutation acts on a two-factor domain coordinatewise, which
-keeps composition and fixed-point counting exact even when the full
-product domain has hundreds of millions of points.
 
 The normalized Hamming distance between two permutations is the fraction
 of points where they disagree: exact as a Fraction where the operands
@@ -59,34 +56,6 @@ class FlatDomain:
 
     def __repr__(self):
         return f"FlatDomain({self.size})"
-
-
-class TupleDomain:
-    """Product of factor domains; point batches are tuples of batches."""
-
-    def __init__(self, *factors):
-        self.factors = factors
-        self.size = 1
-        for f in factors:
-            self.size *= f.size
-
-    def sample(self, rng, n):
-        return tuple(f.sample(rng, n) for f in self.factors)
-
-    def points_equal(self, x, y):
-        out = self.factors[0].points_equal(x[0], y[0])
-        for f, a, b in zip(self.factors[1:], x[1:], y[1:]):
-            out = out & f.points_equal(a, b)
-        return out
-
-    def identity_perm(self):
-        return ProductPerm(*(f.identity_perm() for f in self.factors))
-
-    def __eq__(self, other):
-        return isinstance(other, TupleDomain) and self.factors == other.factors
-
-    def __repr__(self):
-        return f"TupleDomain{self.factors!r}"
 
 
 class ExactPerm:
@@ -176,46 +145,6 @@ class ImplicitPerm:
         return self.compose(other)
 
 
-class ProductPerm:
-    """A coordinatewise permutation of a product domain."""
-
-    def __init__(self, *factors):
-        self.factors = factors
-        self.domain = TupleDomain(*(f.domain for f in factors))
-
-    @property
-    def size(self):
-        return self.domain.size
-
-    def apply(self, points):
-        return tuple(f.apply(p) for f, p in zip(self.factors, points))
-
-    def apply_inverse(self, points):
-        return tuple(f.apply_inverse(p) for f, p in zip(self.factors, points))
-
-    def inverse(self) -> "ProductPerm":
-        return ProductPerm(*(f.inverse() for f in self.factors))
-
-    def compose(self, other) -> "ProductPerm":
-        if isinstance(other, ProductPerm) and len(other.factors) == len(self.factors):
-            return ProductPerm(
-                *(f.compose(g) for f, g in zip(self.factors, other.factors))
-            )
-        raise TypeError("can only compose product permutations factorwise")
-
-    def __mul__(self, other):
-        return self.compose(other)
-
-    def fixed_fraction(self) -> Fraction:
-        out = Fraction(1)
-        for f in self.factors:
-            out *= f.fixed_fraction()
-        return out
-
-    def is_identity(self) -> bool:
-        return all(f.is_identity() for f in self.factors)
-
-
 @dataclass(frozen=True)
 class DHEstimate:
     """A Hamming-distance measurement: exact (radius 0) or sampled with a
@@ -272,11 +201,6 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     if sigma.domain != tau.domain:
         raise ValueError("domain mismatch")
     if mode == "exact":
-        if isinstance(sigma, ProductPerm) and isinstance(tau, ProductPerm):
-            agree = Fraction(1)
-            for f, g in zip(sigma.factors, tau.factors):
-                agree *= 1 - d_hamming(f, g, mode="exact").value
-            return DHEstimate(1 - agree, 0.0, 1.0, "exact")
         s, t = materialize(sigma), materialize(tau)
         diff = int(np.count_nonzero(s.images != t.images))
         return DHEstimate(Fraction(diff, s.size), 0.0, 1.0, "exact")

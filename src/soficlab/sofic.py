@@ -9,10 +9,14 @@ letter t acts by the three-piece involution: translate the skew slab
 T = S(p) x H(p) forward by a fixed element (a0, h0), translate the
 disjoint shifted slab back, fix everything else.
 
-The product-domain variant decorates every generator with an exact
-projective permutation on a second factor K; that factor is a genuine
-homomorphism in both coordinates, so it contributes zero defect while
-making nontrivial elements move almost every point.
+The product model on G(p) x K decorates every generator with an exact
+permutation of a second factor K = PSL2(F_r).  It acts coordinatewise, so
+it is the pair of its two factor models, and it is built and read that
+way: the K model (build_tilde_sigma) is a genuine homomorphism in both
+coordinates, and a value of the product is the product of the factors'
+values (a fixed fraction f_G * f_K, a distance 1 - (1 - d_G)(1 - d_K)).
+So K contributes zero defect while making nontrivial elements move
+almost every point.
 
 Also here: branched covers between permutation models (lifting along a
 fiber map, extracting fiber cocycles) and induction of a model from a
@@ -64,7 +68,6 @@ from .perms import (
     ExactPerm,
     FlatDomain,
     ImplicitPerm,
-    ProductPerm,
     commutator_defects,
     d_hamming,
     materialize,
@@ -285,24 +288,21 @@ def build_sigma(family: HomFamily) -> AsymptoticHom:
                          mode=mode)
 
 
-def build_tilde_sigma(sigma: AsymptoticHom) -> AsymptoticHom:
-    """The product-domain model on G(p) x K: the first factor is the given
-    G(p) model (its family and mode carry over), the second is exact in
-    both coordinates (left translation by the K-images of left generators,
-    inverse right translation by the zeta images of right generators), so
-    the K factor never contributes defect."""
-    family = sigma.family
+def build_tilde_sigma(family: HomFamily) -> AsymptoticHom:
+    """The K factor of the product model on G(p) x K, with K = PSL2(F_r):
+    an exact homomorphism on the |K| points of K, where left generators act
+    by left translation by their psi images and right generators by
+    inverse right translation by their zeta images, so it never
+    contributes defect."""
     kt = psl2_table(family.r_p)
     psi, zeta = family["psi"], family["zeta"]
     images = {}
-    for name in sigma.left_names:
-        arr = kt.left_mul_perm(psi.image(name))
-        images[name] = ProductPerm(sigma.images[name], ExactPerm(arr))
-    for name in sigma.right_names:
-        arr = kt.right_mul_perm(zeta.image(name).inverse())
-        images[name] = ProductPerm(sigma.images[name], ExactPerm(arr))
-    return AsymptoticHom(domain=images["t"].domain, images=images, family=family,
-                         mode=sigma.mode)
+    for name in sigma_gen_names(family.m):
+        images[name] = ExactPerm(kt.left_mul_perm(psi.image(name)))
+    for name in lambda_gen_names(family.k):
+        images[name] = ExactPerm(kt.right_mul_perm(zeta.image(name).inverse()))
+    return AsymptoticHom(domain=FlatDomain(len(kt)), images=images, family=family,
+                         mode="exact")
 
 
 def hom_defect(sigma: AsymptoticHom, u: ProductWord, v: ProductWord,

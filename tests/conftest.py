@@ -29,8 +29,8 @@ def sigma7(family7):
 
 
 @pytest.fixture(scope="session")
-def tilde7(sigma7):
-    return build_tilde_sigma(sigma7)
+def tilde7(family7):
+    return build_tilde_sigma(family7)
 
 
 # -- brute-force oracles that several test modules share --------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from soficlab.algebra import (
     PSL2Element,
     ProjectivePoint,
+    _entry_mul,
     centralizer_fraction,
     centralizer_fraction_max,
     moebius_act,
@@ -155,6 +157,38 @@ def test_centralizer_single_element_q7():
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
 def test_centralizer_bound_exhaustive(q):
     assert centralizer_fraction_max(q) <= Fraction(1, 2 * (q - 1))
+
+
+def _canon_equal(p1: np.ndarray, p2: np.ndarray, q: int) -> np.ndarray:
+    """Columnwise: do the 4-entry columns of p1 and p2 represent the same
+    PSL2 class (equal or negatives of each other mod q)?"""
+    eq = np.all(p1 == p2, axis=0)
+    neg = np.all(p1 == (q - p2) % q, axis=0)
+    return eq | neg
+
+
+def centralizer_fraction_max_exhaustive(q: int) -> Fraction:
+    """max over g != e of |C(g)| / |PSL2(F_q)|, vectorized over the group."""
+    table = psl2_table(q)
+    n = len(table)
+    ent = table.entries
+    identity = table.index(PSL2Element.identity(q))
+    best = Fraction(0)
+    for i, g in enumerate(ent.T.tolist()):
+        if i == identity:
+            continue
+        # g*h and h*g entrywise over all h at once
+        p1 = np.stack(_entry_mul(g, ent)) % q
+        p2 = np.stack(_entry_mul(ent, g)) % q
+        count = int(np.count_nonzero(_canon_equal(p1, p2, q)))
+        best = max(best, Fraction(count, n))
+    return best
+
+
+# both residues of q mod 4, which pick the centralizer that attains the maximum
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17])
+def test_centralizer_fraction_max_matches_exhaustive_search(q):
+    assert centralizer_fraction_max(q) == centralizer_fraction_max_exhaustive(q)
 
 
 def test_next_prime():

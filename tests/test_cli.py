@@ -257,6 +257,11 @@ def test_partition_command(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["checks"][0]["name"] == "recover-g-factor"
     assert report["checks"][0]["pass"]
+    # the classification is closed-form, so it takes no seed
+    assert report["parameters"] == {"p": 7, "plant": "g-factor"}
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--p", "7", "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_partition_needs_no_homomorphism_family(monkeypatch):

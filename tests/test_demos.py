@@ -1,5 +1,6 @@
-"""Every demo runs to completion as a script, and every name the package
-exports is reached by its own code, a demo or the benchmark."""
+"""Every demo runs to completion as a script, with the stdout that
+PINNED_STDOUT holds, and every name the package exports is reached by its
+own code, a demo or the benchmark."""
 
 import ast
 import os
@@ -12,6 +13,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 PACKAGE = ROOT / "src" / "soficlab"
+# stdout of the demos whose output is pinned, byte for byte
+PINNED_STDOUT = {
+    "05_product_model": (
+        'product domain size: 242,494,560\n'
+        'fixed-point budget 1/(2(r-1)) = 1/20\n'
+        '\n'
+        'fixed fractions of sampled evaluations (left word nontrivial):\n'
+        '  (a1, b1^-1 b2): 0 = 0.00e+00\n'
+        '  (a1 a4^-1 t^-1 t^-1 t^-1, e): 0 = 0.00e+00\n'
+        '  (a3^-1, b2^-1 b3): 0 = 0.00e+00\n'
+        '  (a2 a2 a2 t^-1 a4^-1, b3^-1 b2^-1): 0 = 0.00e+00\n'
+        '  (a4^-1 t, b2^-1 b3^-1 b3^-1): 0 = 0.00e+00\n'
+        '  (a3^-1 a4 a3 t^-1, b2^-1 b3^-1 b2): 0 = 0.00e+00\n'
+        '\n'
+        'right translations displace every point:\n'
+        '  (e, b1): distance from identity = 1\n'
+        '  (e, b2): distance from identity = 1\n'
+        '  (e, b3): distance from identity = 1\n'
+        '\n'
+        'commutator defect of (t, e) against (e, b3): 1075/5103 (the second factor contributes none of it)\n'
+    ),
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -22,6 +45,8 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    if demo.stem in PINNED_STDOUT:
+        assert done.stdout == PINNED_STDOUT[demo.stem]
 
 
 def _references(path):

@@ -6,13 +6,12 @@ import pytest
 
 from soficlab.partitions import (
     CANDIDATE_KEY_DIMS,
+    FACTOR_ORDER,
     CylinderPartition,
     LabeledPartition,
-    candidate_coset_ids,
     candidate_subgroup_order,
     classify_candidates,
     coset_fit,
-    coset_ids_by_dims,
     eta_overlap,
     invariance_defect,
     planted_coset_partition,
@@ -175,17 +174,45 @@ def test_coset_fit_selects_planted_subgroup_s4():
         assert best_residual == 0 and best == sub
 
 
-def cylinder_block_ids(partition: CylinderPartition) -> np.ndarray:
-    return coset_ids_by_dims(partition.key_dims, partition.sizes)
+# -- the closed form's oracle: cylinders materialized on the flat product ----
+
+def product_point_factors(sizes):
+    """(a, h, y) index arrays for the flat product domain."""
+    na, nh, ny = sizes
+    idx = np.arange(na * nh * ny, dtype=np.int64)
+    y = idx % ny
+    gh = idx // ny
+    return gh // nh, gh % nh, y
+
+
+def coset_ids_by_dims(dims, sizes) -> np.ndarray:
+    a, h, y = product_point_factors(sizes)
+    parts = {"a": a, "h": h, "y": y}
+    ids = np.zeros(len(a), dtype=np.int64)
+    for d in FACTOR_ORDER:
+        if d in dims:
+            ids = ids * sizes[FACTOR_ORDER.index(d)] + parts[d]
+    return ids
+
+
+def candidate_coset_ids(name: str, sizes) -> np.ndarray:
+    return coset_ids_by_dims(CANDIDATE_KEY_DIMS[name], sizes)
+
+
+def classify_explicit(partition: LabeledPartition, sizes) -> dict:
+    """Each candidate's coset_fit against its materialized coset ids."""
+    return {name: coset_fit(partition, candidate_coset_ids(name, sizes), subgroup=name,
+                            subgroup_order=candidate_subgroup_order(name, sizes))
+            for name in CANDIDATE_KEY_DIMS}
 
 
 def test_six_candidates_closed_form_matches_explicit():
     sizes = (9, 4, 5)
     for name, dims in CANDIDATE_KEY_DIMS.items():
         part = CylinderPartition(sizes, dims)
-        explicit = LabeledPartition(cylinder_block_ids(part))
+        explicit = LabeledPartition(coset_ids_by_dims(dims, sizes))
         closed = {h.subgroup: h for h in classify_candidates(part)}
-        direct = {h.subgroup: h for h in classify_candidates(explicit, sizes=sizes)}
+        direct = classify_explicit(explicit, sizes)
         for cand in CANDIDATE_KEY_DIMS:
             assert closed[cand].residual == direct[cand].residual, (name, cand)
             assert closed[cand].coverage == direct[cand].coverage, (name, cand)

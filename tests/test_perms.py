@@ -11,7 +11,6 @@ from soficlab.perms import (
     ExactPerm,
     FlatDomain,
     ImplicitPerm,
-    ProductPerm,
     commutator_defects,
     d_hamming,
     hoeffding_radius,
@@ -58,14 +57,13 @@ def test_product_is_composition_through_compose(monkeypatch):
     for x, y in ((p, q), (shift, p), (shift, shift)):
         assert np.array_equal((x * y).apply(pts), x.apply(y.apply(pts)))
     # * reaches ExactPerm.compose through the class attribute, so a wrapper
-    # installed there sees every product, factors of a product included
+    # installed there sees every product
     calls = []
     compose = ExactPerm.compose
     monkeypatch.setattr(ExactPerm, "compose",
                         lambda self, other: calls.append(1) or compose(self, other))
-    both = ProductPerm(p, q) * ProductPerm(q, p)
-    assert len(calls) == 2
-    assert both.factors[0] == p.compose(q) and both.factors[1] == q.compose(p)
+    assert p * q == compose(p, q)
+    assert len(calls) == 1
 
 
 def test_distance_to_self_is_zero():
@@ -110,21 +108,6 @@ def test_sampled_within_hoeffding_radius():
         if abs(est.value - exact) <= est.radius:
             hits += 1
     assert hits >= 99
-
-
-def test_product_perm_exact_distance():
-    rng = np.random.default_rng(5)
-    a1, a2 = random_exact(rng, 40), random_exact(rng, 40)
-    b1, b2 = random_exact(rng, 30), random_exact(rng, 30)
-    prod1 = ProductPerm(a1, b1)
-    prod2 = ProductPerm(a2, b2)
-    d = d_hamming(prod1, prod2)
-    # oracle: materialize the product domain
-    flat1 = np.array([a1.images[i] * 30 + b1.images[j] for i in range(40) for j in range(30)])
-    flat2 = np.array([a2.images[i] * 30 + b2.images[j] for i in range(40) for j in range(30)])
-    expected = Fraction(int((flat1 != flat2).sum()), 1200)
-    assert d.value == expected
-    assert prod1.fixed_fraction() == a1.fixed_fraction() * b1.fixed_fraction()
 
 
 def test_implicit_round_trip_and_materialization():

@@ -22,6 +22,7 @@ from soficlab.sofic import (
     WORD_SEARCH_CAP,
     GpContext,
     build_sigma,
+    build_tilde_sigma,
     hom_defect,
     four_condition_report,
 )
@@ -197,10 +198,11 @@ def test_four_condition_report_composes_only_condition_1(sigma7, monkeypatch):
     assert len(calls) == 24
 
 
-def full_soficity_values(tilde, family, seed):
+def full_soficity_values(sigma, tilde, family, seed):
     """The worst fixed fraction and the displacement verdict of
-    suite_soficity's sampled words, with every product evaluated in full,
-    and the number of words whose K factor fixes a point."""
+    suite_soficity's sampled words, with both factors of every product
+    evaluated in full, and the number of words whose K factor fixes a
+    point."""
     rng = random.Random(seed)
     psi, rho = family["psi"], family["rho"]
     left, right = list(tilde.left_names), list(tilde.right_names)
@@ -210,17 +212,17 @@ def full_soficity_values(tilde, family, seed):
         g = _random_nontrivial_word(rng, left, 6,
                                     reject=lambda w: hom_eval(psi, w).is_identity())
         h = random_reduced_word(rng, right, rng.randint(0, 4))
-        product = tilde.eval(pw(g, h))
-        worst = max(worst, product.fixed_fraction())
-        k_fixing += product.factors[1].fixed_count() > 0
+        f_g, f_k = (model.eval(pw(g, h)).fixed_fraction() for model in (sigma, tilde))
+        worst = max(worst, f_g * f_k)
+        k_fixing += f_k > 0
     displaced = True
     for _ in range(20):
         h = _random_nontrivial_word(rng, right, 5,
                                     reject=lambda w: hom_eval(rho, w).is_identity())
-        product = tilde.eval(pw(right=h))
-        d = d_hamming(product, tilde.domain.identity_perm())
-        displaced = displaced and d.value == 1
-        k_fixing += product.factors[1].fixed_count() > 0
+        d_g, d_k = (d_hamming(model.eval(pw(right=h)), model.domain.identity_perm()).value
+                    for model in (sigma, tilde))
+        displaced = displaced and 1 - (1 - d_g) * (1 - d_k) == 1
+        k_fixing += d_k < 1
     return worst, displaced, k_fixing
 
 
@@ -231,9 +233,9 @@ def test_soficity_k_factor_shortcut_matches_full_products(sigma7, tilde7, family
 
     monkeypatch.setattr(suites, "build_hom_specs", lambda *args: family7)
     monkeypatch.setattr(suites, "build_sigma", lambda family: sigma7)
-    monkeypatch.setattr(suites, "build_tilde_sigma", lambda sigma: tilde7)
+    monkeypatch.setattr(suites, "build_tilde_sigma", lambda family: tilde7)
     checks = {c["name"]: c for c in suite_soficity(7, seed).checks}
-    worst, displaced, k_fixing = full_soficity_values(tilde7, family7, seed)
+    worst, displaced, k_fixing = full_soficity_values(sigma7, tilde7, family7, seed)
     # the shortcut is not taken everywhere: some words reach the G(p) factor
     assert k_fixing > 0
     assert Fraction(checks["fixed-fraction-nontrivial-left"]["value"]) == worst
@@ -259,12 +261,14 @@ def test_sampled_defect_agrees_with_exact(sigma7):
 
 
 def test_tilde_factorizes(tilde7, family7):
-    # the product model evaluates as the pair of its factors
+    # the K model: psi-translation on the left, inverse zeta-translation on
+    # the right, on the 660 points of PSL2(F_11)
     rng = random.Random(5)
     psi, zeta = family7["psi"], family7["zeta"]
     from soficlab.algebra import psl2_table
 
     table = psl2_table(11)
+    assert (tilde7.domain.size, tilde7.mode) == (660, "exact")
     for _ in range(20):
         g = random_reduced_word(rng, GAMMA + ("t",), rng.randint(0, 4))
         h = random_reduced_word(rng, LAMBDA, rng.randint(0, 4))
@@ -273,14 +277,14 @@ def test_tilde_factorizes(tilde7, family7):
         z = hom_eval(zeta, h)
         for _ in range(20):
             j = rng.randrange(660)
-            assert perm.factors[1].images[j] == table.index(u * table[j] * z.inverse())
+            assert perm.images[j] == table.index(u * table[j] * z.inverse())
 
 
-def test_tilde_reuses_the_given_g_model(tilde7, sigma7):
-    # the first factor is the model passed in, not a second build of G(p)
-    assert tilde7.family is sigma7.family and tilde7.mode == sigma7.mode
-    for name, perm in sigma7.images.items():
-        assert tilde7.images[name].factors[0] is perm
+def test_tilde_is_built_past_the_g_model_budget():
+    # the K model needs only the family, so it is exact where G(p) is not
+    family = build_hom_specs(13, 5, 3)
+    tilde = build_tilde_sigma(family)
+    assert (tilde.domain.size, tilde.mode) == (2448, "exact")
 
 
 def test_tilde_second_factor_contributes_no_defect(tilde7):
@@ -290,15 +294,15 @@ def test_tilde_second_factor_contributes_no_defect(tilde7):
                random_reduced_word(rng, LAMBDA, rng.randint(0, 3)))
         v = pw(random_reduced_word(rng, GAMMA + ("t",), rng.randint(0, 3)),
                random_reduced_word(rng, LAMBDA, rng.randint(0, 3)))
-        lhs = tilde7.eval(u).compose(tilde7.eval(v))
-        rhs = tilde7.eval(u * v)
-        assert d_hamming(lhs.factors[1], rhs.factors[1]).value == 0
+        assert hom_defect(tilde7, u, v).value == 0
 
 
 def test_tilde_matches_sigma_defect(tilde7, sigma7):
+    # the product's defect 1 - (1 - d_G)(1 - d_K) is the G(p) model's own
     u = pw(right=ReducedWord.gen("b3"))
     v = pw(ReducedWord.gen("t"))
-    assert hom_defect(tilde7, u, v).value == hom_defect(sigma7, u, v).value
+    d_g, d_k = (hom_defect(model, u, v).value for model in (sigma7, tilde7))
+    assert 1 - (1 - d_g) * (1 - d_k) == d_g == Fraction(1075, 5103)
 
 
 def test_implicit_mode_agrees_with_exact_at_p7(sigma7, family7, monkeypatch):
