@@ -164,31 +164,35 @@ def moebius_act(g: PSL2Element, x: ProjectivePoint) -> ProjectivePoint:
 
 
 class PSL2Table:
-    """Indexed enumeration of PSL2(F_q) with sorted-key lookup.
+    """Indexed enumeration of PSL2(F_q) with arithmetic index lookup.
 
     Enumeration order is lexicographic in the canonical entries and is
     fixed: reports and serialized permutations rely on its stability.
     ``entries`` holds the canonical entries as a (4, n) int64 array with
-    columns in enumeration order, so the base-q keys of the columns ascend
-    with the index and a sorted search finds any element.  Elements are
-    built from their columns on demand.
+    columns in enumeration order; elements are built from their columns on
+    demand.  With h = (q-1)/2, the canonical classes are (0, b, -1/b, d)
+    for b in 1..h and (a, b, c, (1 + bc)/a) for a in 1..h, so the index of
+    a class is (b-1) q + d when a = 0 and h q + ((a-1) q + b) q + c
+    otherwise.
     """
 
     def __init__(self, q: int):
         if not is_prime(q) or q < 3:
             raise ValueError(f"{q} is not an odd prime")
         self.q = q
-        # the determinant-1 matrices with first row (a, b) != 0 are
-        # (c0 + t a, d0 + t b), t in F_q, for one solution (c0, d0)
-        a, b, t = np.indices((q, q, q)).reshape(3, -1)
-        a, b, t = (x[(a != 0) | (b != 0)] for x in (a, b, t))
-        inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
-        c0 = np.where(a == 0, -inv[b], 0)
-        self._keys = np.unique(self._canonical_keys(a, b, c0 + t * a, inv[a] + t * b))
-        self.entries = np.stack(np.unravel_index(self._keys, (q,) * 4))
+        half = (q - 1) // 2
+        inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+        # the a = 0 block in (b, d) order, then the a != 0 block in (a, b, c)
+        b0, d0 = np.indices((half, q), dtype=np.int64).reshape(2, -1)
+        b0 += 1
+        a1, b1, c1 = np.indices((half, q, q), dtype=np.int64).reshape(3, -1)
+        a1 += 1
+        self.entries = np.concatenate(
+            [np.stack([np.zeros_like(b0), b0, -inv[b0] % q, d0]),
+             np.stack([a1, b1, c1, (1 + b1 * c1) * inv[a1] % q])], axis=1)
 
     def __len__(self):
-        return len(self._keys)
+        return self.entries.shape[1]
 
     def index(self, g: PSL2Element) -> int:
         return int(self.lookup(*g.entries()))
@@ -198,19 +202,16 @@ class PSL2Table:
         # match those of elements built from literals
         return PSL2Element(*self.entries[:, i].tolist(), self.q)
 
-    def _canonical_keys(self, a, b, c, d) -> np.ndarray:
-        """Base-q keys ((a q + b) q + c) q + d of the canonical entries."""
-        q = self.q
-        a, b, c, d = a % q, b % q, c % q, d % q
-        # det 1 rules out a = b = 0, so the first nonzero entry is a or b
-        neg = np.where(a != 0, a, b) > (q - 1) // 2
-        return np.ravel_multi_index([np.where(neg, (q - x) % q, x) for x in (a, b, c, d)],
-                                    (q,) * 4)
-
     def lookup(self, a, b, c, d) -> np.ndarray:
         """Indices of the classes of determinant-1 matrices given entrywise
         as integer arrays of one shape (any representatives mod q)."""
-        return np.searchsorted(self._keys, self._canonical_keys(a, b, c, d))
+        q, half = self.q, (self.q - 1) // 2
+        a, b = a % q, b % q
+        # det 1 rules out a = b = 0, so the first nonzero entry is a or b;
+        # the canonical representative negates every entry when it is > h
+        sign = 1 - 2 * (np.where(a != 0, a, b) > half)
+        a, b, c, d = (x * sign % q for x in (a, b, c, d))
+        return np.where(a == 0, (b - 1) * q + d, half * q + ((a - 1) * q + b) * q + c)
 
     # Unused by the package; kept because perfbench/tracer.py wraps it.
     def mul_table(self) -> np.ndarray:

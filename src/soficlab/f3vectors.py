@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import PSL2Element, PSL2Table, is_prime
+from .algebra import PSL2Element, is_prime
 
 _POW3 = [3**i for i in range(64)]
 
@@ -165,18 +165,27 @@ def a_shift_vector(p: int) -> ApVector:
 # -- coordinate action of PSL2(F_p) -------------------------------------
 
 def h_position_perm(h: PSL2Element):
-    """src[i] = position read from when h acts: (h.x)_i = x_(h^{-1}.i)."""
-    return tuple(projective_action([[e] for e in h.entries()], h.q)[0][0].tolist())
+    """src[i] = position read from when h acts: (h.x)_i = x_(h^{-1}.i),
+    by the Moebius map of h^{-1} = [[d, -b], [-c, a]] on each position."""
+    a, b, c, d = h.entries()
+    p = h.q
+    src = []
+    for x in range(p):
+        den = (a - c * x) % p
+        src.append(p if den == 0 else (d * x - b) * pow(den, -1, p) % p)
+    src.append(p if c == 0 else d * pow(-c, -1, p) % p)
+    return tuple(src)
 
 
-def projective_action(entries, p: int) -> tuple:
+def projective_action(entries, p: int, positions=None) -> tuple:
     """Positions and scales of h^(-1) on the points (x, 1), x < p, and
     (1, 0) (position p) of F_p^2, for entry arrays (a, b, c, d) of shape
-    (n,): h^(-1) v_x = scale[i, x] v_position[i, x], as two (n, p+1) int64
-    arrays."""
+    (n,), at the given positions (default: all p+1): h^(-1) v_x =
+    scale[i, j] v_position[i, j] for x = positions[j], as two
+    (n, len(positions)) int64 arrays."""
     a, b, c, d = (np.asarray(e, dtype=np.int64)[:, None] for e in entries)
     inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    x = np.arange(p + 1, dtype=np.int64)
+    x = np.asarray(range(p + 1) if positions is None else positions, dtype=np.int64)
     finite = x < p
     # h^(-1) = [[d, -b], [-c, a]] sends (x, 1) to (d x - b, a - c x) and
     # (1, 0) to (d, -c); a zero second coordinate lands on position p
@@ -184,12 +193,6 @@ def projective_action(entries, p: int) -> tuple:
     den = np.where(finite, a - c * x, -c) % p
     return (np.where(den == 0, p, num * inv[den] % p),
             np.where(den == 0, num, den))
-
-
-def position_table(table: PSL2Table) -> np.ndarray:
-    """(|H|, p+1) uint8 array whose row i is h_position_perm(table[i]),
-    from one Moebius map of every inverse over every position."""
-    return projective_action(table.entries, table.q)[0].astype(np.uint8)
 
 
 def _permute(src, x: ApVector) -> ApVector:
@@ -336,7 +339,16 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
 _CHUNK = 8
 _CHUNK_DIGITS = np.indices((3,) * _CHUNK, dtype=np.uint8).reshape(_CHUNK, -1)[::-1].T
 _CHUNK_PLANES = np.stack([np.packbits(_CHUNK_DIGITS == c, axis=1, bitorder="little")[:, 0]
-                          for c in (1, 2)]).astype(np.uint64)
+                          for c in (1, 2)])
+
+
+@lru_cache(maxsize=None)
+def _last_coordinate(p: int) -> np.ndarray:
+    """(2, 256) uint64: the plane bits of the last coordinate of A(p), which
+    is minus the digit sum s = n1 + 2 n2 of the others (s < 256): bit p of
+    plane 0 when s = 2 mod 3, of plane 1 when s = 1 mod 3."""
+    residue = np.arange(256) % 3
+    return np.stack([np.where(residue == r, 1 << p, 0) for r in (2, 1)]).astype(np.uint64)
 
 
 def empty_points(shape) -> np.ndarray:
@@ -361,21 +373,25 @@ def _lookup_bytes(tables, plane):
 def decode_indices(idx: np.ndarray, p: int) -> np.ndarray:
     """Points (..., 2) of an array of A(p) indices.
 
-    The index is split into 8-digit base-3 chunks, each chunk's planes are
-    read from a table one byte each, and the last coordinate is set so that
-    the digit sum n1 + 2 n2 vanishes mod 3.
+    The index is split into 8-digit base-3 chunks; chunk j's planes are
+    read from a table one byte each and written to byte j of the planes'
+    words, and the last coordinate is set so that the digit sum n1 + 2 n2
+    vanishes mod 3.
     """
     rem = np.asarray(idx, dtype=np.int64)
-    lo, hi = np.zeros((2,) + rem.shape, dtype=np.uint64)
+    planes = np.zeros((2,) + rem.shape + (8,), dtype=np.uint8)
     for j in range(-(-p // _CHUNK)):
-        rem, chunk = np.divmod(rem, 3**_CHUNK)
-        lo |= _CHUNK_PLANES[0][chunk] << (_CHUNK * j)
-        hi |= _CHUNK_PLANES[1][chunk] << (_CHUNK * j)
-    residue = (np.bitwise_count(lo) + 2 * np.bitwise_count(hi)) % 3
-    # the last coordinate is minus the residue: 2 for residue 1, 1 for 2
-    lo |= np.array([0, 0, 1 << p], dtype=np.uint64)[residue]
-    hi |= np.array([0, 1 << p, 0], dtype=np.uint64)[residue]
-    return _stack((lo, hi))
+        quot = rem // 3**_CHUNK
+        chunk = rem - quot * 3**_CHUNK
+        rem = quot
+        for c in (0, 1):
+            planes[c, ..., j] = _CHUNK_PLANES[c][chunk]
+    lo, hi = planes = planes.view(np.uint64)[..., 0]
+    digit_sum = np.bitwise_count(lo) + 2 * np.bitwise_count(hi)
+    last_lo, last_hi = _last_coordinate(p)
+    lo |= last_lo[digit_sum]
+    hi |= last_hi[digit_sum]
+    return np.moveaxis(planes, 0, -1)
 
 
 @lru_cache(maxsize=None)
@@ -451,12 +467,20 @@ def vector_points(x: ApVector) -> np.ndarray:
     return np.array([x.lo, x.hi], dtype=np.uint64)
 
 
-def act_rows(positions: np.ndarray, x: ApVector) -> np.ndarray:
-    """(rows, 2) points h.x for every row src_h of a position table: bit i
-    of each plane is bit src_h[i] of x's."""
-    bits = (vector_points(x)[:, None, None] >> positions) & np.uint64(1)
-    weights = np.uint64(1) << np.arange(positions.shape[-1], dtype=np.uint64)
-    return np.moveaxis(bits @ weights, 0, -1)
+def act_rows(entries: np.ndarray, w: ApVector) -> np.ndarray:
+    """(rows, 2) points h.w for every column h of a (4, rows) entry array.
+
+    (h.w)_(h.i) = w_i, so only the support of w moves: bit i of w's planes
+    goes to bit h.i.  projective_action maps positions by the inverse of
+    the matrix it is given, so it is given h^(-1) = (d, -b, -c, a)."""
+    a, b, c, d = entries
+    nonzero = w.lo | w.hi
+    support = [i for i in range(w.p + 1) if nonzero >> i & 1]
+    moved = projective_action((d, -b, -c, a), w.p, support)[0].astype(np.uint64)
+    out = np.zeros((2, entries.shape[1]), dtype=np.uint64)
+    for col, i in enumerate(support):
+        out[0 if w.lo >> i & 1 else 1] |= np.uint64(1) << moved[:, col]
+    return np.moveaxis(out, 0, -1)
 
 
 def sp_mask(points: np.ndarray, p: int) -> np.ndarray:

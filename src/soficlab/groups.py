@@ -189,6 +189,8 @@ class Closure:
             steps += [forward, backward]
         self.parent = np.full(n, -1, dtype=np.int64)
         self.step = np.zeros(n, dtype=np.int64)
+        # owner[x]: the first candidate position of x at the current level
+        owner = np.empty(n, dtype=np.int64)
         frontier = np.array([self._index([PSL2Element.identity(t.q) for t in self.tables])])
         self.parent[frontier] = frontier
         self.order = 1
@@ -199,8 +201,11 @@ class Closure:
                                                   self.shape)
                              for maps in steps], axis=1).ravel()
             fresh = np.flatnonzero(self.parent[cand] < 0)
-            _, first = np.unique(cand[fresh], return_index=True)
-            keep = fresh[np.sort(first)]
+            reached = cand[fresh]
+            # scattered in reverse, the last write to owner[x] (the one that
+            # stays) is x's first position; keep is then in candidate order
+            owner[reached[::-1]] = fresh[::-1]
+            keep = fresh[owner[reached] == fresh]
             new = cand[keep]
             self.parent[new] = frontier[keep // len(steps)]
             self.step[new] = keep % len(steps)
@@ -395,9 +400,14 @@ def run_generation_checks(family: HomFamily):
     """
     p, r_p, m, k = family.p, family.r_p, family.m, family.k
     checks = {}
+    # checks on the same generator list share one closure
+    orders = {}
 
     def require(name, gens, order, q):
-        got = bfs_closure_order(gens, order_bound=order)
+        key = tuple(gens)
+        if key not in orders:
+            orders[key] = bfs_closure_order(gens, order_bound=order)
+        got = orders[key]
         checks[name] = {"order": got, "expected": order, "pass": got == order}
         if got != order:
             raise GenerationCheckError(

@@ -40,9 +40,9 @@ from .f3vectors import (
     empty_points,
     encode_coords,
     f3_add,
+    h_position_perm,
     permutation_tables,
     permute_coords,
-    position_table,
     put_points,
     shift_overlap_counts,
     sp_mask,
@@ -96,9 +96,13 @@ class GpContext:
     PSL2 indices whose leading shapes broadcast together; the flat index of
     a pair is a_idx * |H| + h_idx.  Each builder makes one batch map:
     fixed coordinate permutations run as byte tables, shifts as bit-plane
-    sums mod 3, and S(p) tests as popcounts.  Every builder returns the map
-    and its inverse as an ImplicitPerm on this domain; an exact model is
-    these maps enumerated once by perms.materialize.
+    sums mod 3, and S(p) tests as popcounts.  A left map reads its
+    coordinate permutation from h_position_perm of its one matrix, and a
+    right map's shifts h.w, one per matrix h, move only supp(w)
+    (f3vectors.act_rows), so no table of every matrix's positions is
+    built.  Every builder returns the map and its inverse as an
+    ImplicitPerm on this domain; an exact model is these maps enumerated
+    once by perms.materialize.
     """
 
     def __init__(self, p: int):
@@ -110,8 +114,6 @@ class GpContext:
         self.table = psl2_table(p)
         self.h_order = psl2_order(p)
         self.size = 3**p * self.h_order
-        # row i: the position permutation of the i-th matrix
-        self.positions = position_table(self.table)
 
     def sample(self, rng, n):
         a = rng.integers(0, 3**self.p, size=n, dtype=np.int64)
@@ -157,7 +159,7 @@ class GpContext:
                             _built_on_first_call(lambda: self._left_fn(g.inverse())))
 
     def _left_fn(self, g: GpElement):
-        tables = permutation_tables(self.positions[self.table.index(g.h)])
+        tables = permutation_tables(h_position_perm(g.h))
         v = vector_points(g.a)
         h_row = self.table.left_mul_perm(g.h)
 
@@ -174,7 +176,7 @@ class GpContext:
 
     def _right_fn(self, g: GpElement):
         """x -> x g: (a, h) -> (a + h.w, h u) for g = (w, u)."""
-        shifts = act_rows(self.positions, g.a)  # row h: h.w
+        shifts = act_rows(self.table.entries, g.a)  # row h: h.w
         h_col = self.table.right_mul_perm(g.h)
 
         def fn(pts):

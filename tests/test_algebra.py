@@ -13,6 +13,7 @@ from soficlab.algebra import (
     _entry_mul,
     centralizer_fraction,
     centralizer_fraction_max,
+    is_prime,
     moebius_act,
     next_prime,
     projective_line,
@@ -137,6 +138,49 @@ def test_table_index_associativity_and_inverses(data, q):
     assert all(type(x) is int for x in table[i].entries())
     assert (g * h) * k == g * (h * k)
     assert (g * g.inverse()).is_identity()
+
+
+ORACLE_MODULI = tuple(q for q in range(3, 62) if is_prime(q))
+
+
+def _sorted_key_lookup(table, a, b, c, d):
+    """Oracle: the index by sorted search over the base-q keys
+    ((a q + b) q + c) q + d of the canonical entries, which ascend with
+    the index."""
+    q = table.q
+    keys = np.ravel_multi_index(table.entries, (q,) * 4)
+    a, b, c, d = a % q, b % q, c % q, d % q
+    neg = np.where(a != 0, a, b) > (q - 1) // 2
+    canonical = [np.where(neg, (q - x) % q, x) for x in (a, b, c, d)]
+    return np.searchsorted(keys, np.ravel_multi_index(canonical, (q,) * 4))
+
+
+@pytest.mark.parametrize("q", ORACLE_MODULI)
+def test_arithmetic_index_enumerates_every_class_in_order(q):
+    table = psl2_table(q)
+    a, b, c, d = table.entries
+    assert table.entries.dtype == np.int64 and len(table) == psl2_order(q)
+    assert np.all((a * d - b * c) % q == 1)
+    # canonical: the first nonzero entry is a or b, in 1..(q-1)/2
+    first = np.where(a != 0, a, b)
+    assert np.all((first >= 1) & (first <= (q - 1) // 2))
+    # strictly ascending keys: the lexicographic order of distinct classes
+    assert np.all(np.diff(np.ravel_multi_index(table.entries, (q,) * 4)) > 0)
+    assert np.array_equal(table.lookup(*table.entries), np.arange(len(table)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from(ORACLE_MODULI), data=st.data())
+def test_arithmetic_index_matches_sorted_search(q, data):
+    table = psl2_table(q)
+    n = len(table)
+    left = table.entries[:, data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
+    right = table.entries[:, data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
+    products = _entry_mul(left[:, :, None], right[:, None, :])
+    expected = _sorted_key_lookup(table, *products)
+    assert np.array_equal(table.lookup(*products), expected)
+    assert np.array_equal(table.lookup(*(-x for x in products)), expected)
+    assert np.array_equal(table.lookup(*(q - x for x in left)), _sorted_key_lookup(table, *left))
 
 
 def test_enumeration_order_is_lexicographic():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -18,17 +17,19 @@ from soficlab.algebra import (
 from soficlab.f3vectors import (
     ApVector,
     TypeCount,
+    _permute,
     a_shift_vector,
+    act_rows,
     ap_unindex,
     decode_indices,
     disjointness_check_ap_shift,
     encode_coords,
     f3_add,
     h_act,
+    h_position_perm,
     invariant_closure_dim,
     permutation_tables,
     permute_coords,
-    position_table,
     shift_overlap_counts,
     sp_count_exact,
     sp_mask,
@@ -255,22 +256,35 @@ def test_decode_indices_matches_scalar_unindex(p, data):
     assert encode_coords(points, p).ravel().tolist() == idx
 
 
-@lru_cache(maxsize=None)
-def _stacked_position_rows(q):
-    """Oracle: row h holds the position of h^(-1) applied to each point of
-    P^1(F_q), by the scalar Moebius action (infinity is position q)."""
-    line = projective_line(q)
-    return np.array([[q if pt.is_infinity() else pt.value
-                      for pt in (moebius_act(h.inverse(), x) for x in line)]
-                     for h in psl2_enumerate(q)], dtype=np.uint8)
+def _scalar_positions(h):
+    """Oracle: the position of h^(-1) applied to each point of P^1(F_q),
+    by the scalar Moebius action (infinity is position q)."""
+    return tuple(h.q if pt.is_infinity() else pt.value
+                 for pt in (moebius_act(h.inverse(), x) for x in projective_line(h.q)))
 
 
-@settings(max_examples=20, deadline=None)
-@given(q=st.sampled_from((5, 7, 11, 13, 19, 31, 37)))
-def test_position_table_matches_scalar_oracle(q):
-    positions = position_table(psl2_table(q))
-    assert positions.dtype == np.uint8
-    assert np.array_equal(positions, _stacked_position_rows(q))
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from((5, 7, 11, 13, 17, 19, 23, 29, 31, 37)), data=st.data())
+def test_act_rows_and_position_perm_match_scalar_oracle(q, data):
+    table = psl2_table(q)
+    cols = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=5))
+    kind = data.draw(st.sampled_from(("dense", "support 2", "zero")))
+    if kind == "dense":
+        w = ApVector(q, _tuple_vector(data, q))
+    elif kind == "support 2":  # the shape of the decorated right letter's shift
+        i, j = data.draw(st.lists(st.integers(0, q), min_size=2, max_size=2, unique=True))
+        w = ApVector(q, [1 if x == i else 2 if x == j else 0 for x in range(q + 1)])
+    else:
+        w = ApVector.zero(q)
+    # either sign of each representative acts alike
+    sign = data.draw(st.sampled_from((1, -1)))
+    rows = act_rows(sign * table.entries[:, cols], w)
+    assert rows.shape == (len(cols), 2) and rows.dtype == np.uint64
+    for row, i in zip(rows, cols):
+        h = table[i]
+        src = _scalar_positions(h)
+        assert h_position_perm(h) == src
+        assert row.tolist() == vector_points(_permute(src, w)).tolist()
 
 
 # -- the bit-plane kernel against uint8 row oracles -------------------------
@@ -307,11 +321,11 @@ def test_plane_addition_matches_rows_mod3(p, data):
 @settings(max_examples=30, deadline=None)
 @given(q=st.sampled_from((7, 13, 37)), data=st.data())
 def test_byte_table_permutation_matches_position_rows(q, data):
-    stacked = _stacked_position_rows(q)
-    i = data.draw(st.integers(0, len(stacked) - 1))
+    table = psl2_table(q)
+    h = table[data.draw(st.integers(0, len(table) - 1))]
     rows = _random_rows(data, q, (2, 2))
-    moved = permute_coords(_points(rows), permutation_tables(position_table(psl2_table(q))[i]))
-    assert np.array_equal(_rows(moved, q), rows[..., stacked[i]])
+    moved = permute_coords(_points(rows), permutation_tables(h_position_perm(h)))
+    assert np.array_equal(_rows(moved, q), rows[..., list(_scalar_positions(h))])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,15 +1,20 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab.algebra import PSL2Element, psl2_order, psl2_table
 from soficlab.f3vectors import ApVector, ap_unindex, h_act, v1_vector, v2_vector, v_vector
+from soficlab import groups
 from soficlab.groups import (
+    Closure,
     GenerationCheckError,
     GpElement,
     PairElement,
+    _factors,
     bfs_closure_order,
     build_hom_specs,
     hom_eval,
@@ -183,6 +188,77 @@ def test_bfs_closure_matches_brute_force_oracle(q, data):
     j = data.draw(st.integers(0, len(table) - 1))
     oracle = subgroup_closure(table.mul_table(), {i, j})
     assert bfs_closure_order([table[i], table[j]]) == len(oracle)
+
+
+def _unique_dedupe_closure(generators):
+    """Oracle: the breadth-first closure's (parent, step) arrays, keeping
+    the first occurrence of each new element by np.unique and np.sort."""
+    tables = [psl2_table(f.q) for f in _factors(generators[0])]
+    shape = tuple(len(t) for t in tables)
+    steps = []
+    for g in generators:
+        forward = [t.right_mul_perm(f) for t, f in zip(tables, _factors(g))]
+        steps += [forward, [np.argsort(m) for m in forward]]
+    parent = np.full(math.prod(shape), -1, dtype=np.int64)
+    step = np.zeros_like(parent)
+    identity = [t.index(PSL2Element.identity(t.q)) for t in tables]
+    frontier = np.array([np.ravel_multi_index(identity, shape)])
+    parent[frontier] = frontier
+    while frontier.size:
+        coords = np.unravel_index(frontier, shape)
+        cand = np.stack([np.ravel_multi_index([m[c] for m, c in zip(maps, coords)], shape)
+                         for maps in steps], axis=1).ravel()
+        fresh = np.flatnonzero(parent[cand] < 0)
+        _, first = np.unique(cand[fresh], return_index=True)
+        keep = fresh[np.sort(first)]
+        parent[cand[keep]] = frontier[keep // len(steps)]
+        step[cand[keep]] = keep % len(steps)
+        frontier = cand[keep]
+    return parent, step
+
+
+@settings(max_examples=30, deadline=None)
+@given(moduli=st.sampled_from(((5,), (7,), (11,), (5, 7), (7, 5))), data=st.data())
+def test_closure_arrays_match_unique_dedupe(moduli, data):
+    def element(q):
+        table = psl2_table(q)
+        return table[data.draw(st.integers(0, len(table) - 1))]
+
+    def generator():
+        parts = [element(q) for q in moduli]
+        return PairElement(*parts) if len(parts) == 2 else parts[0]
+
+    generators = [generator() for _ in range(data.draw(st.integers(1, 3)))]
+    closure = Closure(generators)
+    parent, step = _unique_dedupe_closure(generators)
+    assert np.array_equal(closure.parent, parent)
+    assert np.array_equal(closure.step, step)
+    assert len(closure) == np.count_nonzero(parent >= 0)
+
+
+def test_eta_closure_arrays_match_unique_dedupe(family7):
+    generators = [family7["eta"].image(g) for g in ("a1", "a2")]
+    closure = Closure(generators)
+    parent, step = _unique_dedupe_closure(generators)
+    assert np.array_equal(closure.parent, parent) and np.array_equal(closure.step, step)
+
+
+@pytest.mark.parametrize("p", (7, 37))
+def test_generation_checks_close_each_generator_list_once(p, monkeypatch):
+    lists = []
+
+    def counting(generators, order_bound=None):
+        lists.append(tuple(generators))
+        return bfs_closure_order(generators, order_bound)
+
+    monkeypatch.setattr(groups, "bfs_closure_order", counting)
+    family = build_hom_specs(p, 5, 3)
+    # xi-right closes xi-left's list and zeta closes psi-left's
+    assert len(lists) == len(set(lists)) == 2
+    assert sorted(family.checks) == sorted([
+        "xi-left-undecorated-generates-H", "psi-left-undecorated-generates-K",
+        "xi-right-undecorated-generates-H", "zeta-undecorated-generates-K"])
+    assert all(check["pass"] for check in family.checks.values())
 
 
 @pytest.mark.parametrize("name", ["phi", "rho", "phi_tilde", "rho_tilde"])
