@@ -379,14 +379,14 @@ def decode_indices(idx: np.ndarray, p: int) -> np.ndarray:
     vanishes mod 3.
     """
     rem = np.asarray(idx, dtype=np.int64)
-    planes = np.zeros((2,) + rem.shape + (8,), dtype=np.uint8)
+    plane_bytes = np.zeros((2,) + rem.shape + (8,), dtype=np.uint8)
     for j in range(-(-p // _CHUNK)):
         quot = rem // 3**_CHUNK
         chunk = rem - quot * 3**_CHUNK
         rem = quot
         for c in (0, 1):
-            planes[c, ..., j] = _CHUNK_PLANES[c][chunk]
-    lo, hi = planes = planes.view(np.uint64)[..., 0]
+            plane_bytes[c, ..., j] = _CHUNK_PLANES[c][chunk]
+    lo, hi = planes = plane_bytes.view(np.uint64)[..., 0]
     digit_sum = np.bitwise_count(lo) + 2 * np.bitwise_count(hi)
     last_lo, last_hi = _last_coordinate(p)
     lo |= last_lo[digit_sum]
