@@ -1,8 +1,8 @@
 """Dense multiplication tables for small finite groups.
 
-Everything here is brute force on purpose: these groups are oracles for
-the partition and spectral machinery, so they must be computed by the
-most unsophisticated method available.
+These groups are oracles for the partition and spectral machinery, so
+they are built plainly: tables by composing permutations, and subgroup
+closures by multiplying by the generating set only, over a boolean mask.
 """
 
 from __future__ import annotations
@@ -68,24 +68,24 @@ def inverse_index(table: np.ndarray, g: int) -> int:
 
 
 def subgroup_closure(table: np.ndarray, seed) -> frozenset:
-    e = identity_index(table)
-    elems = {e} | set(seed)
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in list(elems):
-                for z in (int(table[x, y]), int(table[y, x])):
-                    if z not in elems:
-                        elems.add(z)
-                        new.append(z)
-        frontier = new
-    return frozenset(elems)
+    """{e} and seed closed under right multiplication by seed: in a finite
+    group, the subgroup that seed generates."""
+    gens = np.fromiter(seed, dtype=np.int64)
+    member = np.zeros(len(table), dtype=bool)
+    member[identity_index(table)] = True
+    member[gens] = True
+    frontier = np.flatnonzero(member)
+    while len(frontier):
+        reached = np.zeros_like(member)
+        reached[table[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(reached & ~member)
+        member |= reached
+    return frozenset(np.flatnonzero(member).tolist())
 
 
 def all_subgroups(table: np.ndarray):
-    """Every subgroup, by closing each known subgroup with each element.
-    Exponential in principle; meant for orders up to a couple hundred."""
+    """Every subgroup, by closing each known subgroup with each element
+    (generator-only closures).  Meant for orders up to a couple hundred."""
     n = len(table)
     e = identity_index(table)
     found = {frozenset({e})}

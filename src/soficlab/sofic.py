@@ -479,9 +479,10 @@ def lift_branched_cover(sigma: ExactPerm, tau: ExactPerm, cover: BranchedCover) 
     """A permutation sigma' with theta o sigma' = tau o theta exactly and
     d_H(sigma', sigma) <= d_H(theta o sigma, tau o theta).
 
-    Within each fiber pair, points already mapped compatibly keep their
-    sigma image; the rest are completed to a bijection by matching the
-    remaining sources and targets in increasing index order.
+    Points already mapped compatibly keep their sigma image.  Each fiber
+    pair has as many incompatible sources as unhit targets, so one pass
+    reads both from the ascending fiber rows in row-major order and
+    matches them pair for pair, in increasing index order.
     """
     theta = cover.theta
     if len(theta) != sigma.size:
@@ -491,14 +492,10 @@ def lift_branched_cover(sigma: ExactPerm, tau: ExactPerm, cover: BranchedCover) 
     sp = sigma.images
     ok = theta[sp] == tau.images[theta]
     out = np.where(ok, sp, -1)
-    for y in range(cover.n_base):
-        src = cover.fibers[y]
-        good = ok[src]
-        if np.all(good):
-            continue
-        dst = cover.fibers[tau.images[y]]
-        used = np.isin(dst, sp[src[good]], assume_unique=True)
-        out[src[~good]] = dst[~used]
+    used = np.zeros(len(theta), dtype=bool)
+    used[sp[ok]] = True
+    dst = cover.fibers[tau.images]
+    out[cover.fibers[~ok[cover.fibers]]] = dst[~used[dst]]
     return ExactPerm(out)
 
 
@@ -530,10 +527,7 @@ def extract_almost_cocycle(sigma_map: dict, tau_map: dict, cover: BranchedCover,
 def cocycle_reconstruct(c_g: np.ndarray, tau_g: ExactPerm, cover: BranchedCover) -> ExactPerm:
     """The permutation (y, z) -> (tau_g y, c_g(y) z), on the cover's domain."""
     images = np.empty(len(cover.theta), dtype=np.int64)
-    src = cover.fibers
-    dst = cover.fibers[tau_g.images]
-    for y in range(cover.n_base):
-        images[src[y]] = dst[y][c_g[y]]
+    images[cover.fibers] = np.take_along_axis(cover.fibers[tau_g.images], c_g, axis=1)
     return ExactPerm(images)
 
 

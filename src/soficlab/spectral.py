@@ -468,7 +468,7 @@ def kazhdan_bounds(table: np.ndarray, gens, seed=0) -> dict:
     3-cycle the true constant is sqrt(12/7) > sqrt(2 gap).)
 
     direct minimizes max over generators of ||pi(g) xi - xi|| over unit
-    mean-zero xi by constrained optimization with random restarts.  The
+    mean-zero xi by SLSQP with random restarts and exact gradients.  The
     sandwich is validated by tests, not assumed.
     """
     n = len(table)
@@ -490,8 +490,29 @@ def kazhdan_bounds(table: np.ndarray, gens, seed=0) -> dict:
     }
 
 
-def _objective(xi, rep_arrays):
-    return max(float(np.linalg.norm(xi[arr] - xi)) for arr in rep_arrays)
+def _objective(xi, rep):
+    return float(np.linalg.norm(xi[rep] - xi, axis=1).max())
+
+
+def _kazhdan_constraints(rep) -> list:
+    """SLSQP constraints on z = (xi, t) with exact gradients: sum xi = 0,
+    ||xi||^2 = 1, t^2 >= ||d||^2 for d = xi[a] - xi and each gather array
+    a, and t >= 0.  The xi gradient of t^2 - ||d||^2 is -2 (d[a^-1] - d)
+    = 2 (xi[a] + xi[a^-1] - 2 xi)."""
+    n = rep.shape[1]
+    return [
+        {"type": "eq", "fun": lambda z: np.sum(z[:n]),
+         "jac": lambda z: np.append(np.ones(n), 0.0)},
+        {"type": "eq", "fun": lambda z: np.sum(z[:n] ** 2) - 1.0,
+         "jac": lambda z: np.append(2.0 * z[:n], 0.0)},
+        *({"type": "ineq",
+           "fun": lambda z, a=a: z[n] ** 2 - np.sum((z[:n][a] - z[:n]) ** 2),
+           "jac": lambda z, a=a, b=np.argsort(a):
+               np.append(2.0 * (z[:n][a] + z[:n][b] - 2.0 * z[:n]), 2.0 * z[n])}
+          for a in rep),
+        {"type": "ineq", "fun": lambda z: z[n],
+         "jac": lambda z: np.append(np.zeros(n), 1.0)},
+    ]
 
 
 def _kazhdan_direct(table, gens, seed=0) -> float:
@@ -499,8 +520,7 @@ def _kazhdan_direct(table, gens, seed=0) -> float:
 
     n = len(table)
     # pi(g) xi [x] = xi[g^-1 x]: gather arrays of the inverse translations
-    rep = list(left_regular_perms(
-        table, [inverse_index(table, g) for g in gens]).values())
+    rep = table[[inverse_index(table, g) for g in gens]]
     rng = np.random.default_rng(seed)
     best = float("inf")
 
@@ -509,28 +529,16 @@ def _kazhdan_direct(table, gens, seed=0) -> float:
         nrm = np.linalg.norm(xi)
         return xi / nrm if nrm > 1e-12 else None
 
+    cons = _kazhdan_constraints(rep)
+    e_t = np.append(np.zeros(n), 1.0)
     for _ in range(KAZHDAN_RESTARTS):
-        x0 = rng.standard_normal(n)
-        xi0 = project(x0)
+        xi0 = project(rng.standard_normal(n))
         if xi0 is None:
             continue
         t0 = _objective(xi0, rep)
         z0 = np.concatenate([xi0, [t0]])
-
-        cons = [
-            {"type": "eq", "fun": lambda z: np.sum(z[:n])},
-            {"type": "eq", "fun": lambda z: np.sum(z[:n] ** 2) - 1.0},
-        ]
-        for arr in rep:
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda a: lambda z: z[n] ** 2 - np.sum((z[:n][a] - z[:n]) ** 2))(arr),
-                }
-            )
-        cons.append({"type": "ineq", "fun": lambda z: z[n]})
         res = optimize.minimize(
-            lambda z: z[n], z0, constraints=cons, method="SLSQP",
+            lambda z: z[n], z0, jac=lambda z: e_t, constraints=cons, method="SLSQP",
             options={"maxiter": KAZHDAN_MAXITER, "ftol": 1e-12},
         )
         xi = project(res.x[:n])
@@ -546,15 +554,13 @@ def verify_amplification(table: np.ndarray, gens, trials=1000, seed=0, kappa=Non
     representation.  Returns (ok, witness)."""
     n = len(table)
     if kappa is None:
-        kappa = kazhdan_bounds(table, gens)["direct"]
-    rep_all = list(left_regular_perms(
-        table, [inverse_index(table, g) for g in range(n)]).values())
-    rep_gens = list(left_regular_perms(
-        table, [inverse_index(table, g) for g in gens]).values())
+        kappa = kazhdan_bounds(table, gens, seed=seed)["direct"]
+    rep_gens = table[[inverse_index(table, g) for g in gens]]
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         xi = rng.standard_normal(n)
-        lhs = 0.5 * kappa * _objective(xi, rep_all)
+        # row g of the table gathers pi(g^-1): the rows cover the whole group
+        lhs = 0.5 * kappa * _objective(xi, table)
         rhs = _objective(xi, rep_gens)
         if lhs > rhs + AMPLIFICATION_SLACK:
             return False, {"xi": xi, "lhs": lhs, "rhs": rhs}

@@ -326,13 +326,13 @@ def suite_partition(seed=3, p=7) -> RunReport:
     # brute-force subgroup inventory
     for label, table in (("cyclic12", cyclic_table(12)), ("sym4", symmetric_table(4)[1])):
         subgroups = all_subgroups(table)
+        coset_ids = {sub: left_coset_ids(table, sub) for sub in subgroups}
         exact_ok = True
         strict_ok = True
         for sub in subgroups:
-            ids = left_coset_ids(table, sub)
-            part = planted_coset_partition(ids)
+            part = planted_coset_partition(coset_ids[sub])
             fits = [
-                (coset_fit(part, left_coset_ids(table, cand),
+                (coset_fit(part, coset_ids[cand],
                            subgroup=str(sorted(cand)), subgroup_order=len(cand)),
                  cand)
                 for cand in subgroups

@@ -15,6 +15,7 @@ from soficlab.f3vectors import (
     vector_points,
 )
 from soficlab.groups import GpElement, build_hom_specs
+from soficlab.smallgroups import identity_index
 from soficlab.sofic import build_sigma, build_tilde_sigma
 
 
@@ -79,3 +80,21 @@ def shifted_index_map(points: np.ndarray, w: ApVector) -> np.ndarray:
 def slab_mask(p: int) -> np.ndarray:
     """Indicator of T = S(p) x H(p) on the flat index of G(p)."""
     return np.repeat(sp_mask(coords_matrix(p), p), psl2_order(p))
+
+
+def pairwise_subgroup_closure(table: np.ndarray, seed) -> frozenset:
+    """Subgroup generated by seed, closing under products of every pair of
+    elements found so far, one product at a time."""
+    e = identity_index(table)
+    elems = {e} | set(seed)
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(elems):
+                for z in (int(table[x, y]), int(table[y, x])):
+                    if z not in elems:
+                        elems.add(z)
+                        new.append(z)
+        frontier = new
+    return frozenset(elems)

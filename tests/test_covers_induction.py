@@ -66,6 +66,68 @@ def test_lift_property(instance):
     assert d_hamming(lifted, sigma).value <= Fraction(int(off), sigma.size)
 
 
+# -- the per-fiber loops that the one-pass lift and reconstruction replace --
+
+def _lift_oracle(sigma, tau, cover):
+    """Fiber by fiber: keep compatible images, then match the remaining
+    sources and targets of the fiber pair in increasing index order."""
+    theta = cover.theta
+    sp = sigma.images
+    ok = theta[sp] == tau.images[theta]
+    out = np.where(ok, sp, -1)
+    for y in range(cover.n_base):
+        src = cover.fibers[y]
+        good = ok[src]
+        if np.all(good):
+            continue
+        dst = cover.fibers[tau.images[y]]
+        used = np.isin(dst, sp[src[good]], assume_unique=True)
+        out[src[~good]] = dst[~used]
+    return out
+
+
+def _cocycle_reconstruct_oracle(c_g, tau_g, cover):
+    images = np.empty(len(cover.theta), dtype=np.int64)
+    dst = cover.fibers[tau_g.images]
+    for y in range(cover.n_base):
+        images[cover.fibers[y]] = dst[y][c_g[y]]
+    return images
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=_cover_instances(), data=st.data())
+def test_lift_and_reconstruct_match_per_fiber_oracles(instance, data):
+    cover, sigma, tau = instance
+    assert np.array_equal(lift_branched_cover(sigma, tau, cover).images,
+                          _lift_oracle(sigma, tau, cover))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.permuted(np.tile(np.arange(cover.fiber_size), (cover.n_base, 1)), axis=1)
+    assert np.array_equal(cocycle_reconstruct(rows, tau, cover).images,
+                          _cocycle_reconstruct_oracle(rows, tau, cover))
+
+
+def test_lift_matches_oracle_at_the_extremes():
+    rng = np.random.default_rng(9)
+    for n_base, d in ((1, 1), (1, 5), (37, 1), (40, 4)):
+        cover = random_cover(rng, n_base, d)
+        tau = ExactPerm(rng.permutation(n_base).astype(np.int64))
+        rows = np.stack([rng.permutation(d) for _ in range(n_base)]).astype(np.int64)
+        # every point compatible
+        compatible = cocycle_reconstruct(rows, tau, cover)
+        # no point compatible: sigma covers tau shifted by a fixed-point-free
+        # permutation of the base
+        shifted = ExactPerm(tau.images[(np.arange(n_base) + 1) % n_base])
+        incompatible = cocycle_reconstruct(rows, shifted, cover)
+        bad = cover.theta[incompatible.images] != tau.images[cover.theta]
+        assert n_base == 1 or bad.all()
+        random_sigma = ExactPerm(rng.permutation(n_base * d).astype(np.int64))
+        for sigma in (compatible, incompatible, random_sigma):
+            assert np.array_equal(lift_branched_cover(sigma, tau, cover).images,
+                                  _lift_oracle(sigma, tau, cover))
+        assert np.array_equal(lift_branched_cover(compatible, tau, cover).images,
+                              compatible.images)
+
+
 def test_lift_keeps_commuting_permutation():
     rng = np.random.default_rng(1)
     cover = random_cover(rng, 40, 4)

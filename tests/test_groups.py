@@ -22,10 +22,9 @@ from soficlab.groups import (
     sigma_gen_names,
     verify_surjectivity,
 )
-from soficlab.smallgroups import subgroup_closure
 from soficlab.words import ReducedWord, random_reduced_word
 
-from conftest import GpIndexer
+from conftest import GpIndexer, pairwise_subgroup_closure
 
 GAMMA = ("a1", "a2", "a3", "a4")
 LAMBDA = ("b1", "b2", "b3")
@@ -186,7 +185,7 @@ def test_bfs_closure_matches_brute_force_oracle(q, data):
     table = psl2_table(q)
     i = data.draw(st.integers(0, len(table) - 1))
     j = data.draw(st.integers(0, len(table) - 1))
-    oracle = subgroup_closure(table.mul_table(), {i, j})
+    oracle = pairwise_subgroup_closure(table.mul_table(), {i, j})
     assert bfs_closure_order([table[i], table[j]]) == len(oracle)
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab.partitions import (
     CANDIDATE_KEY_DIMS,
@@ -22,8 +24,11 @@ from soficlab.smallgroups import (
     all_subgroups,
     cyclic_table,
     left_coset_ids,
+    subgroup_closure,
     symmetric_table,
 )
+
+from conftest import pairwise_subgroup_closure
 
 
 def shift_perm(n, k=1):
@@ -129,6 +134,20 @@ def test_noisy_coset_overlap_lower_bound():
     noisy = relabel_noise(planted_coset_partition(ids), 0.05, rng)
     ov = eta_overlap(noisy, shift_perm(1200, 100))
     assert ov >= 1 - 4 * 0.05
+
+
+_SMALL_TABLES = {f"C{n}": cyclic_table(n) for n in range(1, 31)}
+_SMALL_TABLES.update(S3=symmetric_table(3)[1], S4=symmetric_table(4)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_SMALL_TABLES)), data=st.data())
+def test_subgroup_closure_matches_pairwise_oracle(name, data):
+    # closing by the seed alone gives the same set as closing under all
+    # pairwise products of what has been found
+    table = _SMALL_TABLES[name]
+    seed = data.draw(st.sets(st.integers(0, len(table) - 1), max_size=4))
+    assert subgroup_closure(table, seed) == pairwise_subgroup_closure(table, seed)
 
 
 def test_coset_fit_exact_cosets():

@@ -12,14 +12,17 @@ from soficlab.algebra import _entry_mul, psl2_order, psl2_table
 from soficlab.f3vectors import sp_count_exact, sp_shift_diff_exact, v_vector
 from soficlab.groups import PairElement
 from soficlab.perms import ExactPerm
+from soficlab import spectral
 from soficlab.smallgroups import (
     cyclic_table,
+    inverse_index,
     left_regular_perms,
     subgroup_closure,
     symmetric_table,
 )
 from soficlab.spectral import (
     DENSE_PAIR_LIMIT,
+    _kazhdan_constraints,
     PairOperator,
     boundary_ratio_slab,
     check_pair_budget,
@@ -395,6 +398,42 @@ def test_amplification_z2_and_sym3():
     ok, witness = verify_amplification(table, [1, 3], trials=1000, seed=0,
                                        kappa=kb["lower"])
     assert ok, witness
+
+
+def test_amplification_without_kappa_runs_restarts_at_its_seed(monkeypatch):
+    seen = []
+    direct = spectral._kazhdan_direct
+
+    def spy(table, gens, seed=0):
+        seen.append(seed)
+        return direct(table, gens, seed=seed)
+
+    monkeypatch.setattr(spectral, "_kazhdan_direct", spy)
+    _, table = symmetric_table(3)
+    for seed in (3, 11):
+        ok, witness = verify_amplification(table, [1, 3], trials=200, seed=seed)
+        assert ok, witness
+    assert seen == [3, 11]
+
+
+@pytest.mark.parametrize("table,gens", [
+    (cyclic_table(2), [1]),
+    (symmetric_table(3)[1], [1, 3]),
+    (symmetric_table(4)[1], list(range(1, 24))),
+])
+def test_kazhdan_constraint_gradients_match_finite_differences(table, gens):
+    from scipy.optimize import approx_fprime
+
+    rep = table[[inverse_index(table, g) for g in gens]]
+    rng = np.random.default_rng(len(table))
+    cons = _kazhdan_constraints(rep)
+    assert len(cons) == len(gens) + 3
+    for _ in range(5):
+        z = rng.standard_normal(len(table) + 1)
+        for con in cons:
+            exact = con["jac"](z)
+            approx = approx_fprime(z, con["fun"])
+            assert np.linalg.norm(exact - approx) <= 1e-6 * np.linalg.norm(exact), con
 
 
 def test_amplification_constant_vector_trivial():
