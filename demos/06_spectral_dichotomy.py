@@ -46,7 +46,7 @@ print("\nKazhdan bounds on small oracles:")
 kb = kazhdan_bounds(cyclic_table(2), [1], seed=0)
 print(f"  two-point group: lower {kb['lower']:.4f} <= direct {kb['direct']:.4f} "
       f"<= upper {kb['upper']:.4f}")
-_, s3 = symmetric_table(3)
+s3 = symmetric_table(3)
 kb3 = kazhdan_bounds(s3, [1, 3], seed=0)
 print(f"  six-element group: lower {kb3['lower']:.4f} <= direct {kb3['direct']:.4f} "
       f"<= upper {kb3['upper']:.4f}")

@@ -13,11 +13,11 @@ from soficlab.groups import build_hom_specs
 from soficlab.partitions import (
     CANDIDATE_KEY_DIMS,
     CylinderPartition,
+    LabeledPartition,
     classify_candidates,
     coset_fit,
     eta_overlap,
     invariance_defect,
-    planted_coset_partition,
     relabel_noise,
 )
 from soficlab.perms import ExactPerm
@@ -26,7 +26,7 @@ from soficlab.smallgroups import all_subgroups, cyclic_table, left_coset_ids
 table = cyclic_table(12)
 sub = frozenset({0, 3, 6, 9})
 ids = left_coset_ids(table, sub)
-part = planted_coset_partition(ids)
+part = LabeledPartition(ids)
 shift = ExactPerm((np.arange(12) + 1) % 12)
 print("cosets of the order-4 subgroup of the 12-cycle, shifted by +1:")
 print("  invariance defect:", invariance_defect(part, shift)["defect"])

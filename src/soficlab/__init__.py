@@ -13,11 +13,8 @@ groups.
 
 from .algebra import (
     PSL2Element,
-    ProjectivePoint,
     centralizer_fraction,
-    moebius_act,
     next_prime,
-    psl2_enumerate,
     psl2_order,
     psl2_table,
 )

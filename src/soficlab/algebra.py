@@ -1,10 +1,12 @@
-"""Exact arithmetic in PSL2(F_q) and its action on the projective line.
+"""Exact arithmetic in PSL2(F_q).
 
 Elements are stored as canonical representatives of {M, -M}: of the two
 matrices in a class, the stored one has its first nonzero entry (scanning
 a, b, c, d) in {1, ..., (q-1)/2}.  Canonical entries make equality and
 hashing trivial, and the lexicographic order of canonical 4-tuples gives a
-stable enumeration order.
+stable enumeration order.  The group itself is held as its indexed table,
+``PSL2Table``; its action on P^1(F_q) acts on positions 0..q, with position
+q the point at infinity (``f3vectors.h_position_perm``).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-INFINITY = "inf"
 
 
 @lru_cache(maxsize=None)
@@ -108,61 +108,6 @@ class PSL2Element:
         return f"PSL2[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.q}"
 
 
-class ProjectivePoint:
-    """A point of P^1(F_q): a residue in 0..q-1 or the point at infinity."""
-
-    __slots__ = ("value", "q")
-
-    def __init__(self, value, q):
-        if value != INFINITY:
-            value = value % q
-        self.value = value
-        self.q = q
-
-    @staticmethod
-    def infinity(q):
-        return ProjectivePoint(INFINITY, q)
-
-    def is_infinity(self):
-        return self.value == INFINITY
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjectivePoint)
-            and self.q == other.q
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.q))
-
-    def __repr__(self):
-        return f"P1({self.value} mod {self.q})"
-
-
-def projective_line(q: int):
-    """All q+1 points of P^1(F_q): the residues followed by infinity."""
-    return [ProjectivePoint(i, q) for i in range(q)] + [ProjectivePoint.infinity(q)]
-
-
-def moebius_act(g: PSL2Element, x: ProjectivePoint) -> ProjectivePoint:
-    """Fractional-linear action (ax+b)/(cx+d) with the usual conventions
-    at infinity: x = inf maps to a/c (inf when c = 0), and a zero
-    denominator maps to inf."""
-    if g.q != x.q:
-        raise ValueError(f"modulus mismatch: {g.q} vs {x.q}")
-    q = g.q
-    if x.is_infinity():
-        if g.c == 0:
-            return ProjectivePoint.infinity(q)
-        return ProjectivePoint(g.a * pow(g.c, -1, q), q)
-    den = (g.c * x.value + g.d) % q
-    if den == 0:
-        return ProjectivePoint.infinity(q)
-    num = (g.a * x.value + g.b) % q
-    return ProjectivePoint(num * pow(den, -1, q), q)
-
-
 class PSL2Table:
     """Indexed enumeration of PSL2(F_q) with arithmetic index lookup.
 
@@ -233,20 +178,15 @@ def psl2_table(q: int) -> PSL2Table:
     return PSL2Table(q)
 
 
-def psl2_enumerate(q: int):
-    """All canonical elements of PSL2(F_q) in the fixed enumeration order."""
-    table = psl2_table(q)
-    return [table[i] for i in range(len(table))]
-
-
 def centralizer_fraction(g: PSL2Element) -> Fraction:
-    """|C(g)| / |PSL2(F_q)| by exhaustive commutation test.
+    """|C(g)| / |PSL2(F_q)| by exhaustive commutation test: the indices i
+    with g e_i = e_i g, counted over the whole table.
 
     For g != e the fraction is at most 1/(2(q-1)).
     """
-    elements = psl2_enumerate(g.q)
-    count = sum(1 for h in elements if g * h == h * g)
-    return Fraction(count, len(elements))
+    t = psl2_table(g.q)
+    commuting = np.count_nonzero(t.left_mul_perm(g) == t.right_mul_perm(g))
+    return Fraction(int(commuting), len(t))
 
 
 def centralizer_fraction_max(q: int) -> Fraction:

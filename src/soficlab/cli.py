@@ -215,7 +215,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES))
     v.add_argument("--p", type=int, default=None)
-    v.add_argument("--seed", type=_nonnegative_int, default=1)
+    v.add_argument("--seed", type=_nonnegative_int, default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 

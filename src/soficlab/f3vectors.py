@@ -144,11 +144,6 @@ def v_vector(p: int) -> ApVector:
     return ApVector(p, (1, 2) + (0,) * (p - 1))
 
 
-def v1_vector(p: int) -> ApVector:
-    """Default aperiodic seed (1, -1, 0, ..., 0)."""
-    return v_vector(p)
-
-
 def v2_vector(p: int) -> ApVector:
     """Default second seed (1, 1, 1, 0, ..., 0, -1, -1, -1)."""
     if p + 1 < 6:

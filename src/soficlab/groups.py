@@ -22,7 +22,6 @@ from .f3vectors import (
     ApVector,
     h_act,
     invariant_closure_dim,
-    v1_vector,
     v2_vector,
     v_vector,
 )
@@ -298,7 +297,7 @@ def build_hom_specs(p, m, k) -> HomFamily:
 
     _check_p(p)
     r_p = next_prime(p)
-    v1, v2 = v1_vector(p), v2_vector(p)
+    v1, v2 = v_vector(p), v2_vector(p)
 
     a, b = ReducedWord.gen("A"), ReducedWord.gen("B")
     family_words = {i: b**i * a * b**-i for i in range(1, max(m, k) + 1)}
@@ -587,7 +586,7 @@ def hom_family_to_json(family: HomFamily) -> str:
         "r_p": family.r_p,
         "m": family.m,
         "k": family.k,
-        "v1": list(v1_vector(family.p).coords),
+        "v1": list(v_vector(family.p).coords),
         "v2": list(v2_vector(family.p).coords),
         "homs": {
             name: {

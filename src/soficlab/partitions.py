@@ -206,11 +206,7 @@ def classify_candidates(partition: CylinderPartition):
     return results
 
 
-# -- planted partitions and noise -------------------------------------------
-
-def planted_coset_partition(coset_ids) -> LabeledPartition:
-    return LabeledPartition(np.asarray(coset_ids, dtype=np.int64))
-
+# -- relabeling noise --------------------------------------------------------
 
 def relabel_noise(partition: LabeledPartition, epsilon: float, rng) -> LabeledPartition:
     """Move floor(epsilon N) distinct points to uniformly chosen other

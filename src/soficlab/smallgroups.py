@@ -1,8 +1,10 @@
 """Dense multiplication tables for small finite groups.
 
 These groups are oracles for the partition and spectral machinery, so
-they are built plainly: tables by composing permutations, and subgroup
-closures by multiplying by the generating set only, over a boolean mask.
+they are built plainly, as index arrays: the cyclic table by modular
+addition, the symmetric one by composing every pair of enumerated
+permutations in one gather, and subgroup closures by multiplying by the
+generating set only, over a boolean mask.
 """
 
 from __future__ import annotations
@@ -17,41 +19,14 @@ def cyclic_table(n: int) -> np.ndarray:
     return (i[:, None] + i[None, :]) % n
 
 
-def table_from_permutations(perms) -> tuple:
-    """Close a set of permutations (tuples) under composition and return
-    (elements, table) with elements[0] the identity."""
-    n = len(perms[0])
-    ident = tuple(range(n))
-
-    def compose(p, q):  # p after q
-        return tuple(p[q[i]] for i in range(n))
-
-    elements = {ident}
-    frontier = [ident]
-    gens = [tuple(p) for p in perms]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = compose(g, x)
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-    elements = sorted(elements)
-    elements.remove(ident)
-    elements = [ident] + elements
-    index = {e: i for i, e in enumerate(elements)}
-    m = len(elements)
-    table = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[compose(a, b)]
-    return elements, table
-
-
-def symmetric_table(n: int) -> tuple:
-    return table_from_permutations(list(permutations(range(n))))
+def symmetric_table(n: int) -> np.ndarray:
+    """Cayley table of S_n on its n! permutations in lexicographic order,
+    identity first: table[i, j] is the index of perm_i after perm_j."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    # perm_i after perm_j is perm_i[perm_j], and the base-n keys of the
+    # lexicographic enumeration ascend
+    weights = n ** np.arange(n - 1, -1, -1)
+    return np.searchsorted(perms @ weights, perms[:, perms] @ weights)
 
 
 def identity_index(table: np.ndarray) -> int:
@@ -119,7 +94,3 @@ def left_coset_ids(table: np.ndarray, subgroup) -> np.ndarray:
         next_id += 1
     return ids
 
-
-def left_regular_perms(table: np.ndarray, gens):
-    """Left translation permutations x -> g x for the given generators."""
-    return {g: table[g, :].copy() for g in gens}

@@ -44,7 +44,7 @@ from .algebra import psl2_order, psl2_table
 from .f3vectors import projective_action, sp_shift_diff_exact
 from .groups import GpElement, ResourceBudgetError
 from .perms import EXACT_DOMAIN_BUDGET, ExactPerm
-from .smallgroups import inverse_index, left_regular_perms
+from .smallgroups import inverse_index
 
 
 class CayleyGraph:
@@ -475,9 +475,8 @@ def kazhdan_bounds(table: np.ndarray, gens, seed=0) -> dict:
     if n > 2000:
         raise ValueError("direct Kazhdan bounds are for groups of order <= 2000")
     gens = list(gens)
-    graph = CayleyGraph(
-        [ExactPerm(pm) for pm in left_regular_perms(table, gens).values()]
-    )
+    # row g of the table is the left translation x -> g x
+    graph = CayleyGraph([ExactPerm(table[g]) for g in gens])
     vals = np.linalg.eigvalsh(graph.dense_adjacency())
     lambda2 = float(vals[-2])
     gap = 1.0 - lambda2
@@ -556,15 +555,20 @@ def verify_amplification(table: np.ndarray, gens, trials=1000, seed=0, kappa=Non
     if kappa is None:
         kappa = kazhdan_bounds(table, gens, seed=seed)["direct"]
     rep_gens = table[[inverse_index(table, g) for g in gens]]
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        xi = rng.standard_normal(n)
-        # row g of the table gathers pi(g^-1): the rows cover the whole group
-        lhs = 0.5 * kappa * _objective(xi, table)
-        rhs = _objective(xi, rep_gens)
-        if lhs > rhs + AMPLIFICATION_SLACK:
-            return False, {"xi": xi, "lhs": lhs, "rhs": rhs}
-    return True, None
+    # one row per trial: the same vectors as trials draws of n in turn
+    xi = np.random.default_rng(seed).standard_normal((trials, n))
+
+    def displacement(rep):  # per trial, the max over the rows a of ||xi[a] - xi||
+        return np.max([np.linalg.norm(xi[:, a] - xi, axis=1) for a in rep], axis=0)
+
+    # row g of the table gathers pi(g^-1): the rows cover the whole group
+    lhs = 0.5 * kappa * displacement(table)
+    rhs = displacement(rep_gens)
+    failed = np.flatnonzero(lhs > rhs + AMPLIFICATION_SLACK)
+    if len(failed) == 0:
+        return True, None
+    i = failed[0]
+    return False, {"xi": xi[i], "lhs": float(lhs[i]), "rhs": float(rhs[i])}
 
 
 def _undecorated_images(family) -> list:

@@ -20,11 +20,11 @@ from .groups import ResourceBudgetError, build_hom_specs, hom_eval
 from .partitions import (
     CANDIDATE_KEY_DIMS,
     CylinderPartition,
+    LabeledPartition,
     classify_candidates,
     coset_fit,
     eta_overlap,
     invariance_defect,
-    planted_coset_partition,
     relabel_noise,
 )
 from .perms import ExactPerm, d_hamming
@@ -324,13 +324,13 @@ def suite_partition(seed=3, p=7) -> RunReport:
 
     # planted cosets recover exactly on two small groups, against the
     # brute-force subgroup inventory
-    for label, table in (("cyclic12", cyclic_table(12)), ("sym4", symmetric_table(4)[1])):
+    for label, table in (("cyclic12", cyclic_table(12)), ("sym4", symmetric_table(4))):
         subgroups = all_subgroups(table)
         coset_ids = {sub: left_coset_ids(table, sub) for sub in subgroups}
         exact_ok = True
         strict_ok = True
         for sub in subgroups:
-            part = planted_coset_partition(coset_ids[sub])
+            part = LabeledPartition(coset_ids[sub])
             fits = [
                 (coset_fit(part, coset_ids[cand],
                            subgroup=str(sorted(cand)), subgroup_order=len(cand)),
@@ -352,13 +352,13 @@ def suite_partition(seed=3, p=7) -> RunReport:
     ids = np.arange(n) // (n // blocks)
     for eps in (0.01, 0.05):
         bound = 2 * Fraction(eps).limit_denominator(10**6)
-        noisy = relabel_noise(planted_coset_partition(ids), eps, np_rng)
+        noisy = relabel_noise(LabeledPartition(ids), eps, np_rng)
         fit = coset_fit(noisy, ids, subgroup_order=n // blocks)
         rep.add_check(f"noise-residual-eps-{eps}", fit.residual, bound,
                       fit.residual <= bound)
 
     # overlap functional sanity
-    part12 = planted_coset_partition(left_coset_ids(cyclic_table(12), range(0, 12, 3)))
+    part12 = LabeledPartition(left_coset_ids(cyclic_table(12), range(0, 12, 3)))
     shift = ExactPerm((np.arange(12) + 1) % 12)
     ov = eta_overlap(part12, shift)
     rep.add_check("overlap-of-block-permuting-map", ov, 1.0, ov == 1.0)
@@ -406,7 +406,7 @@ def suite_spectral_small(seed=2) -> RunReport:
     ok2, _ = verify_amplification(z2, [1], trials=1000, seed=seed, kappa=kb["direct"])
     rep.add_check("two-point-amplification", ok2, True, ok2, trials=1000, seed=seed)
 
-    _, s3 = symmetric_table(3)
+    s3 = symmetric_table(3)
     gens3 = _generating_pair(s3)
     kb3 = kazhdan_bounds(s3, gens3, seed=seed)
     rep.add_check(

@@ -18,7 +18,6 @@ from soficlab.f3vectors import (
     sp_count_exact,
     sp_mask,
     sp_shift_diff_exact,
-    v1_vector,
     v2_vector,
     v_vector,
 )
@@ -111,7 +110,7 @@ def test_criterion_06_invariant_closure():
     dims = {invariant_closure_dim(ap_unindex(rng.randrange(1, 3**7), 7))
             for _ in range(100)}
     dims |= {invariant_closure_dim(v) for v in
-             (v_vector(7), v1_vector(7), v2_vector(7))}
+             (v_vector(7), v2_vector(7))}
     _line(6, dims == {7}, f"closure dimensions {sorted(dims)} == [7]")
     _budget(6, time.monotonic() - t0, 10)
 

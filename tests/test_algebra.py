@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 
 from soficlab.algebra import (
     PSL2Element,
-    ProjectivePoint,
     _entry_mul,
     centralizer_fraction,
     centralizer_fraction_max,
     is_prime,
-    moebius_act,
     next_prime,
-    projective_line,
-    psl2_enumerate,
     psl2_order,
     psl2_table,
 )
+from soficlab.f3vectors import h_position_perm
 
 
 def test_identity_product():
@@ -45,7 +42,7 @@ def test_bad_determinant_rejected():
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 def test_associativity_random_triples(q):
-    elems = psl2_enumerate(q)
+    elems = list(psl2_table(q))
     rng = random.Random(q)
     for _ in range(10_000):
         x, y, z = (rng.choice(elems) for _ in range(3))
@@ -53,14 +50,14 @@ def test_associativity_random_triples(q):
 
 
 def test_inverses_exhaustive_q5():
-    for g in psl2_enumerate(5):
+    for g in list(psl2_table(5)):
         assert (g * g.inverse()).is_identity()
         assert (g.inverse() * g).is_identity()
 
 
 def test_canonicalization_idempotent():
     rng = random.Random(0)
-    elems = psl2_enumerate(11)
+    elems = list(psl2_table(11))
     for _ in range(200):
         g = rng.choice(elems)
         again = PSL2Element(g.a, g.b, g.c, g.d, 11)
@@ -69,34 +66,41 @@ def test_canonicalization_idempotent():
         assert negated == g
 
 
-def test_moebius_translation_and_inversion():
-    g = PSL2Element(1, 1, 0, 1, 7)
-    assert moebius_act(g, ProjectivePoint(0, 7)) == ProjectivePoint(1, 7)
-    w = PSL2Element(0, -1, 1, 0, 7)
-    assert moebius_act(w, ProjectivePoint.infinity(7)) == ProjectivePoint(0, 7)
+# P^1(F_q) is the positions 0..q, position q the point at infinity;
+# h_position_perm(g) reads position i from g^-1 . i, so that of g^-1 is
+# the map x -> g . x.  PSL2 is generated by the shear and the flip, so the
+# three properties below pin the action.
+def _moves(g):
+    return h_position_perm(g.inverse())
 
 
-def test_moebius_is_bijection_for_every_element_q7():
-    line = projective_line(7)
-    for g in psl2_enumerate(7):
-        assert len({moebius_act(g, x).value for x in line}) == 8
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_position_action_of_shear_and_flip(q):
+    # the shear x -> x + 1 fixes infinity; the flip x -> -1/x swaps 0 and it
+    assert _moves(PSL2Element(1, 1, 0, 1, q)) == (*range(1, q), 0, q)
+    flip = _moves(PSL2Element(0, -1, 1, 0, q))
+    assert (flip[0], flip[q]) == (q, 0)
+    assert all(flip[x] == -pow(x, -1, q) % q for x in range(1, q))
 
 
-def test_moebius_is_group_action_q7():
-    line = projective_line(7)
-    gens = [PSL2Element(1, 1, 0, 1, 7), PSL2Element(0, -1, 1, 0, 7)]
-    rng = random.Random(1)
-    elems = psl2_enumerate(7)
+def test_position_action_is_bijection_for_every_element_q7():
+    for g in psl2_table(7):
+        assert sorted(h_position_perm(g)) == list(range(8))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_position_action_is_group_action(q):
+    rng = random.Random(q)
+    elems = list(psl2_table(q))
     for _ in range(300):
-        g = rng.choice(gens)
-        h = rng.choice(elems)
-        x = rng.choice(line)
-        assert moebius_act(g * h, x) == moebius_act(g, moebius_act(h, x))
+        g, h = rng.choice(elems), rng.choice(elems)
+        gh, moves_g, moves_h = _moves(g * h), _moves(g), _moves(h)
+        assert all(gh[x] == moves_g[moves_h[x]] for x in range(q + 1))
 
 
 @pytest.mark.parametrize("q,order", [(5, 60), (7, 168), (11, 660)])
 def test_enumeration_matches_order_formula(q, order):
-    elems = psl2_enumerate(q)
+    elems = list(psl2_table(q))
     assert len(elems) == order == psl2_order(q)
     assert len(set(elems)) == order
     table = psl2_table(q)
@@ -184,7 +188,7 @@ def test_arithmetic_index_matches_sorted_search(q, data):
 
 
 def test_enumeration_order_is_lexicographic():
-    elems = psl2_enumerate(5)
+    elems = list(psl2_table(5))
     keys = [g.entries() for g in elems]
     assert keys == sorted(keys)
 

@@ -12,7 +12,7 @@ import pytest
 
 from soficlab.cli import main, make_parser
 from soficlab.perms import read_perm
-from soficlab.suites import measure_defect
+from soficlab.suites import measure_defect, suite_covers
 
 
 def test_build_writes_artifacts(tmp_path):
@@ -114,6 +114,15 @@ def test_verify_covers(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_verify_without_seed_runs_the_suite_default(tmp_path):
+    # with no --seed, verify passes none, and the suite keeps its own default
+    out = tmp_path / "covers"
+    assert main(["verify", "covers", "--out", str(out)]) == 0
+    written = json.loads((out / "report.json").read_text())
+    del written["wall_time_s"]
+    assert written == json.loads(json.dumps(suite_covers().body(volatile=False)))
 
 
 def test_verify_four_conditions_takes_no_seed(tmp_path, sigma7, monkeypatch):

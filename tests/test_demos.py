@@ -15,6 +15,23 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 PACKAGE = ROOT / "src" / "soficlab"
 # stdout of the demos whose output is pinned, byte for byte
 PINNED_STDOUT = {
+    "01_projective_group_basics": (
+        'q = 5: enumerated 60 elements, formula gives q(q^2-1)/2 = 60\n'
+        'q = 7: enumerated 168 elements, formula gives q(q^2-1)/2 = 168\n'
+        'q = 11: enumerated 660 elements, formula gives q(q^2-1)/2 = 660\n'
+        'q = 13: enumerated 1092 elements, formula gives q(q^2-1)/2 = 1092\n'
+        '\n'
+        'shear orbit of 0: 0 1 2 3 4 5 6 0 \n'
+        'flip sends infinity to 0\n'
+        '\n'
+        'centralizer fractions at q = 7:\n'
+        '  identity: 1\n'
+        '  shear:    1/24\n'
+        '  q=5: worst nontrivial fraction 1/12 <= 1/(2(q-1)) = 1/8: True\n'
+        '  q=7: worst nontrivial fraction 1/21 <= 1/(2(q-1)) = 1/12: True\n'
+        '  q=11: worst nontrivial fraction 1/55 <= 1/(2(q-1)) = 1/20: True\n'
+        '  q=13: worst nontrivial fraction 1/84 <= 1/(2(q-1)) = 1/24: True\n'
+    ),
     "05_product_model": (
         'product domain size: 242,494,560\n'
         'fixed-point budget 1/(2(r-1)) = 1/20\n'

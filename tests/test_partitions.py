@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from soficlab.partitions import (
     coset_fit,
     eta_overlap,
     invariance_defect,
-    planted_coset_partition,
     relabel_noise,
 )
 from soficlab.perms import ExactPerm
@@ -48,7 +48,7 @@ def test_block_preserving_map_has_zero_defect():
 
 def test_coset_translation_permutes_blocks():
     ids = left_coset_ids(cyclic_table(12), range(0, 12, 3))
-    part = planted_coset_partition(ids)
+    part = LabeledPartition(ids)
     out = invariance_defect(part, shift_perm(12))
     assert out["defect"] == 0
 
@@ -56,7 +56,7 @@ def test_coset_translation_permutes_blocks():
 def test_perturbed_partition_defect_bounded():
     rng = np.random.default_rng(0)
     ids = np.arange(1200) // 100
-    part = planted_coset_partition(ids)
+    part = LabeledPartition(ids)
     noisy = relabel_noise(part, 0.05, rng)
     out = invariance_defect(noisy, shift_perm(1200, 100))
     assert 0 < out["defect"] <= Fraction(2, 10)
@@ -122,7 +122,7 @@ def test_relabel_noise_matches_reference_loop(seed):
     # the skip branch runs on counts that earlier moves changed
     planted = np.repeat(np.arange(12), [1, 2, 3] * 4)
     for ids, eps in ((np.arange(1200) // 100, 0.05), (planted, 0.5)):
-        part = planted_coset_partition(ids)
+        part = LabeledPartition(ids)
         fast = relabel_noise(part, eps, np.random.default_rng(seed))
         ref = _relabel_noise_reference(part, eps, np.random.default_rng(seed))
         assert np.array_equal(fast.block_ids, ref)
@@ -131,13 +131,23 @@ def test_relabel_noise_matches_reference_loop(seed):
 def test_noisy_coset_overlap_lower_bound():
     rng = np.random.default_rng(5)
     ids = np.arange(1200) // 100
-    noisy = relabel_noise(planted_coset_partition(ids), 0.05, rng)
+    noisy = relabel_noise(LabeledPartition(ids), 0.05, rng)
     ov = eta_overlap(noisy, shift_perm(1200, 100))
     assert ov >= 1 - 4 * 0.05
 
 
 _SMALL_TABLES = {f"C{n}": cyclic_table(n) for n in range(1, 31)}
-_SMALL_TABLES.update(S3=symmetric_table(3)[1], S4=symmetric_table(4)[1])
+_SMALL_TABLES.update(S3=symmetric_table(3), S4=symmetric_table(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_table_composes_lexicographic_permutations(n):
+    # oracle: compose tuples pairwise and look the result up in a dict
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    want = [[index[tuple(a[k] for k in b)] for b in perms] for a in perms]
+    assert perms[0] == tuple(range(n))
+    assert symmetric_table(n).tolist() == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,7 +164,7 @@ def test_coset_fit_exact_cosets():
     table = cyclic_table(12)
     for sub in all_subgroups(table):
         ids = left_coset_ids(table, sub)
-        fit = coset_fit(planted_coset_partition(ids), ids, subgroup_order=len(sub))
+        fit = coset_fit(LabeledPartition(ids), ids, subgroup_order=len(sub))
         assert fit.residual == 0
         assert len(fit.assignment) == 12 // len(sub)
         assert fit.coverage == 1
@@ -162,7 +172,7 @@ def test_coset_fit_exact_cosets():
 
 def test_coset_fit_singletons_against_trivial():
     n = 30
-    fit = coset_fit(planted_coset_partition(np.arange(n)), np.arange(n),
+    fit = coset_fit(LabeledPartition(np.arange(n)), np.arange(n),
                     subgroup_order=1)
     assert fit.residual == 0
 
@@ -172,18 +182,18 @@ def test_coset_fit_noise_residual():
     n, blocks = 10_000, 20
     ids = np.arange(n) // (n // blocks)
     for eps in (0.01, 0.05):
-        noisy = relabel_noise(planted_coset_partition(ids), eps, rng)
+        noisy = relabel_noise(LabeledPartition(ids), eps, rng)
         fit = coset_fit(noisy, ids, subgroup_order=n // blocks)
         assert 0 < fit.residual <= 2 * Fraction(eps).limit_denominator(100)
 
 
 def test_coset_fit_selects_planted_subgroup_s4():
-    _, table = symmetric_table(4)
+    table = symmetric_table(4)
     subgroups = all_subgroups(table)
     assert len(subgroups) == 30
     rng = random.Random(7)
     for sub in rng.sample(subgroups, 8):
-        part = planted_coset_partition(left_coset_ids(table, sub))
+        part = LabeledPartition(left_coset_ids(table, sub))
         fits = []
         for cand in subgroups:
             fit = coset_fit(part, left_coset_ids(table, cand),

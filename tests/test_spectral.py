@@ -16,7 +16,6 @@ from soficlab import spectral
 from soficlab.smallgroups import (
     cyclic_table,
     inverse_index,
-    left_regular_perms,
     subgroup_closure,
     symmetric_table,
 )
@@ -351,7 +350,7 @@ def test_kazhdan_two_point():
 
 
 def test_kazhdan_sandwich_sym3_all_generating_pairs():
-    _, table = symmetric_table(3)
+    table = symmetric_table(3)
     tested = 0
     for g in range(1, 6):
         for h in range(g + 1, 6):
@@ -366,7 +365,7 @@ def test_kazhdan_sandwich_sym3_all_generating_pairs():
 def test_kazhdan_twisted_pair_exceeds_naive_upper():
     # the squared constant for a transposition and a 3-cycle is 12/7, which
     # sits strictly above 2*gap = 3/2: the sum bound is the right ceiling
-    _, table = symmetric_table(3)
+    table = symmetric_table(3)
     from math import sqrt
 
     for g in range(1, 6):
@@ -382,7 +381,7 @@ def test_kazhdan_twisted_pair_exceeds_naive_upper():
 
 
 def test_kazhdan_monotone_in_generating_set():
-    _, table = symmetric_table(3)
+    table = symmetric_table(3)
     all_elements = list(range(1, 6))
     kb_all = kazhdan_bounds(table, all_elements, seed=0)
     kb_pair = kazhdan_bounds(table, [1, 3], seed=0)
@@ -393,11 +392,40 @@ def test_amplification_z2_and_sym3():
     ok, witness = verify_amplification(cyclic_table(2), [1], trials=1000, seed=0,
                                        kappa=2.0)
     assert ok, witness
-    _, table = symmetric_table(3)
+    table = symmetric_table(3)
     kb = kazhdan_bounds(table, [1, 3], seed=0)
     ok, witness = verify_amplification(table, [1, 3], trials=1000, seed=0,
                                        kappa=kb["lower"])
     assert ok, witness
+
+
+def _amplification_per_trial(table, gens, trials, seed, kappa):
+    """Oracle: the amplification check one trial at a time, each random
+    vector drawn in turn."""
+    rep_gens = table[[inverse_index(table, g) for g in gens]]
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        xi = rng.standard_normal(len(table))
+        lhs = 0.5 * kappa * float(np.linalg.norm(xi[table] - xi, axis=1).max())
+        rhs = float(np.linalg.norm(xi[rep_gens] - xi, axis=1).max())
+        if lhs > rhs + spectral.AMPLIFICATION_SLACK:
+            return False, {"xi": xi, "lhs": lhs, "rhs": rhs}
+    return True, None
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("table,gens", [(cyclic_table(2), [1]), (symmetric_table(3), [1, 3])])
+def test_amplification_matches_per_trial_oracle(table, gens, seed):
+    # the direct constant passes; three times it fails, on the same first
+    # trial and with the same witness as the per-trial loop
+    kappa = kazhdan_bounds(table, gens, seed=seed)["direct"]
+    for k, verdict in ((kappa, True), (3 * kappa, False)):
+        ok, witness = verify_amplification(table, gens, trials=1000, seed=seed, kappa=k)
+        want_ok, want = _amplification_per_trial(table, gens, 1000, seed, k)
+        assert ok == want_ok == verdict
+        if not ok:
+            assert (witness["lhs"], witness["rhs"]) == (want["lhs"], want["rhs"])
+            assert np.array_equal(witness["xi"], want["xi"])
 
 
 def test_amplification_without_kappa_runs_restarts_at_its_seed(monkeypatch):
@@ -409,7 +437,7 @@ def test_amplification_without_kappa_runs_restarts_at_its_seed(monkeypatch):
         return direct(table, gens, seed=seed)
 
     monkeypatch.setattr(spectral, "_kazhdan_direct", spy)
-    _, table = symmetric_table(3)
+    table = symmetric_table(3)
     for seed in (3, 11):
         ok, witness = verify_amplification(table, [1, 3], trials=200, seed=seed)
         assert ok, witness
@@ -418,8 +446,8 @@ def test_amplification_without_kappa_runs_restarts_at_its_seed(monkeypatch):
 
 @pytest.mark.parametrize("table,gens", [
     (cyclic_table(2), [1]),
-    (symmetric_table(3)[1], [1, 3]),
-    (symmetric_table(4)[1], list(range(1, 24))),
+    (symmetric_table(3), [1, 3]),
+    (symmetric_table(4), list(range(1, 24))),
 ])
 def test_kazhdan_constraint_gradients_match_finite_differences(table, gens):
     from scipy.optimize import approx_fprime
@@ -438,6 +466,5 @@ def test_kazhdan_constraint_gradients_match_finite_differences(table, gens):
 
 def test_amplification_constant_vector_trivial():
     table = cyclic_table(4)
-    perms = left_regular_perms(table, [1])
     xi = np.ones(4)
-    assert np.linalg.norm(xi[perms[1]] - xi) == 0
+    assert np.linalg.norm(xi[table[1]] - xi) == 0
