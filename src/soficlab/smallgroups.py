@@ -59,8 +59,10 @@ def subgroup_closure(table: np.ndarray, seed) -> frozenset:
 
 
 def all_subgroups(table: np.ndarray):
-    """Every subgroup, by closing each known subgroup with each element
-    (generator-only closures).  Meant for orders up to a couple hundred."""
+    """Every subgroup, by closing each known subgroup H with one element g
+    of each left coset gH other than H (generator-only closures): H u {g}
+    and H u {gk} generate the same subgroup for k in H.  Meant for orders
+    up to a couple hundred."""
     n = len(table)
     e = identity_index(table)
     found = {frozenset({e})}
@@ -68,9 +70,13 @@ def all_subgroups(table: np.ndarray):
     while frontier:
         new = []
         for h in frontier:
+            members = np.fromiter(h, dtype=np.int64)
+            covered = np.zeros(n, dtype=bool)
+            covered[members] = True
             for g in range(n):
-                if g in h:
+                if covered[g]:
                     continue
+                covered[table[g, members]] = True
                 h2 = subgroup_closure(table, h | {g})
                 if h2 not in found:
                     found.add(h2)

@@ -62,6 +62,7 @@ from .groups import (
     sigma_gen_names,
 )
 from .perms import (
+    CONFIDENCE,
     EXACT_DOMAIN_BUDGET,
     SAMPLE_BLOCK,
     DHEstimate,
@@ -70,6 +71,7 @@ from .perms import (
     ImplicitPerm,
     commutator_defects,
     d_hamming,
+    hoeffding_radius,
     materialize,
 )
 from .words import ProductWord, ReducedWord, evaluate
@@ -188,11 +190,8 @@ class GpContext:
     def t_perm(self, a0: ApVector, h0: PSL2Element):
         """The slab involution for g0 = (a0, h0): x -> g0 x on T, x -> g0^-1 x
         on the shifted slab g0 T = (S + a0) x H, fixing the rest."""
-        if (h0 * h0).is_identity():
-            raise GenerationCheckError("the translating matrix part must not square to e")
+        _check_slab_translation(a0, h0)
         p = self.p
-        if shift_overlap_counts(a0)["both"]:
-            raise GenerationCheckError("slab and shifted slab are not disjoint")
         g0 = GpElement(a0, h0)
         forward, back = self._left_fn(g0), self._left_fn(g0.inverse())
         neg_a0v = vector_points(-a0)
@@ -201,9 +200,8 @@ class GpContext:
             points, h_idx = pts
             shape = np.broadcast_shapes(points.shape[:-1], np.shape(h_idx))
             # S and S + a0 are disjoint, so the two writes never overlap
-            in_s = np.nonzero(np.broadcast_to(sp_mask(points, p), shape))
-            in_shift = np.nonzero(np.broadcast_to(sp_mask(f3_add(points, neg_a0v), p),
-                                                  shape))
+            in_s, in_shift = (np.nonzero(np.broadcast_to(mask, shape))
+                              for mask in _slab_regions(points, neg_a0v, p))
             points = np.broadcast_to(points, shape + (2,))
             new_pts, new_h = empty_points(shape), np.array(np.broadcast_to(h_idx, shape))
             new_pts[...] = points
@@ -215,6 +213,35 @@ class GpContext:
 
         # the slab map is an involution
         return ImplicitPerm(self, fn, fn)
+
+
+def gp_mode(p: int) -> str:
+    """The mode of G(p)'s models: exact (enumerated) when G(p) has at most
+    EXACT_DOMAIN_BUDGET points, implicit otherwise."""
+    return "exact" if 3**p * psl2_order(p) <= EXACT_DOMAIN_BUDGET else "implicit"
+
+
+def slab_translation(p: int):
+    """The model's slab translation g0 = (a0, h0): a0 = (0,0,1,...,1) and h0
+    the image of [[1,1],[0,1]]."""
+    return a_shift_vector(p), PSL2Element(1, 1, 0, 1, p)
+
+
+def _check_slab_translation(a0: ApVector, h0: PSL2Element):
+    """Refuse a translation that the slab involution cannot use: g0^2 = e
+    would make g0 and g0^-1 one translation, and the slab T and its
+    translate g0 T must be disjoint."""
+    if (h0 * h0).is_identity():
+        raise GenerationCheckError("the translating matrix part must not square to e")
+    if shift_overlap_counts(a0)["both"]:
+        raise GenerationCheckError("slab and shifted slab are not disjoint")
+
+
+def _slab_regions(points, neg_a0, p: int):
+    """The slab region of each vector of a point array, as two masks: in S
+    and in S + a0 (disjoint, by _check_slab_translation).  A vector in
+    neither lies in the rest, which t fixes."""
+    return sp_mask(points, p), sp_mask(f3_add(points, neg_a0), p)
 
 
 # The benchmark's tracer wraps right_mult_inv through this name's class dict.
@@ -271,19 +298,18 @@ class AsymptoticHom:
 def build_sigma(family: HomFamily) -> AsymptoticHom:
     """The G(p) model of the family's level and ranks: left generators act
     by left multiplication, right generators by inverse right
-    multiplication, t by the slab involution with a0 = (0,0,1,...,1) and
-    h0 the image of [[1,1],[0,1]].  The model is exact (enumerated) when
-    G(p) has at most EXACT_DOMAIN_BUDGET points and implicit otherwise."""
+    multiplication, t by the slab involution of slab_translation(p).  The
+    model's mode is gp_mode(p)."""
     p = family.p
     ctx = GpContext(p)
     images = {}
     phi, rho = family["phi"], family["rho"]
     for name in sigma_gen_names(family.m)[:-1]:
         images[name] = ctx.left_mult(phi.image(name))
-    images["t"] = ctx.t_perm(a_shift_vector(p), PSL2Element(1, 1, 0, 1, p))
+    images["t"] = ctx.t_perm(*slab_translation(p))
     for name in lambda_gen_names(family.k):
         images[name] = ctx.right_mult_inv(rho.image(name))
-    mode = "exact" if ctx.size <= EXACT_DOMAIN_BUDGET else "implicit"
+    mode = gp_mode(p)
     if mode == "exact":
         images = {name: materialize(perm) for name, perm in images.items()}
     return AsymptoticHom(domain=images["t"].domain, images=images, family=family,
@@ -315,6 +341,67 @@ def hom_defect(sigma: AsymptoticHom, u: ProductWord, v: ProductWord,
     rhs = sigma.eval(u * v)
     mode = "exact" if samples is None else "sampled"
     return d_hamming(lhs, rhs, mode=mode, samples=samples, seed=seed)
+
+
+def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
+                        seed=None) -> DHEstimate:
+    """d_H(t o r, r o t) in the family's G(p) model, for the right word map
+    r = sigma((e, word)) = x -> x rho(word)^-1: the value of
+    hom_defect(build_sigma(family), (e, word), (t, e)), read as a count of
+    slab-region changes.
+
+    Right maps commute with left translations, and e, g0 and g0^-1 are
+    distinct because g0^2 != e, so t o r and r o t differ exactly at the
+    points x = (a, h) whose slab region differs from that of
+    r(x) = (a + h.w', h u'), with rho(word)^-1 = (w', u').  The shifts h.w'
+    come from one act_rows.  On an enumerable G(p) (gp_mode "exact") the
+    region changes are one table over the flat domain, and the exact value
+    is its count.  Sampled, the points are the ones d_hamming draws on the
+    model's domain, so the estimate is d_hamming's bit for bit: flat
+    indices read from that table, or GpContext.sample points compared in
+    blocks of SAMPLE_BLOCK.
+    """
+    p = family.p
+    ctx = GpContext(p)
+    a0, h0 = slab_translation(p)
+    _check_slab_translation(a0, h0)
+    neg_a0 = vector_points(-a0)
+    shifts = act_rows(ctx.table.entries, hom_eval(family["rho"], word).inverse().a)
+
+    def changed(pts):
+        vectors, h_idx = pts
+        moved = f3_add(vectors, take_points(shifts, h_idx))
+        in_s, in_shift = _slab_regions(vectors, neg_a0, p)
+        moved_s, moved_shift = _slab_regions(moved, neg_a0, p)
+        return (in_s != moved_s) | (in_shift != moved_shift)
+
+    exact = gp_mode(p) == "exact"
+    if samples is None:
+        if not exact:
+            raise ValueError(f"domain of size {ctx.size} is too large to enumerate exactly")
+    elif seed is None:
+        raise ValueError("sampled mode requires an explicit seed")
+    elif samples <= 0:
+        raise ValueError("sampled mode requires a sample count")
+    if exact:
+        table = np.empty(ctx.size, dtype=bool)
+        for rows, pts in ctx.blocks():
+            table[rows] = changed(pts).ravel()
+        if samples is None:
+            return DHEstimate(Fraction(int(np.count_nonzero(table)), ctx.size), 0.0, 1.0,
+                              "exact")
+        rng = np.random.default_rng(seed)
+        differ = np.count_nonzero(table[rng.integers(0, ctx.size, size=samples,
+                                                     dtype=np.int64)])
+    else:
+        vectors, h_idx = ctx.sample(np.random.default_rng(seed), samples)
+        differ = 0
+        for start in range(0, samples, SAMPLE_BLOCK):
+            rows = slice(start, start + SAMPLE_BLOCK)
+            differ += np.count_nonzero(changed((vectors[rows], h_idx[rows])))
+    agree = samples - int(differ)
+    return DHEstimate(1.0 - float(agree) / samples, hoeffding_radius(samples, CONFIDENCE),
+                      CONFIDENCE, "sampled", samples=samples, seed=seed)
 
 
 # -- the four-condition report --------------------------------------------

@@ -42,12 +42,13 @@ from .sofic import (
     build_tilde_sigma,
     cocycle_reconstruct,
     extract_almost_cocycle,
-    hom_defect,
     induce_approximation,
     four_condition_report,
+    gp_mode,
     lift_branched_cover,
     random_cover,
     SchreierSystem,
+    t_commutator_defect,
 )
 from .spectral import (
     boundary_ratio_slab,
@@ -469,17 +470,19 @@ def measure_boundary(primes=DEFAULT_PRIMES) -> list:
 
 def measure_defect(primes=DEFAULT_PRIMES, samples=50_000, seed=17) -> list:
     """Commutator defect of the t image against the decorated right
-    generator: exact on enumerable domains, sampled elsewhere."""
+    generator, read as the fraction of points whose slab region the
+    generator changes (sofic.t_commutator_defect): exact on enumerable
+    domains, sampled elsewhere.  Each estimate's temporaries die inside
+    its call, so one prime's sample never outlives its row."""
     rows = []
-    u = ProductWord(ReducedWord(), ReducedWord.gen(f"b{K}"))
-    v = ProductWord(ReducedWord.gen("t"), ReducedWord())
+    word = ReducedWord.gen(f"b{K}")
     for p in primes:
-        sigma = build_sigma(build_hom_specs(p, M, K))
-        if sigma.mode == "exact":
-            est = hom_defect(sigma, u, v)
+        family = build_hom_specs(p, M, K)
+        if gp_mode(p) == "exact":
+            est = t_commutator_defect(family, word)
             rows.append({"p": p, "mode": "exact", "value": est.value,
                          "radius": 0.0, "samples": None, "seed": None})
-        est = hom_defect(sigma, u, v, samples=samples, seed=seed + p)
+        est = t_commutator_defect(family, word, samples=samples, seed=seed + p)
         rows.append({"p": p, "mode": "sampled", "value": est.value,
                      "radius": est.radius, "samples": samples, "seed": seed + p})
     return rows

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,6 +192,45 @@ def test_sampled_defects_are_pinned(tmp_path):
     assert out.read_bytes() == PINNED_DEFECT_CSV
 
 
+# The benchmark-size table, `measure defect --primes 7,13,19,31,37
+# --samples 663000 --seed 4242`, as the generic route (build_sigma and
+# hom_defect) computed it: the region count must reproduce it byte for byte.
+PINNED_BENCHMARK_DEFECT_CSV = (
+    b"p,mode,value,radius,samples,seed\r\n"
+    b"7,exact,1075/5103,0.0,,\r\n"
+    b"7,sampled,0.2110814479638009,0.001998928326481538,663000,4249\r\n"
+    b"13,sampled,0.20449622926093514,0.001998928326481538,663000,4255\r\n"
+    b"19,sampled,0.191894419306184,0.001998928326481538,663000,4261\r\n"
+    b"31,sampled,0.16840723981900452,0.001998928326481538,663000,4273\r\n"
+    b"37,sampled,0.15972699849170435,0.001998928326481538,663000,4279\r\n"
+)
+
+
+def test_benchmark_size_defect_table_is_pinned(tmp_path):
+    out = tmp_path / "defect.csv"
+    assert main(["measure", "defect", "--primes", "7,13,19,31,37", "--samples", "663000",
+                 "--seed", "4242", "--out", str(out)]) == 0
+    assert out.read_bytes() == PINNED_BENCHMARK_DEFECT_CSV
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_defect_table_frees_each_prime_before_the_next():
+    # one prime's sample must not outlive its row: two primes peak like
+    # the larger one alone
+    measure_defect((13, 19), samples=10, seed=1)  # tables and caches
+    alone = _traced_peak(lambda: measure_defect((19,), samples=200_000, seed=1))
+    both = _traced_peak(lambda: measure_defect((13, 19), samples=200_000, seed=1))
+    assert both <= 1.25 * alone
+
+
 def test_measure_spectra_csv(tmp_path):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for out in paths:
@@ -244,7 +284,7 @@ def test_measure_defect_rejects_nonpositive_samples(samples, capsys, monkeypatch
     import soficlab.suites
 
     built = []
-    monkeypatch.setattr(soficlab.suites, "build_sigma",
+    monkeypatch.setattr(soficlab.suites, "build_hom_specs",
                         lambda *args, **kwargs: built.append(args))
     with pytest.raises(SystemExit) as exc:
         main(["measure", "defect", "--primes", "13", "--samples", samples])

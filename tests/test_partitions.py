@@ -23,6 +23,7 @@ from soficlab.perms import ExactPerm
 from soficlab.smallgroups import (
     all_subgroups,
     cyclic_table,
+    identity_index,
     left_coset_ids,
     subgroup_closure,
     symmetric_table,
@@ -158,6 +159,33 @@ def test_subgroup_closure_matches_pairwise_oracle(name, data):
     table = _SMALL_TABLES[name]
     seed = data.draw(st.sets(st.integers(0, len(table) - 1), max_size=4))
     assert subgroup_closure(table, seed) == pairwise_subgroup_closure(table, seed)
+
+
+def _subgroups_closing_every_element(table):
+    """Every subgroup, by closing each known subgroup with each element
+    outside it."""
+    e = identity_index(table)
+    found = {frozenset({e})}
+    frontier = [frozenset({e})]
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in range(len(table)):
+                if g in h:
+                    continue
+                h2 = subgroup_closure(table, h | {g})
+                if h2 not in found:
+                    found.add(h2)
+                    new.append(h2)
+        frontier = new
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("table", [cyclic_table(n) for n in range(1, 31)]
+                         + [symmetric_table(3), symmetric_table(4)])
+def test_all_subgroups_matches_closing_every_element(table):
+    # one closure per coset finds the same subgroups as one per element
+    assert all_subgroups(table) == _subgroups_closing_every_element(table)
 
 
 def test_coset_fit_exact_cosets():

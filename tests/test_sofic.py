@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soficlab.algebra import PSL2Element
 from soficlab.f3vectors import (
@@ -25,6 +28,7 @@ from soficlab.sofic import (
     build_tilde_sigma,
     hom_defect,
     four_condition_report,
+    t_commutator_defect,
 )
 from soficlab.suites import _random_nontrivial_word, suite_soficity
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
@@ -242,14 +246,57 @@ def test_soficity_k_factor_shortcut_matches_full_products(sigma7, tilde7, family
     assert checks["right-translation-displacement"]["pass"] is displaced
 
 
-def test_slab_involution_hypotheses_are_checks():
+def test_slab_involution_hypotheses_are_checks(family7, monkeypatch):
     ctx = GpContext(7)
-    # h0 must not square to e
-    with pytest.raises(GenerationCheckError, match="square to e"):
-        ctx.t_perm(a_shift_vector(7), PSL2Element.identity(7))
-    # a zero shift makes the shifted slab the slab itself
-    with pytest.raises(GenerationCheckError, match="not disjoint"):
-        ctx.t_perm(ApVector.zero(7), PSL2Element(1, 1, 0, 1, 7))
+    slabs = {
+        # h0 must not square to e
+        "square to e": (a_shift_vector(7), PSL2Element.identity(7)),
+        # a zero shift makes the shifted slab the slab itself
+        "not disjoint": (ApVector.zero(7), PSL2Element(1, 1, 0, 1, 7)),
+    }
+    for match, slab in slabs.items():
+        with pytest.raises(GenerationCheckError, match=match):
+            ctx.t_perm(*slab)
+        # the region count refuses what the slab involution refuses
+        monkeypatch.setattr(sofic, "slab_translation", lambda p: slab)
+        with pytest.raises(GenerationCheckError, match=match):
+            t_commutator_defect(family7, ReducedWord.gen("b3"))
+
+
+@cache
+def _implicit_model(p):
+    """The implicit G(p) model past p = 7, built once per level."""
+    return build_sigma(build_hom_specs(p, 5, 3))
+
+
+_right_words = st.lists(st.tuples(st.sampled_from(LAMBDA), st.sampled_from((1, -1))),
+                        max_size=4).map(
+    lambda letters: ReducedWord(tuple(letters)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(word=_right_words)
+@example(word=ReducedWord())
+@example(word=ReducedWord.gen("b3"))
+def test_region_count_matches_exact_hom_defect(sigma7, word):
+    # the lemma, on the dense p = 7 model: t o r and r o t differ exactly
+    # where r changes the slab region
+    expected = hom_defect(sigma7, pw(right=word), pw(ReducedWord.gen("t")))
+    assert t_commutator_defect(sigma7.family, word) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(word=_right_words, p=st.sampled_from((7, 13, 37)),
+       samples=st.sampled_from((1, 997, SAMPLE_BLOCK + 7)),
+       seed=st.integers(0, 2**32 - 1))
+@example(word=ReducedWord(), p=13, samples=997, seed=0)
+@example(word=ReducedWord.gen("b3"), p=37, samples=997, seed=54)
+def test_region_count_samples_like_hom_defect(sigma7, word, p, samples, seed):
+    # the same points as d_hamming on the model's domain, so the same float
+    sigma = sigma7 if p == 7 else _implicit_model(p)
+    expected = hom_defect(sigma, pw(right=word), pw(ReducedWord.gen("t")),
+                          samples=samples, seed=seed)
+    assert t_commutator_defect(sigma.family, word, samples=samples, seed=seed) == expected
 
 
 def test_sampled_defect_agrees_with_exact(sigma7):

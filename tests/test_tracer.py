@@ -59,12 +59,18 @@ def test_tracer_wraps_resolve_and_uninstall_restores():
 def test_traced_defect_table_names_its_modes():
     # the tracer names d_hamming calls by their mode keyword and
     # build_sigma calls by the mode of the model built
-    from soficlab import suites
+    from soficlab import sofic
+    from soficlab.groups import build_hom_specs
+    from soficlab.words import ProductWord, ReducedWord
 
+    u = ProductWord(ReducedWord(), ReducedWord.gen("b3"))
+    v = ProductWord(ReducedWord.gen("t"), ReducedWord())
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
-        suites.measure_defect((7,), samples=2000, seed=1)
+        sigma = sofic.build_sigma(build_hom_specs(7, 5, 3))
+        sofic.hom_defect(sigma, u, v)
+        sofic.hom_defect(sigma, u, v, samples=2000, seed=1)
     finally:
         tracer.uninstall()
     assert tracer.bucket["perms.d_hamming.sampled.samples"] == 2000
