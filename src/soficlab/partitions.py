@@ -48,9 +48,17 @@ class LabeledPartition:
 
 
 def _pair_counts(a: np.ndarray, b: np.ndarray, width: int):
-    """Sparse joint counts of (a[i], b[i]) pairs."""
+    """Sparse joint counts of (a[i], b[i]) pairs with b < width, in
+    ascending (a, b) order: a dense bincount when the key range is at most
+    the number of pairs (or 2^16), a sort otherwise."""
     key = a * width + b
-    uniq, counts = np.unique(key, return_counts=True)
+    n_keys = (int(a.max()) + 1) * width if len(key) else 0
+    if n_keys <= max(len(key), 1 << 16):
+        dense = np.bincount(key, minlength=n_keys)
+        uniq = np.flatnonzero(dense)
+        counts = dense[uniq]
+    else:
+        uniq, counts = np.unique(key, return_counts=True)
     return uniq // width, uniq % width, counts
 
 
@@ -110,19 +118,16 @@ def coset_fit(partition: LabeledPartition, coset_ids, subgroup="N",
         subgroup_order = int(coset_sizes[0])
     n_cosets = int(coset_ids.max()) + 1
     rows, cols, counts = _pair_counts(partition.block_ids, coset_ids, n_cosets)
+    # A block has at most one strict-majority coset, so claiming in order
+    # of decreasing overlap is keeping each coset's first majority pair in
+    # (-overlap, block) order.
+    major = 2 * counts > partition.sizes[rows]
+    rows, cols, counts = rows[major], cols[major], counts[major]
     order = np.lexsort((rows, -counts))
-    assignment = {}
-    claimed_cosets = set()
-    gain = 0
-    for idx in order:
-        k, c, ov = int(rows[idx]), int(cols[idx]), int(counts[idx])
-        if k in assignment or c in claimed_cosets:
-            continue
-        if 2 * ov <= int(partition.sizes[k]):
-            continue
-        assignment[k] = c
-        claimed_cosets.add(c)
-        gain += 2 * ov - int(coset_sizes[c])
+    _, first = np.unique(cols[order], return_index=True)
+    claims = order[np.sort(first)]
+    assignment = dict(zip(rows[claims].tolist(), cols[claims].tolist()))
+    gain = int(np.sum(2 * counts[claims] - coset_sizes[cols[claims]]))
     # residual = sum_claimed (|X_k| + |cN| - 2 ov) + sum_unclaimed |X_k|
     #          = N - sum_claimed (2 ov - |cN|)
     residual = Fraction(n - gain, n)

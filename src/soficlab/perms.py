@@ -59,16 +59,18 @@ class FlatDomain:
 
 
 class ExactPerm:
-    """A permutation stored as a dense image array."""
+    """A permutation stored as a dense image array.
+
+    The image array is the one whole-domain array a permutation keeps (its
+    inverse, once asked for, is another); validation allocates only an
+    n-byte hit mask."""
 
     def __init__(self, images, validate=True):
         images = np.asarray(images, dtype=np.int64)
         self.images = images
         self.domain = FlatDomain(len(images))
         if validate:
-            counts = np.bincount(images, minlength=len(images))
-            if not np.all(counts == 1):
-                raise ValueError("image array is not a bijection")
+            _check_bijection(images)
         self._inverse = None
 
     @property
@@ -111,6 +113,21 @@ class ExactPerm:
 
     def __eq__(self, other):
         return isinstance(other, ExactPerm) and np.array_equal(self.images, other.images)
+
+
+def _check_bijection(images: np.ndarray):
+    """Refuse, with ValueError, an image array that is not a permutation
+    of 0..n-1: every image in range and every point hit (n images in range
+    hit all n points exactly when none repeats)."""
+    n = len(images)
+    if images.ndim != 1:
+        raise ValueError("image array is not one-dimensional")
+    if n and (images.min() < 0 or images.max() >= n):
+        raise ValueError("image array is not a bijection")
+    hit = np.zeros(n, dtype=bool)
+    hit[images] = True
+    if not hit.all():
+        raise ValueError("image array is not a bijection")
 
 
 class ImplicitPerm:
@@ -224,6 +241,20 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def commutator_count(a: ExactPerm, b: ExactPerm) -> int:
+    """#{x : a(b(x)) != b(a(x))}, counted over SAMPLE_BLOCK slices of the
+    two image arrays, so that neither product is built; d_hamming(a * b,
+    b * a) is this count over the domain size."""
+    if a.domain != b.domain:
+        raise ValueError("domain mismatch")
+    a_img, b_img = a.images, b.images
+    count = 0
+    for start in range(0, a.size, SAMPLE_BLOCK):
+        rows = slice(start, start + SAMPLE_BLOCK)
+        count += int(np.count_nonzero(a_img[b_img[rows]] != b_img[a_img[rows]]))
+    return count
+
+
 def commutator_defects(t: ExactPerm):
     """The function r_at -> d_H(t o r, r o t) for permutations r of t's
     domain, given as r's map on index arrays, which it runs on supp(t)
@@ -256,11 +287,17 @@ _PERM_HEADER = struct.Struct("<4sIQ")
 
 def write_perm(path, perm: ExactPerm, sidecar: dict = None):
     """Write a permutation as SPRM: magic, u32 version, u64 N, N u64
-    images, little-endian; provenance goes to a JSON sidecar."""
-    images = np.ascontiguousarray(perm.images, dtype="<u8")
+    images, little-endian; provenance goes to a JSON sidecar.  Contiguous
+    little-endian int64 images are written through a view of their bytes;
+    any other layout through one little-endian copy."""
+    images = perm.images
+    if images.dtype == np.dtype("<i8") and images.flags.c_contiguous:
+        images = images.view("<u8")
+    else:
+        images = images.astype("<u8")
     with open(path, "wb") as fh:
         fh.write(_PERM_HEADER.pack(PERM_MAGIC, PERM_VERSION, perm.size))
-        fh.write(images.tobytes())
+        fh.write(images)
     if sidecar is not None:
         with open(str(path) + ".json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)

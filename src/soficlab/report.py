@@ -111,8 +111,11 @@ class RunReport:
 
 
 def sha256_file(path) -> str:
+    """The file's sha256, read through one reused 1 MiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()

@@ -69,6 +69,7 @@ from .perms import (
     ExactPerm,
     FlatDomain,
     ImplicitPerm,
+    commutator_count,
     commutator_defects,
     d_hamming,
     hoeffding_radius,
@@ -161,15 +162,16 @@ class GpContext:
                             _built_on_first_call(lambda: self._left_fn(g.inverse())))
 
     def _left_fn(self, g: GpElement):
+        move, h_row = self._left_parts(g)
+        return lambda pts: (move(pts[0]), h_row[pts[1]])
+
+    def _left_parts(self, g: GpElement):
+        """x -> g x for g = (w, u) as its two independent parts: the vector
+        map a -> u.a + w and the row of matrix indices h -> u h."""
         tables = permutation_tables(h_position_perm(g.h))
         v = vector_points(g.a)
-        h_row = self.table.left_mul_perm(g.h)
-
-        def fn(pts):
-            points, h_idx = pts
-            return (f3_add(permute_coords(points, tables), v), h_row[h_idx])
-
-        return fn
+        return (lambda points: f3_add(permute_coords(points, tables), v),
+                self.table.left_mul_perm(g.h))
 
     def right_mult_inv(self, g: GpElement):
         """x -> x g^(-1)."""
@@ -177,9 +179,13 @@ class GpContext:
                             _built_on_first_call(lambda: self._right_fn(g)))
 
     def _right_fn(self, g: GpElement):
-        """x -> x g: (a, h) -> (a + h.w, h u) for g = (w, u)."""
-        shifts = act_rows(self.table.entries, g.a)  # row h: h.w
+        """x -> x g: (a, h) -> (a + h.w, h u) for g = (w, u).  When w = 0 the
+        vectors are returned as they are, so a broadcast batch stays
+        broadcast."""
         h_col = self.table.right_mul_perm(g.h)
+        if g.a.is_zero():
+            return lambda pts: (pts[0], h_col[pts[1]])
+        shifts = act_rows(self.table.entries, g.a)  # row h: h.w
 
         def fn(pts):
             points, h_idx = pts
@@ -189,26 +195,34 @@ class GpContext:
 
     def t_perm(self, a0: ApVector, h0: PSL2Element):
         """The slab involution for g0 = (a0, h0): x -> g0 x on T, x -> g0^-1 x
-        on the shifted slab g0 T = (S + a0) x H, fixing the rest."""
+        on the shifted slab g0 T = (S + a0) x H, fixing the rest.
+
+        The slab region depends on the vector alone and a left translation
+        moves vectors and matrices independently, so the masks are taken on
+        the batch's vector axis and only the vectors in the two slabs are
+        translated.  A broadcast batch (a block of GpContext.blocks: vectors
+        (n, 1, 2) against matrices (1, |H|)) keeps its vectors per row and
+        is expanded to the grid only in its matrix indices."""
         _check_slab_translation(a0, h0)
         p = self.p
         g0 = GpElement(a0, h0)
-        forward, back = self._left_fn(g0), self._left_fn(g0.inverse())
+        translations = [self._left_parts(g) for g in (g0, g0.inverse())]
         neg_a0v = vector_points(-a0)
 
         def fn(pts):
             points, h_idx = pts
-            shape = np.broadcast_shapes(points.shape[:-1], np.shape(h_idx))
-            # S and S + a0 are disjoint, so the two writes never overlap
-            in_s, in_shift = (np.nonzero(np.broadcast_to(mask, shape))
-                              for mask in _slab_regions(points, neg_a0v, p))
-            points = np.broadcast_to(points, shape + (2,))
-            new_pts, new_h = empty_points(shape), np.array(np.broadcast_to(h_idx, shape))
-            new_pts[...] = points
-            for rows, translate in ((in_s, forward), (in_shift, back)):
-                moved, moved_h = translate((take_points(points, rows), new_h[rows]))
-                put_points(new_pts, rows, moved)
-                new_h[rows] = moved_h
+            # S and S + a0 are disjoint, so at most one translation applies
+            regions = _slab_regions(points, neg_a0v, p)
+            shape = np.broadcast_shapes(regions[0].shape, np.shape(h_idx))
+            new_pts = points.copy(order="K")
+            new_h = np.array(np.broadcast_to(h_idx, shape))
+            for mask, (move, h_row) in zip(regions, translations):
+                rows = np.nonzero(mask)
+                put_points(new_pts, rows, move(take_points(points, rows)))
+                if mask.shape == shape:
+                    new_h[rows] = h_row[new_h[rows]]
+                else:  # a broadcast block: whole rows of matrices move
+                    np.copyto(new_h, h_row[h_idx], where=mask)
             return (new_pts, new_h)
 
         # the slab map is an involution
@@ -440,7 +454,8 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
         letter images with exact inverses, so this holds on every such
         pair exactly when each t-free left letter's image commutes with
         each right letter's image; the maximum commutator defect over
-        these generator pairs is reported;
+        these generator pairs is reported, each counted by
+        perms.commutator_count on SAMPLE_BLOCK slices (no product built);
     (2) fixed-point fraction of the t image;
     (3) search for a right word whose commutator with t has large defect,
         scoring words by the exact slab displacement 2|T \\ T r(h)| / |G|
@@ -453,7 +468,12 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
                + |supp(t)| - #{x in supp(t) : r(x) in supp(t)}) / |G|,
         with r applied letter by letter to supp(t) and t(supp(t));
     (4) the minimum over slice pairs of the displaced fraction of each
-        A(p)-slice under the t image.
+        A(p)-slice under the t image, from a |H| x |H| overlap count filled
+        one bincount per block of vectors.
+
+    Conditions 1 and 4 read the model's image arrays in blocks and build
+    no whole-domain temporary; condition 3's temporaries are the size of
+    supp(t).
     """
     if sigma.mode != "exact":
         raise ResourceBudgetError("the four-condition report needs the exact mode")
@@ -464,7 +484,7 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
     # (1): exact homomorphism away from t
     left = [sigma.images[n] for n in sigma.left_names if n != "t"]
     right = [sigma.images[n] for n in sigma.right_names]
-    report["cond1_defect_max"] = max(d_hamming(a * b, b * a).value
+    report["cond1_defect_max"] = max(Fraction(commutator_count(a, b), a.size)
                                      for a in left for b in right)
     report["cond1_pairs"] = len(left) * len(right)
 
@@ -516,11 +536,18 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
     report["cond3_word_cap"] = WORD_SEARCH_CAP
     report["cond3_cap_reached"] = cap_reached
 
-    # (4): slice displacement matrix of the t image
+    # (4): slice displacement matrix of the t image, overlap[h, h'] =
+    # #{x = (a, h) : t(x) = (a', h')}, filled one bincount per block of
+    # vectors (rows of the image array as a 3^p x |H| grid)
     h_order = psl2_order(p)
-    idx = np.arange(sigma.domain.size, dtype=np.int64)
-    overlap = np.zeros((h_order, h_order), dtype=np.int64)
-    np.add.at(overlap, (idx % h_order, t_image.images % h_order), 1)
+    h_keys = np.arange(h_order, dtype=np.int64) * h_order
+    t_grid = t_image.images.reshape(n_a, h_order)
+    step = max(1, SAMPLE_BLOCK // h_order)
+    overlap = np.zeros(h_order * h_order, dtype=np.int64)
+    for start in range(0, n_a, step):
+        keys = t_grid[start:start + step] % h_order
+        keys += h_keys
+        overlap += np.bincount(keys.ravel(), minlength=h_order * h_order)
     min_displaced = Fraction(2 * n_a - 2 * int(overlap.max()), n_a)
     report["cond4_min_displacement"] = min_displaced
     return report

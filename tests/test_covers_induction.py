@@ -18,6 +18,7 @@ from soficlab.sofic import (
     lift_branched_cover,
     random_cover,
 )
+from soficlab.suites import _is_hom_eval
 from soficlab.words import ReducedWord, random_reduced_word
 
 
@@ -318,3 +319,19 @@ def test_index_one_induction_is_identity():
         renamed = ReducedWord(tuple((f"{g}|0", s) for g, s in w.letters))
         assert np.array_equal(induced.eval(w).images,
                               hom_eval(fiber_model, renamed).images)
+
+
+def test_subgroup_model_check_reads_the_empty_word_as_the_identity(monkeypatch):
+    # suite_induction's comparison with hom_eval: the empty word's image is
+    # the identity, checked without composing g * g^-1
+    spec = HomSpec("sigma0", ("x|0",), (ExactPerm([1, 2, 0]),), "Sym(3)")
+    calls = []
+    compose = ExactPerm.compose
+    monkeypatch.setattr(ExactPerm, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    assert _is_hom_eval(ExactPerm([0, 1, 2]), spec, ReducedWord())
+    assert not _is_hom_eval(ExactPerm([1, 2, 0]), spec, ReducedWord())
+    assert calls == []
+    word = ReducedWord.gen("x|0", -1)
+    assert _is_hom_eval(ExactPerm([2, 0, 1]), spec, word)
+    assert not _is_hom_eval(ExactPerm([1, 2, 0]), spec, word)

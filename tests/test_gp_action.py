@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from soficlab.algebra import PSL2Element
 from soficlab.f3vectors import a_shift_vector, decode_indices
 from soficlab import sofic
-from soficlab.groups import GpElement
+from soficlab.groups import GpElement, build_hom_specs
 
 from conftest import GpIndexer, sp_membership
 
@@ -57,3 +57,26 @@ def test_generator_images_match_group_arithmetic(models, family7, name, i):
     moved = implicit.apply((decode_indices(pair[0], 7), pair[1]))
     assert int(domain.index(moved)[0]) == want
     assert int(domain.index(implicit.apply_inverse(moved))[0]) == i
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_broadcast_block_matches_flat_points(p):
+    # a block of vectors against all matrices, as GpContext.blocks yields
+    # it: t and the right maps with zero vector part keep the vectors per
+    # row, and every map agrees with its image of the flattened grid
+    ctx = sofic.GpContext(p)
+    family = build_hom_specs(p, 5, 3)
+    rho = family["rho"]
+    maps = {"t": ctx.t_perm(*sofic.slab_translation(p))}
+    for name in ("b1", "b2", "b3"):
+        maps[name] = ctx.right_mult_inv(rho.image(name))
+    a_idx = np.random.default_rng(p).integers(0, 3**p, size=300)
+    vectors = decode_indices(a_idx, p)
+    h_idx = np.arange(ctx.h_order)
+    flat = (np.repeat(vectors, ctx.h_order, axis=0), np.tile(h_idx, len(a_idx)))
+    for name, perm in maps.items():
+        block_vectors, block_h = perm.apply((vectors[:, None], h_idx[None, :]))
+        if name == "t" or rho.image(name).a.is_zero():
+            assert block_vectors.shape[1] == 1
+        expected = ctx.index(perm.apply(flat))
+        assert np.array_equal(ctx.index((block_vectors, block_h)).ravel(), expected)

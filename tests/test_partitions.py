@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from soficlab.partitions import (
     FACTOR_ORDER,
     CylinderPartition,
     LabeledPartition,
+    _pair_counts,
     candidate_subgroup_order,
     classify_candidates,
     coset_fit,
@@ -229,6 +231,59 @@ def test_coset_fit_selects_planted_subgroup_s4():
             fits.append((fit.residual, cand))
         best_residual, best = min(fits, key=lambda t: t[0])
         assert best_residual == 0 and best == sub
+
+
+def _greedy_coset_claims(partition, coset_ids):
+    """coset_fit's claims as a loop: blocks claim cosets in order of
+    decreasing overlap (ties to the lower block, then the lower coset),
+    each claim needing a strict majority of the block and an unclaimed
+    coset.  Returns the assignment and the gain sum 2 ov - |cN|."""
+    coset_sizes = np.bincount(coset_ids)
+    overlaps = Counter(zip(partition.block_ids.tolist(), coset_ids.tolist()))
+    assignment, claimed, gain = {}, set(), 0
+    for (k, c), ov in sorted(overlaps.items(), key=lambda kv: (-kv[1], kv[0])):
+        if k in assignment or c in claimed or 2 * ov <= int(partition.sizes[k]):
+            continue
+        assignment[k] = c
+        claimed.add(c)
+        gain += 2 * ov - int(coset_sizes[c])
+    return assignment, gain
+
+
+def _dense_labels(values):
+    """Labels 0..k-1 of a list, each used at least once."""
+    return np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)[1]
+
+
+_labelings = st.integers(1, 80).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n), min_size=n, max_size=n),
+    st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=_labelings)
+def test_coset_fit_matches_greedy_claim_loop(labels):
+    partition = LabeledPartition(_dense_labels(labels[0]))
+    coset_ids = _dense_labels(labels[1])
+    fit = coset_fit(partition, coset_ids)
+    assignment, gain = _greedy_coset_claims(partition, coset_ids)
+    n = partition.size
+    assert list(fit.assignment.items()) == list(assignment.items())
+    assert fit.residual == Fraction(n - gain, n)
+    assert fit.coverage == Fraction(int(np.bincount(coset_ids)[0]) * len(assignment), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), blocks=st.sampled_from([1, 3, 40, 1000]),
+       width=st.sampled_from([1, 2, 50, 999]), seed=st.integers(0, 2**32 - 1))
+def test_pair_counts_match_counter(n, blocks, width, seed):
+    # key ranges past 2^16 take the sort, smaller ones the dense bincount
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, blocks, size=n)
+    b = rng.integers(0, width, size=n)
+    rows, cols, counts = _pair_counts(a, b, width)
+    expected = sorted(Counter(zip(a.tolist(), b.tolist())).items())
+    assert list(zip(zip(rows.tolist(), cols.tolist()), counts.tolist())) == expected
 
 
 # -- the closed form's oracle: cylinders materialized on the flat product ----

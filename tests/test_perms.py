@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -8,15 +9,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from soficlab.perms import (
+    SAMPLE_BLOCK,
     ExactPerm,
     FlatDomain,
     ImplicitPerm,
+    commutator_count,
     commutator_defects,
     d_hamming,
     hoeffding_radius,
     read_perm,
     write_perm,
 )
+from soficlab.report import sha256_file
 
 
 def random_exact(rng, n):
@@ -26,6 +30,44 @@ def random_exact(rng, n):
 def test_validation_rejects_non_bijection():
     with pytest.raises(ValueError):
         ExactPerm([0, 0, 2])
+
+
+def _bincount_bijection(images) -> bool:
+    """The old validation as an oracle: every point hit exactly once."""
+    if len(images) and images.min() < 0:
+        return False
+    return bool(np.all(np.bincount(images, minlength=len(images)) == 1))
+
+
+_image_arrays = st.integers(0, 40).flatmap(lambda n: st.one_of(
+    st.permutations(range(n)),
+    # a permutation with one entry overwritten: a duplicate, a negative or
+    # a value past the end
+    st.permutations(range(n)).flatmap(lambda perm: st.tuples(
+        st.just(perm), st.integers(0, max(n - 1, 0)), st.integers(-3, n + 3)))
+    .map(lambda t: [t[2] if i == t[1] else x for i, x in enumerate(t[0])]),
+    st.lists(st.integers(-3, n + 3), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(images=_image_arrays)
+@example(images=[])
+@example(images=[0, 0, 2])
+@example(images=[1, 2, -1])
+@example(images=[1, 2, 3])
+def test_validation_refuses_exactly_the_non_bijections(images):
+    images = np.array(images, dtype=np.int64)
+    if _bincount_bijection(images):
+        assert ExactPerm(images).size == len(images)
+    else:
+        with pytest.raises(ValueError):
+            ExactPerm(images)
+
+
+def test_validation_refuses_a_grid_of_images():
+    with pytest.raises(ValueError):
+        ExactPerm([[0, 1], [1, 0]])
 
 
 def test_inverted_perm_is_freed_without_garbage_collection():
@@ -134,6 +176,27 @@ def test_perm_file_round_trip(tmp_path):
     assert (tmp_path / "x.sprm.json").exists()
 
 
+def test_perm_file_of_strided_images_matches_contiguous(tmp_path):
+    rng = np.random.default_rng(8)
+    images = rng.permutation(300).astype(np.int64)
+    spaced = np.zeros(600, dtype=np.int64)
+    spaced[::2] = images
+    strided = ExactPerm(spaced[::2])
+    assert not strided.images.flags.c_contiguous
+    write_perm(tmp_path / "a.sprm", ExactPerm(images))
+    write_perm(tmp_path / "b.sprm", strided)
+    assert (tmp_path / "a.sprm").read_bytes() == (tmp_path / "b.sprm").read_bytes()
+    assert np.array_equal(read_perm(tmp_path / "b.sprm").images, images)
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 << 20])
+def test_sha256_file_matches_whole_file_digest(tmp_path, size):
+    data = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
 def test_perm_file_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.sprm"
     path.write_bytes(b"NOPE" + b"\0" * 12)
@@ -156,6 +219,24 @@ _two_perms = st.integers(1, 200).flatmap(
 def test_support_commutator_defect_matches_dense(perms):
     t, r = (ExactPerm(np.array(x, dtype=np.int64)) for x in perms)
     assert commutator_defects(t)(r.apply) == d_hamming(t * r, r * t).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(perms=_two_perms)
+def test_commutator_count_matches_dense(perms):
+    a, b = (ExactPerm(np.array(x, dtype=np.int64)) for x in perms)
+    assert Fraction(commutator_count(a, b), a.size) == d_hamming(a * b, b * a).value
+
+
+def test_commutator_count_across_blocks():
+    rng = np.random.default_rng(3)
+    n = 2 * SAMPLE_BLOCK + 5
+    a, b = random_exact(rng, n), random_exact(rng, n)
+    swap = ExactPerm(np.arange(n)[::-1].copy())
+    for x, y in ((a, b), (a, a), (a, a.inverse()), (swap, b)):
+        assert Fraction(commutator_count(x, y), n) == d_hamming(x * y, y * x).value
+    with pytest.raises(ValueError):
+        commutator_count(a, random_exact(rng, 7))
 
 
 # -- binary files as properties ----------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -191,15 +192,37 @@ def test_support_commutator_defect_matches_dense_model(sigma7):
         assert defect(lambda pts: sigma7.apply(w, pts)) == dense.value
 
 
-def test_four_condition_report_composes_only_condition_1(sigma7, monkeypatch):
-    # condition 1 composes each of its 12 generator pairs both ways;
-    # condition 3 builds no word permutation
+def test_four_condition_report_composes_nothing(sigma7, monkeypatch):
+    # condition 1 counts each generator pair's commutator on slices of the
+    # two image arrays, and condition 3 builds no word permutation
     calls = []
     compose = ExactPerm.compose
     monkeypatch.setattr(ExactPerm, "compose",
                         lambda self, other: calls.append(1) or compose(self, other))
+    rep = four_condition_report(sigma7)
+    assert len(calls) == 0
+    monkeypatch.undo()
+    left = [sigma7.images[n] for n in sigma7.left_names if n != "t"]
+    right = [sigma7.images[n] for n in sigma7.right_names]
+    oracle = [d_hamming(a * b, b * a).value for a in left for b in right]
+    assert len(oracle) == rep["cond1_pairs"] == 12
+    assert rep["cond1_defect_max"] == max(oracle)
+
+
+def test_four_condition_report_peaks_below_two_image_arrays(sigma7):
+    # a G(7) image array is 2.9 MB: condition 1 builds no product and
+    # condition 4 no whole-domain index, so once the inverses condition 3
+    # reads are cached a report peaks near one such array (condition 2's
+    # fixed-point test, or supp(t) and its per-letter gathers)
     four_condition_report(sigma7)
-    assert len(calls) == 24
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        four_condition_report(sigma7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4 * 2**20
 
 
 def full_soficity_values(sigma, tilde, family, seed):
