@@ -109,30 +109,55 @@ def coset_fit(partition: LabeledPartition, coset_ids, subgroup="N",
     of decreasing overlap (ties to the lower block id), a claim needs
     strictly more than half the block and an unclaimed coset.  The
     residual charges claimed blocks their symmetric difference and
-    unclaimed blocks their full size.
+    unclaimed blocks their full size.  Without a subgroup order, the size
+    of coset 0 is taken.
     """
+    orders = None if subgroup_order is None else [subgroup_order]
+    return coset_fits(partition, [coset_ids], [subgroup], orders)[0]
+
+
+def coset_fits(partition: LabeledPartition, coset_ids, subgroups,
+               subgroup_orders=None) -> list:
+    """coset_fit against each row of a (candidates, N) coset-id array, in
+    one pass: row c's coset ids are offset by c times the widest row's
+    coset count, so one _pair_counts and one lexsort rank the claims of
+    every candidate, and no claim crosses rows."""
     coset_ids = np.asarray(coset_ids, dtype=np.int64)
-    n = partition.size
-    coset_sizes = np.bincount(coset_ids)
-    if subgroup_order is None:
-        subgroup_order = int(coset_sizes[0])
-    n_cosets = int(coset_ids.max()) + 1
-    rows, cols, counts = _pair_counts(partition.block_ids, coset_ids, n_cosets)
-    # A block has at most one strict-majority coset, so claiming in order
-    # of decreasing overlap is keeping each coset's first majority pair in
-    # (-overlap, block) order.
+    n_rows, n = coset_ids.shape
+    width = int(coset_ids.max()) + 1
+    keys = (coset_ids + width * np.arange(n_rows)[:, None]).ravel()
+    coset_sizes = np.bincount(keys, minlength=n_rows * width)
+    if subgroup_orders is None:
+        subgroup_orders = coset_sizes[::width].tolist()
+    blocks = np.broadcast_to(partition.block_ids, (n_rows, n)).ravel()
+    rows, cols, counts = _pair_counts(blocks, keys, n_rows * width)
+    # A block has at most one strict-majority coset per row, so claiming in
+    # order of decreasing overlap is keeping each coset's first majority
+    # pair in (-overlap, block) order; the sort is stable, so each row's
+    # pairs keep their order among themselves.
     major = 2 * counts > partition.sizes[rows]
     rows, cols, counts = rows[major], cols[major], counts[major]
     order = np.lexsort((rows, -counts))
     _, first = np.unique(cols[order], return_index=True)
     claims = order[np.sort(first)]
-    assignment = dict(zip(rows[claims].tolist(), cols[claims].tolist()))
-    gain = int(np.sum(2 * counts[claims] - coset_sizes[cols[claims]]))
+    row_of = cols[claims] // width
     # residual = sum_claimed (|X_k| + |cN| - 2 ov) + sum_unclaimed |X_k|
     #          = N - sum_claimed (2 ov - |cN|)
-    residual = Fraction(n - gain, n)
-    coverage = Fraction(subgroup_order * len(assignment), n)
-    return CosetHypothesis(subgroup, subgroup_order, assignment, residual, coverage)
+    gains = np.zeros(n_rows, dtype=np.int64)
+    np.add.at(gains, row_of, 2 * counts[claims] - coset_sizes[cols[claims]])
+    sort = np.argsort(row_of, kind="stable")
+    bounds = np.searchsorted(row_of[sort], np.arange(n_rows + 1)).tolist()
+    by_row = claims[sort]
+    claimed_blocks = rows[by_row].tolist()
+    claimed_cosets = (cols[by_row] % width).tolist()
+    fits = []
+    for c, (subgroup, order_c, gain) in enumerate(zip(subgroups, subgroup_orders,
+                                                      gains.tolist())):
+        lo, hi = bounds[c], bounds[c + 1]
+        assignment = dict(zip(claimed_blocks[lo:hi], claimed_cosets[lo:hi]))
+        fits.append(CosetHypothesis(subgroup, order_c, assignment, Fraction(n - gain, n),
+                                    Fraction(order_c * len(assignment), n)))
+    return fits
 
 
 # -- cylinder partitions on the three-factor product domain -----------------

@@ -418,6 +418,53 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
                       CONFIDENCE, "sampled", samples=samples, seed=seed)
 
 
+def fixed_count(family: HomFamily, pw: ProductWord) -> int:
+    """The number of points of an enumerable G(p) that sigma(pw) fixes in
+    the family's model: build_sigma(family).eval(pw).fixed_count(), counted
+    on the implicit maps over GpContext.blocks(), with no image array.
+
+    sigma(pw) = L o R with R(x) = x rho(right)^-1, so x is fixed exactly when
+    R(x) = L^-1(x).  L^-1 runs the left word's letters from the left, each
+    inverted: a maximal t-free run is one left translation by phi(run)^-1,
+    and t is the slab involution, its own inverse, so adjacent t letters
+    (after trivial runs drop out) cancel.  Neither expands a block's vector
+    axis, so only R's output grows to the block's grid.  With an empty left
+    word sigma(pw) is a right translation, which is free: it fixes every
+    point when rho(right) = e and none otherwise.
+    """
+    p = family.p
+    ctx = GpContext(p)
+    if gp_mode(p) != "exact":
+        raise ValueError(f"domain of size {ctx.size} is too large to enumerate exactly")
+    r = hom_eval(family["rho"], pw.right)
+    if pw.left.is_identity():
+        return ctx.size if r.is_identity() else 0
+    phi = family["phi"]
+    pieces = []  # GpElement runs, and None for t
+    for g, s in pw.left.letters:
+        if g == "t":
+            if pieces and pieces[-1] is None:
+                pieces.pop()
+            else:
+                pieces.append(None)
+            continue
+        img = phi.image(g) if s == 1 else phi.image(g).inverse()
+        if pieces and pieces[-1] is not None:
+            img = pieces.pop() * img
+        if not img.is_identity():
+            pieces.append(img)
+    t_fn = ctx.t_perm(*slab_translation(p)).forward if None in pieces else None
+    inverse_left = [t_fn if g is None else ctx._left_fn(g.inverse()) for g in pieces]
+    right = ctx._right_fn(r.inverse())
+    fixed = 0
+    for _, pts in ctx.blocks():
+        image = pts
+        for fn in inverse_left:
+            image = fn(image)
+        fixed += int(np.count_nonzero(ctx.points_equal(right(pts), image)))
+    return fixed
+
+
 # -- the four-condition report --------------------------------------------
 
 def _lambda_words_bfs(k: int, max_len: int):

@@ -23,6 +23,7 @@ from .partitions import (
     LabeledPartition,
     classify_candidates,
     coset_fit,
+    coset_fits,
     eta_overlap,
     invariance_defect,
     relabel_noise,
@@ -42,6 +43,7 @@ from .sofic import (
     build_tilde_sigma,
     cocycle_reconstruct,
     extract_almost_cocycle,
+    fixed_count,
     induce_approximation,
     four_condition_report,
     gp_mode,
@@ -70,6 +72,8 @@ M, K = 5, 3
 
 def suite_four_conditions(p=7) -> RunReport:
     rep = RunReport("verify four-conditions", {"p": p, "m": M, "k": K})
+    if gp_mode(p) != "exact":
+        raise ResourceBudgetError("the four-condition report needs the exact mode")
     sigma = build_sigma(build_hom_specs(p, M, K))
     # constructing the exact t image validates bijectivity; record it
     rep.add_check("t-image-bijection", True, True, True,
@@ -110,10 +114,10 @@ def _random_nontrivial_word(rng, names, max_len, reject):
 def suite_soficity(p=7, seed=1) -> RunReport:
     n_pairs, n_right = 50, 20
     rep = RunReport("verify soficity", {"p": p, "m": M, "k": K, "seed": seed})
+    if gp_mode(p) != "exact":
+        raise ResourceBudgetError("the soficity suite counts f_G on an enumerable G(p)")
     family = build_hom_specs(p, M, K)
-    sigma = build_sigma(family)
-    if sigma.mode != "exact":
-        raise ResourceBudgetError("the soficity suite needs the exact mode")
+    g_size = 3**p * psl2_order(p)
     k_model = build_tilde_sigma(family)
     r_p = family.r_p
     bound = Fraction(1, 2 * (r_p - 1))
@@ -131,11 +135,12 @@ def suite_soficity(p=7, seed=1) -> RunReport:
     # A product word fixes (x, y) exactly when its G(p) factor fixes x and
     # its K factor fixes y, so its fixed fraction is f_K * f_G.  The K word
     # (660 points at p = 7) is evaluated first: when it fixes no point the
-    # product fixes none, whatever the G(p) factor does, so the
-    # 367,416-point G(p) word is built only when f_K > 0.
+    # product fixes none, whatever the G(p) factor does, so f_G is counted
+    # only when f_K > 0, on the implicit G(p) maps block by block
+    # (sofic.fixed_count), with no G(p) image array built.
     def fixed_fraction(pw):
         f_k = k_model.eval(pw).fixed_fraction()
-        return f_k * sigma.eval(pw).fixed_fraction() if f_k else f_k
+        return f_k * Fraction(fixed_count(family, pw), g_size) if f_k else f_k
 
     # fixed fractions of the evaluated model; the left word must survive in
     # the second factor, which is how "large enough p" reads at fixed p
@@ -332,22 +337,16 @@ def suite_partition(seed=3, p=7) -> RunReport:
     # brute-force subgroup inventory
     for label, table in (("cyclic12", cyclic_table(12)), ("sym4", symmetric_table(4))):
         subgroups = all_subgroups(table)
-        coset_ids = {sub: left_coset_ids(table, sub) for sub in subgroups}
+        # every planted subgroup is fitted against all candidates in one pass
+        coset_ids = np.stack([left_coset_ids(table, sub) for sub in subgroups])
+        names = [str(sorted(cand)) for cand in subgroups]
+        orders = [len(cand) for cand in subgroups]
         exact_ok = True
         strict_ok = True
-        for sub in subgroups:
-            part = LabeledPartition(coset_ids[sub])
-            fits = [
-                (coset_fit(part, coset_ids[cand],
-                           subgroup=str(sorted(cand)), subgroup_order=len(cand)),
-                 cand)
-                for cand in subgroups
-            ]
-            planted_fit = next(f for f, cand in fits if cand == sub)
-            exact_ok &= planted_fit.residual == 0
-            strict_ok &= all(
-                f.residual > 0 for f, cand in fits if cand != sub
-            )
+        for i, planted in enumerate(coset_ids):
+            fits = coset_fits(LabeledPartition(planted), coset_ids, names, orders)
+            exact_ok &= fits[i].residual == 0
+            strict_ok &= all(f.residual > 0 for j, f in enumerate(fits) if j != i)
         rep.add_check(f"planted-coset-recovery-{label}", exact_ok, True, exact_ok,
                       subgroups=len(subgroups))
         rep.add_check(f"planted-recovery-strict-minimum-{label}", strict_ok, True,

@@ -268,6 +268,20 @@ def test_soficity_past_exact_mode_is_a_resource_refusal(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["soficity", "four-conditions"])
+def test_exact_mode_suites_refuse_before_any_work(suite, capsys, monkeypatch):
+    import soficlab.suites
+
+    def build(*args):
+        raise AssertionError("build_hom_specs ran before the refusal")
+
+    monkeypatch.setattr(soficlab.suites, "build_hom_specs", build)
+    assert main(["verify", suite, "--p", "13"]) == 3
+    err = capsys.readouterr().err
+    assert "resource refusal" in err
+    assert "Traceback" not in err
+
+
 def test_refused_build_leaves_no_directory(tmp_path, capsys):
     out = tmp_path / "b43"
     assert main(["build", "--p", "43", "--out", str(out)]) == 3

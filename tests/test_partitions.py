@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from soficlab.partitions import (
     CANDIDATE_KEY_DIMS,
     FACTOR_ORDER,
+    CosetHypothesis,
     CylinderPartition,
     LabeledPartition,
     _pair_counts,
     candidate_subgroup_order,
     classify_candidates,
     coset_fit,
+    coset_fits,
     eta_overlap,
     invariance_defect,
     relabel_noise,
@@ -271,6 +273,50 @@ def test_coset_fit_matches_greedy_claim_loop(labels):
     assert list(fit.assignment.items()) == list(assignment.items())
     assert fit.residual == Fraction(n - gain, n)
     assert fit.coverage == Fraction(int(np.bincount(coset_ids)[0]) * len(assignment), n)
+
+
+def _coset_fit_one(partition, coset_ids, subgroup="N", subgroup_order=None):
+    """coset_fit of one candidate on its own: its own pair counts and claim
+    order, the way coset_fits ranks one row of its batch."""
+    coset_ids = np.asarray(coset_ids, dtype=np.int64)
+    n = partition.size
+    coset_sizes = np.bincount(coset_ids)
+    if subgroup_order is None:
+        subgroup_order = int(coset_sizes[0])
+    rows, cols, counts = _pair_counts(partition.block_ids, coset_ids,
+                                      int(coset_ids.max()) + 1)
+    major = 2 * counts > partition.sizes[rows]
+    rows, cols, counts = rows[major], cols[major], counts[major]
+    order = np.lexsort((rows, -counts))
+    _, first = np.unique(cols[order], return_index=True)
+    claims = order[np.sort(first)]
+    assignment = dict(zip(rows[claims].tolist(), cols[claims].tolist()))
+    gain = int(np.sum(2 * counts[claims] - coset_sizes[cols[claims]]))
+    return CosetHypothesis(subgroup, subgroup_order, assignment, Fraction(n - gain, n),
+                           Fraction(subgroup_order * len(assignment), n))
+
+
+_candidate_rows = st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, 9), st.lists(st.integers(0, 9), min_size=n,
+                                                    max_size=n)),
+             min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=_candidate_rows, default_orders=st.booleans())
+def test_coset_fits_match_one_fit_per_candidate(labels, default_orders):
+    # rows of different widths share one pass, yet no claim crosses rows
+    partition = LabeledPartition(_dense_labels(labels[0]))
+    rows = [_dense_labels(ids) for _, ids in labels[1]]
+    names = [f"N{i}" for i in range(len(rows))]
+    orders = None if default_orders else [order for order, _ in labels[1]]
+    fits = coset_fits(partition, rows, names, orders)
+    oracle = [_coset_fit_one(partition, ids, name, order)
+              for ids, name, order in zip(rows, names, orders or itertools.repeat(None))]
+    assert fits == oracle
+    assert [list(f.assignment.items()) for f in fits] == \
+        [list(f.assignment.items()) for f in oracle]
 
 
 @settings(max_examples=100, deadline=None)

@@ -256,13 +256,21 @@ def full_soficity_values(sigma, tilde, family, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_soficity_k_factor_shortcut_matches_full_products(sigma7, tilde7, family7,
                                                          seed, monkeypatch):
+    import soficlab.perms as perms
     import soficlab.suites as suites
 
-    monkeypatch.setattr(suites, "build_hom_specs", lambda *args: family7)
-    monkeypatch.setattr(suites, "build_sigma", lambda family: sigma7)
-    monkeypatch.setattr(suites, "build_tilde_sigma", lambda family: tilde7)
-    checks = {c["name"]: c for c in suite_soficity(7, seed).checks}
     worst, displaced, k_fixing = full_soficity_values(sigma7, tilde7, family7, seed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the soficity suite builds no dense G(p) model")
+
+    # f_G is counted on the implicit maps: no model is built or enumerated
+    monkeypatch.setattr(suites, "build_hom_specs", lambda *args: family7)
+    monkeypatch.setattr(suites, "build_tilde_sigma", lambda family: tilde7)
+    monkeypatch.setattr(suites, "build_sigma", refuse)
+    monkeypatch.setattr(perms, "materialize", refuse)
+    monkeypatch.setattr(sofic, "materialize", refuse)
+    checks = {c["name"]: c for c in suite_soficity(7, seed).checks}
     # the shortcut is not taken everywhere: some words reach the G(p) factor
     assert k_fixing > 0
     assert Fraction(checks["fixed-fraction-nontrivial-left"]["value"]) == worst
@@ -320,6 +328,48 @@ def test_region_count_samples_like_hom_defect(sigma7, word, p, samples, seed):
     expected = hom_defect(sigma, pw(right=word), pw(ReducedWord.gen("t")),
                           samples=samples, seed=seed)
     assert t_commutator_defect(sigma.family, word, samples=samples, seed=seed) == expected
+
+
+_left_words = st.lists(st.tuples(st.sampled_from(GAMMA + ("t", "t")),
+                                  st.sampled_from((1, -1))),
+                       max_size=7).map(lambda letters: ReducedWord(tuple(letters)))
+# phi(a1) has order 7 at p = 7, so a1^7 is a run with trivial image
+_A1_RUN = ReducedWord.gen("a1") ** 7
+_T = ReducedWord.gen("t")
+
+
+@settings(max_examples=40, deadline=None)
+@given(left=_left_words, right=_right_words)
+@example(left=ReducedWord(), right=ReducedWord())
+@example(left=ReducedWord(), right=ReducedWord.gen("b2"))
+@example(left=_T * _T, right=ReducedWord())
+@example(left=_T.inverse() * _T.inverse() * ReducedWord.gen("a2"),
+         right=ReducedWord.gen("b1"))
+@example(left=_T * _A1_RUN * _T, right=ReducedWord())
+@example(left=ReducedWord.gen("a3") * _T * _A1_RUN * _T * ReducedWord.gen("a3", -1),
+         right=ReducedWord.gen("b3"))
+@example(left=_A1_RUN * _T * ReducedWord.gen("a4"), right=ReducedWord())
+# criterion 05's worst word: 11 fixed points
+@example(left=ReducedWord((("a2", 1), ("a2", 1), ("a4", -1), ("t", -1))),
+         right=ReducedWord((("b2", -1), ("b1", -1), ("b1", -1), ("b3", -1))))
+def test_fixed_count_matches_dense_model(sigma7, left, right):
+    # x is fixed by L o R exactly when R(x) = L^-1(x), read block by block
+    word = pw(left, right)
+    assert sofic.fixed_count(sigma7.family, word) == sigma7.eval(word).fixed_count()
+
+
+def test_soficity_suite_peaks_far_below_the_dense_model():
+    # eight dense G(7) image arrays would be 23 MiB; counting f_G on the
+    # implicit maps holds a few blocks of GpContext.blocks() at a time
+    suite_soficity(7, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        suite_soficity(7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 8 * 2**20
 
 
 def test_sampled_defect_agrees_with_exact(sigma7):
