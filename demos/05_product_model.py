@@ -10,10 +10,11 @@ nothing here materializes it.
 """
 
 import random
+from fractions import Fraction
 
 from soficlab.groups import build_hom_specs, hom_eval
 from soficlab.perms import d_hamming
-from soficlab.sofic import build_sigma, build_tilde_sigma, hom_defect
+from soficlab.sofic import build_sigma, build_tilde_sigma, fixed_count, hom_defect
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
 
 family = build_hom_specs(7, 5, 3)
@@ -33,7 +34,8 @@ while shown < 6:
         continue
     shown += 1
     pw = ProductWord(g, h)
-    ff = sigma.eval(pw).fixed_fraction() * k_model.eval(pw).fixed_fraction()
+    f_g = Fraction(fixed_count(family, pw), sigma.domain.size)
+    ff = f_g * k_model.eval(pw).fixed_fraction()
     print(f"  ({g!r}, {h!r}): {ff} = {float(ff):.2e}")
 
 print("\nright translations displace every point:")

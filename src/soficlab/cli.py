@@ -22,7 +22,7 @@ from .groups import (
     build_hom_specs,
     hom_family_to_json,
 )
-from .perms import write_perm
+from .perms import materialize, write_perm
 from .report import RunReport, jsonable
 from .sofic import build_sigma, build_tilde_sigma
 from .suites import (
@@ -77,9 +77,10 @@ def cmd_build(args) -> int:
 
     report.parameters["mode"] = sigma.mode
     if sigma.mode == "exact":
+        # one image array at a time; materialize checks each is a bijection
         for name, perm in sigma.images.items():
             path = out_dir / f"sigma_{name}.sprm"
-            write_perm(path, perm, sidecar={
+            write_perm(path, materialize(perm), sidecar={
                 "p": args.p, "generator": name, "construction": "g-model",
                 "seed": args.seed,
             })
@@ -142,12 +143,14 @@ def cmd_measure(args) -> int:
     primes = args.primes or DEFAULT_PRIMES
     out = Path(args.out or f"{args.table}.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
+    # without --seed each table keeps its own default seed
+    seed = {} if args.seed is None else {"seed": args.seed}
     if args.table == "boundary":
         rows = measure_boundary(primes)
     elif args.table == "defect":
-        rows = measure_defect(primes, samples=args.samples, seed=args.seed)
+        rows = measure_defect(primes, samples=args.samples, **seed)
     else:
-        rows = measure_spectra(primes, seed=args.seed)
+        rows = measure_spectra(primes, **seed)
     _write_csv(rows, out)
     print(f"wrote {out} ({len(rows)} rows)")
     # a spectra row is a measurement only once every pair has converged
@@ -225,7 +228,8 @@ def make_parser() -> argparse.ArgumentParser:
                     help="default: 7,13,19,31,37; spectra refuses p >= 67, past "
                          "the largest prime measured end to end (p = 61)")
     me.add_argument("--samples", type=_positive_int, default=50_000)
-    me.add_argument("--seed", type=_nonnegative_int, default=17)
+    me.add_argument("--seed", type=_nonnegative_int, default=None,
+                    help="default: each table's own (defect 17, spectra 2)")
     me.add_argument("--out", default=None)
     me.set_defaults(fn=cmd_measure)
 

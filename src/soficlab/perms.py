@@ -48,8 +48,10 @@ class FlatDomain:
         return points
 
     def blocks(self):
-        """(flat rows, points) covering the domain: here one block."""
-        yield slice(None), np.arange(self.size, dtype=np.int64)
+        """(flat rows, points) covering the domain in blocks of SAMPLE_BLOCK."""
+        for start in range(0, self.size, SAMPLE_BLOCK):
+            rows = slice(start, min(start + SAMPLE_BLOCK, self.size))
+            yield rows, np.arange(rows.start, rows.stop, dtype=np.int64)
 
     def __eq__(self, other):
         return isinstance(other, FlatDomain) and self.size == other.size
@@ -241,41 +243,18 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def commutator_count(a: ExactPerm, b: ExactPerm) -> int:
-    """#{x : a(b(x)) != b(a(x))}, counted over SAMPLE_BLOCK slices of the
-    two image arrays, so that neither product is built; d_hamming(a * b,
+def commutator_count(a, b) -> int:
+    """#{x : a(b(x)) != b(a(x))}, counted over the blocks of the two
+    permutations' domain, so that neither product is built; d_hamming(a * b,
     b * a) is this count over the domain size."""
     if a.domain != b.domain:
         raise ValueError("domain mismatch")
-    a_img, b_img = a.images, b.images
+    domain = a.domain
     count = 0
-    for start in range(0, a.size, SAMPLE_BLOCK):
-        rows = slice(start, start + SAMPLE_BLOCK)
-        count += int(np.count_nonzero(a_img[b_img[rows]] != b_img[a_img[rows]]))
+    for _, pts in domain.blocks():
+        count += int(np.count_nonzero(
+            ~domain.points_equal(a.apply(b.apply(pts)), b.apply(a.apply(pts)))))
     return count
-
-
-def commutator_defects(t: ExactPerm):
-    """The function r_at -> d_H(t o r, r o t) for permutations r of t's
-    domain, given as r's map on index arrays, which it runs on supp(t)
-    and t(supp(t)) only.
-
-    Off supp(t) and r^-1(supp(t)) both sides send x to r(x); every point
-    of r^-1(supp(t)) \\ supp(t) disagrees, and there are as many of them
-    as points x of supp(t) with r(x) outside supp(t), that is with
-    t(r(x)) = r(x).
-    """
-    support = np.flatnonzero(t.images != np.arange(t.size))
-    t_support = t.images[support]
-
-    def defect(r_at) -> Fraction:
-        r_x = r_at(support)
-        t_r_x = t.images[r_x]
-        differ = np.count_nonzero(t_r_x != r_at(t_support))
-        leave = np.count_nonzero(t_r_x == r_x)
-        return Fraction(int(differ + leave), t.size)
-
-    return defect
 
 
 # -- binary exchange format ----------------------------------------------

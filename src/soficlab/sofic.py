@@ -70,10 +70,8 @@ from .perms import (
     FlatDomain,
     ImplicitPerm,
     commutator_count,
-    commutator_defects,
     d_hamming,
     hoeffding_radius,
-    materialize,
 )
 from .words import ProductWord, ReducedWord, evaluate
 
@@ -84,8 +82,9 @@ DECODE_BLOCK = 1 << 14
 
 
 def _built_on_first_call(make):
-    """make()'s batch map, built when it is first applied: exact models
-    never apply their images' inverses, so they never build them."""
+    """make()'s batch map, built when it is first applied: most reads of a
+    model (the four-condition report, a build's files) never apply their
+    images' inverses, so they never build them."""
     build = cache(make)
     return lambda pts: build()(pts)
 
@@ -104,8 +103,10 @@ class GpContext:
     right map's shifts h.w, one per matrix h, move only supp(w)
     (f3vectors.act_rows), so no table of every matrix's positions is
     built.  Every builder returns the map and its inverse as an
-    ImplicitPerm on this domain; an exact model is these maps enumerated
-    once by perms.materialize.
+    ImplicitPerm on this domain.  These maps are the model at every p; an
+    enumerable G(p) is read on them block by block (blocks), and
+    perms.materialize enumerates one into an image array only where a
+    file or an exact distance asks for it.
     """
 
     def __init__(self, p: int):
@@ -235,6 +236,12 @@ def gp_mode(p: int) -> str:
     return "exact" if 3**p * psl2_order(p) <= EXACT_DOMAIN_BUDGET else "implicit"
 
 
+def _check_enumerable(ctx: GpContext):
+    """Refuse, with ValueError, a G(p) too large to be read block by block."""
+    if gp_mode(ctx.p) != "exact":
+        raise ValueError(f"domain of size {ctx.size} is too large to enumerate exactly")
+
+
 def slab_translation(p: int):
     """The model's slab translation g0 = (a0, h0): a0 = (0,0,1,...,1) and h0
     the image of [[1,1],[0,1]]."""
@@ -271,7 +278,9 @@ class AsymptoticHom:
     A pair of words evaluates as the left word map composed after the
     right word map; both factors are word maps of their generator images,
     so restricted to pairs without the letter t the evaluation is an exact
-    homomorphism.
+    homomorphism.  mode records whether the domain can be enumerated
+    ("exact") or only sampled ("implicit"); for a G(p) model it is
+    gp_mode(p).
     """
 
     domain: object
@@ -299,21 +308,13 @@ class AsymptoticHom:
                            evaluate(pair.left, left.__getitem__, acc))
         return acc if acc is not None else self.domain.identity_perm()
 
-    def apply(self, pw: ProductWord, points):
-        """sigma(pw) at a batch of points: the letter images act from the
-        right end of the pair (right word first), apply for positive letters
-        and apply_inverse for negative ones, so no word image is built."""
-        for g, s in reversed(pw.left.letters + pw.right.letters):
-            image = self.images[g]
-            points = image.apply(points) if s == 1 else image.apply_inverse(points)
-        return points
-
 
 def build_sigma(family: HomFamily) -> AsymptoticHom:
-    """The G(p) model of the family's level and ranks: left generators act
-    by left multiplication, right generators by inverse right
-    multiplication, t by the slab involution of slab_translation(p).  The
-    model's mode is gp_mode(p)."""
+    """The G(p) model of the family's level and ranks, as the implicit
+    GpContext maps at every p: left generators act by left multiplication,
+    right generators by inverse right multiplication, t by the slab
+    involution of slab_translation(p).  The model's mode records
+    gp_mode(p)."""
     p = family.p
     ctx = GpContext(p)
     images = {}
@@ -323,11 +324,7 @@ def build_sigma(family: HomFamily) -> AsymptoticHom:
     images["t"] = ctx.t_perm(*slab_translation(p))
     for name in lambda_gen_names(family.k):
         images[name] = ctx.right_mult_inv(rho.image(name))
-    mode = gp_mode(p)
-    if mode == "exact":
-        images = {name: materialize(perm) for name, perm in images.items()}
-    return AsymptoticHom(domain=images["t"].domain, images=images, family=family,
-                         mode=mode)
+    return AsymptoticHom(domain=ctx, images=images, family=family, mode=gp_mode(p))
 
 
 def build_tilde_sigma(family: HomFamily) -> AsymptoticHom:
@@ -368,12 +365,17 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
     distinct because g0^2 != e, so t o r and r o t differ exactly at the
     points x = (a, h) whose slab region differs from that of
     r(x) = (a + h.w', h u'), with rho(word)^-1 = (w', u').  The shifts h.w'
-    come from one act_rows.  On an enumerable G(p) (gp_mode "exact") the
-    region changes are one table over the flat domain, and the exact value
-    is its count.  Sampled, the points are the ones d_hamming draws on the
-    model's domain, so the estimate is d_hamming's bit for bit: flat
-    indices read from that table, or GpContext.sample points compared in
-    blocks of SAMPLE_BLOCK.
+    come from one act_rows.  The exact value (an enumerable G(p), gp_mode
+    "exact") is counted on supp(t) = (S u (S + a0)) x H alone: r is a
+    bijection, so the points of the rest that r sends into supp(t) are
+    exactly as many as the points of supp(t) that r sends to the rest, and
+    the count is #{x in supp(t) : region changes} + #{x in supp(t) : r(x)
+    in the rest}.  Sampled, the points are the ones d_hamming draws, so the
+    estimate is d_hamming's bit for bit: on an enumerable G(p) uniform flat
+    indices, as on the enumerated model's FlatDomain, read from one table
+    of region changes over the flat domain; otherwise GpContext.sample
+    points, as on the implicit model's domain, compared in blocks of
+    SAMPLE_BLOCK.
     """
     p = family.p
     ctx = GpContext(p)
@@ -382,28 +384,34 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
     neg_a0 = vector_points(-a0)
     shifts = act_rows(ctx.table.entries, hom_eval(family["rho"], word).inverse().a)
 
-    def changed(pts):
-        vectors, h_idx = pts
-        moved = f3_add(vectors, take_points(shifts, h_idx))
+    def region_change(vectors, shift):
+        """Per point: whether adding its shift changes the vector's slab
+        region, and whether the sum lies in supp(t)."""
+        moved = f3_add(vectors, shift)
         in_s, in_shift = _slab_regions(vectors, neg_a0, p)
         moved_s, moved_shift = _slab_regions(moved, neg_a0, p)
-        return (in_s != moved_s) | (in_shift != moved_shift)
+        return (in_s != moved_s) | (in_shift != moved_shift), moved_s | moved_shift
 
     exact = gp_mode(p) == "exact"
     if samples is None:
-        if not exact:
-            raise ValueError(f"domain of size {ctx.size} is too large to enumerate exactly")
-    elif seed is None:
+        _check_enumerable(ctx)
+        # the slab vectors against each distinct shift, weighted by the
+        # number of matrices h that give it
+        vectors = decode_indices(np.arange(3**p, dtype=np.int64), p)
+        slab = vectors[np.logical_or(*_slab_regions(vectors, neg_a0, p))]
+        distinct, weight = np.unique(shifts, axis=0, return_counts=True)
+        changed, in_support = region_change(slab[:, None], distinct[None, :])
+        count = (np.count_nonzero(changed, axis=0)
+                 + np.count_nonzero(~in_support, axis=0)) @ weight
+        return DHEstimate(Fraction(int(count), ctx.size), 0.0, 1.0, "exact")
+    if seed is None:
         raise ValueError("sampled mode requires an explicit seed")
-    elif samples <= 0:
+    if samples <= 0:
         raise ValueError("sampled mode requires a sample count")
     if exact:
         table = np.empty(ctx.size, dtype=bool)
-        for rows, pts in ctx.blocks():
-            table[rows] = changed(pts).ravel()
-        if samples is None:
-            return DHEstimate(Fraction(int(np.count_nonzero(table)), ctx.size), 0.0, 1.0,
-                              "exact")
+        for rows, (vectors, h_idx) in ctx.blocks():
+            table[rows] = region_change(vectors, take_points(shifts, h_idx))[0].ravel()
         rng = np.random.default_rng(seed)
         differ = np.count_nonzero(table[rng.integers(0, ctx.size, size=samples,
                                                      dtype=np.int64)])
@@ -412,7 +420,8 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
         differ = 0
         for start in range(0, samples, SAMPLE_BLOCK):
             rows = slice(start, start + SAMPLE_BLOCK)
-            differ += np.count_nonzero(changed((vectors[rows], h_idx[rows])))
+            differ += np.count_nonzero(
+                region_change(vectors[rows], take_points(shifts, h_idx[rows]))[0])
     agree = samples - int(differ)
     return DHEstimate(1.0 - float(agree) / samples, hoeffding_radius(samples, CONFIDENCE),
                       CONFIDENCE, "sampled", samples=samples, seed=seed)
@@ -420,8 +429,9 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
 
 def fixed_count(family: HomFamily, pw: ProductWord) -> int:
     """The number of points of an enumerable G(p) that sigma(pw) fixes in
-    the family's model: build_sigma(family).eval(pw).fixed_count(), counted
-    on the implicit maps over GpContext.blocks(), with no image array.
+    the family's model, the fixed_count() of materialize(build_sigma(family)
+    .eval(pw)), counted on the implicit maps over GpContext.blocks() with
+    no image array.
 
     sigma(pw) = L o R with R(x) = x rho(right)^-1, so x is fixed exactly when
     R(x) = L^-1(x).  L^-1 runs the left word's letters from the left, each
@@ -434,8 +444,7 @@ def fixed_count(family: HomFamily, pw: ProductWord) -> int:
     """
     p = family.p
     ctx = GpContext(p)
-    if gp_mode(p) != "exact":
-        raise ValueError(f"domain of size {ctx.size} is too large to enumerate exactly")
+    _check_enumerable(ctx)
     r = hom_eval(family["rho"], pw.right)
     if pw.left.is_identity():
         return ctx.size if r.is_identity() else 0
@@ -495,49 +504,56 @@ DEFECT_THRESHOLD = Fraction(1, 243)
 
 
 def four_condition_report(sigma: AsymptoticHom) -> dict:
-    """Exact four-condition report for an enumerable G(p) model.
+    """Exact four-condition report for a G(p) model on an enumerable G(p),
+    read on its implicit maps over GpContext.blocks(), with no image array.
 
     (1) zero defect on word pairs without t: each side is a chain of
         letter images with exact inverses, so this holds on every such
         pair exactly when each t-free left letter's image commutes with
         each right letter's image; the maximum commutator defect over
-        these generator pairs is reported, each counted by
-        perms.commutator_count on SAMPLE_BLOCK slices (no product built);
+        these generator pairs is reported, each counted block by block by
+        perms.commutator_count (no product built);
     (2) fixed-point fraction of the t image;
     (3) search for a right word whose commutator with t has large defect,
         scoring words by the exact slab displacement 2|T \\ T r(h)| / |G|
         (per slice |T \\ T(w,u)| = |H| * |S \\ (S+w)|, by sp_shift_diff_exact)
         and checking the exact defect against that lower bound on a sample;
         the search covers at most WORD_SEARCH_CAP words.  The exact defect
-        is read on supp(t) alone (perms.commutator_defects): t o r and
-        r o t agree off supp(t) and r^-1(supp(t)), so
-        d_H = (#{x in supp(t) : t(r(x)) != r(t(x))}
-               + |supp(t)| - #{x in supp(t) : r(x) in supp(t)}) / |G|,
-        with r applied letter by letter to supp(t) and t(supp(t));
+        is t_commutator_defect's count of slab-region changes on supp(t);
     (4) the minimum over slice pairs of the displaced fraction of each
-        A(p)-slice under the t image, from a |H| x |H| overlap count filled
-        one bincount per block of vectors.
+        A(p)-slice under the t image, from a |H| x |H| overlap count.
 
-    Conditions 1 and 4 read the model's image arrays in blocks and build
-    no whole-domain temporary; condition 3's temporaries are the size of
-    supp(t).
+    One pass over the blocks applies the t image twice: t o t = id shows
+    that it is a bijection ("t_involution"), and the same pass counts its
+    fixed points (2) and fills the overlap (4), one bincount per block.
     """
-    if sigma.mode != "exact":
-        raise ResourceBudgetError("the four-condition report needs the exact mode")
     family = sigma.family
     p = family.p
+    ctx = sigma.domain
+    _check_enumerable(ctx)
     report = {"p": p}
 
     # (1): exact homomorphism away from t
     left = [sigma.images[n] for n in sigma.left_names if n != "t"]
     right = [sigma.images[n] for n in sigma.right_names]
-    report["cond1_defect_max"] = max(Fraction(commutator_count(a, b), a.size)
+    report["cond1_defect_max"] = max(Fraction(commutator_count(a, b), ctx.size)
                                      for a in left for b in right)
     report["cond1_pairs"] = len(left) * len(right)
 
-    # (2): fixed fraction of the t image
-    t_image: ExactPerm = sigma.images["t"]
-    report["cond2_fixed_fraction"] = t_image.fixed_fraction()
+    # t o t = id, (2) and (4) in one pass: overlap[h, h'] =
+    # #{x = (a, h) : t(x) = (a', h')}
+    t = sigma.images["t"]
+    h_order = ctx.h_order
+    not_involution = fixed = 0
+    overlap = np.zeros(h_order * h_order, dtype=np.int64)
+    for _, pts in ctx.blocks():
+        image = t.apply(pts)
+        not_involution += np.count_nonzero(~ctx.points_equal(t.apply(image), pts))
+        fixed += np.count_nonzero(ctx.points_equal(image, pts))
+        overlap += np.bincount((pts[1] * h_order + image[1]).ravel(),
+                               minlength=h_order * h_order)
+    report["t_involution"] = int(not_involution) == 0
+    report["cond2_fixed_fraction"] = Fraction(int(fixed), ctx.size)
 
     # (3): word search using the exact displacement lower bound
     rho = family["rho"]
@@ -545,12 +561,6 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
 
     def lower_bound(word):
         return Fraction(sp_shift_diff_exact(hom_eval(rho, word).a), n_a)
-
-    defect_against_t = commutator_defects(t_image)
-
-    def exact_commutator_defect(word):
-        w = ProductWord(right=word)
-        return defect_against_t(lambda pts: sigma.apply(w, pts))
 
     best = (Fraction(0), None)
     tested = []
@@ -563,7 +573,7 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
         if lb > best[0]:
             best = (lb, word)
         if len(tested) < EXACT_DEFECT_CAP or (lb >= DEFECT_THRESHOLD and witness is None):
-            defect = exact_commutator_defect(word)
+            defect = t_commutator_defect(family, word).value
             tested.append(
                 {"word": repr(word), "lower_bound": lb, "defect": defect,
                  "respects_bound": defect >= lb}
@@ -583,20 +593,8 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
     report["cond3_word_cap"] = WORD_SEARCH_CAP
     report["cond3_cap_reached"] = cap_reached
 
-    # (4): slice displacement matrix of the t image, overlap[h, h'] =
-    # #{x = (a, h) : t(x) = (a', h')}, filled one bincount per block of
-    # vectors (rows of the image array as a 3^p x |H| grid)
-    h_order = psl2_order(p)
-    h_keys = np.arange(h_order, dtype=np.int64) * h_order
-    t_grid = t_image.images.reshape(n_a, h_order)
-    step = max(1, SAMPLE_BLOCK // h_order)
-    overlap = np.zeros(h_order * h_order, dtype=np.int64)
-    for start in range(0, n_a, step):
-        keys = t_grid[start:start + step] % h_order
-        keys += h_keys
-        overlap += np.bincount(keys.ravel(), minlength=h_order * h_order)
-    min_displaced = Fraction(2 * n_a - 2 * int(overlap.max()), n_a)
-    report["cond4_min_displacement"] = min_displaced
+    # (4): slice displacement from the overlap
+    report["cond4_min_displacement"] = Fraction(2 * n_a - 2 * int(overlap.max()), n_a)
     return report
 
 

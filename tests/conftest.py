@@ -1,6 +1,10 @@
 """Session fixtures for the p = 7 family and models, and the brute-force
 oracles that several test modules import."""
 
+import dataclasses
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from soficlab.f3vectors import (
     vector_points,
 )
 from soficlab.groups import GpElement, build_hom_specs
+from soficlab.perms import SAMPLE_BLOCK, ExactPerm, FlatDomain, materialize
 from soficlab.smallgroups import identity_index
 from soficlab.sofic import build_sigma, build_tilde_sigma
 
@@ -30,8 +35,27 @@ def sigma7(family7):
 
 
 @pytest.fixture(scope="session")
+def dense7(sigma7):
+    """The p = 7 model with every image enumerated once on the flat index:
+    the dense oracle, and the fast route for tests that compare many words
+    exactly."""
+    images = {name: materialize(perm) for name, perm in sigma7.images.items()}
+    return dataclasses.replace(sigma7, domain=FlatDomain(sigma7.domain.size), images=images)
+
+
+@pytest.fixture(scope="session")
 def tilde7(family7):
     return build_tilde_sigma(family7)
+
+
+def refuse_materialize(monkeypatch):
+    """Make every soficlab binding of perms.materialize raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a G(p) image was enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("soficlab") and hasattr(module, "materialize"):
+            monkeypatch.setattr(module, "materialize", refuse)
 
 
 # -- brute-force oracles that several test modules share --------------------
@@ -98,3 +122,50 @@ def pairwise_subgroup_closure(table: np.ndarray, seed) -> frozenset:
                         new.append(z)
         frontier = new
     return frozenset(elems)
+
+
+# -- dense p = 7 routes of the four-condition report, as its oracles ---------
+
+def array_commutator_count(a: ExactPerm, b: ExactPerm) -> int:
+    """#{x : a(b(x)) != b(a(x))}, over SAMPLE_BLOCK slices of the two image
+    arrays."""
+    a_img, b_img = a.images, b.images
+    count = 0
+    for start in range(0, a.size, SAMPLE_BLOCK):
+        rows = slice(start, start + SAMPLE_BLOCK)
+        count += int(np.count_nonzero(a_img[b_img[rows]] != b_img[a_img[rows]]))
+    return count
+
+
+def commutator_defects(t: ExactPerm):
+    """The function r_at -> d_H(t o r, r o t) for permutations r of t's
+    domain, given as r's map on index arrays, which it runs on supp(t)
+    and t(supp(t)) only.
+
+    Off supp(t) and r^-1(supp(t)) both sides send x to r(x); every point
+    of r^-1(supp(t)) \\ supp(t) disagrees, and there are as many of them
+    as points x of supp(t) with r(x) outside supp(t), that is with
+    t(r(x)) = r(x).
+    """
+    support = np.flatnonzero(t.images != np.arange(t.size))
+    t_support = t.images[support]
+
+    def defect(r_at) -> Fraction:
+        r_x = r_at(support)
+        t_r_x = t.images[r_x]
+        differ = np.count_nonzero(t_r_x != r_at(t_support))
+        leave = np.count_nonzero(t_r_x == r_x)
+        return Fraction(int(differ + leave), t.size)
+
+    return defect
+
+
+def image_overlap_displacement(t: ExactPerm, p: int) -> Fraction:
+    """Condition 4 from t's image array: the minimum over slice pairs
+    (h, h') of the displaced fraction, 2 - 2 * max overlap / 3^p, with
+    overlap[h, h'] = #{x = (a, h) : t(x) = (a', h')}."""
+    h_order = psl2_order(p)
+    grid = t.images.reshape(3**p, h_order) % h_order
+    keys = grid + np.arange(h_order, dtype=np.int64) * h_order
+    overlap = np.bincount(keys.ravel(), minlength=h_order * h_order)
+    return Fraction(2 * 3**p - 2 * int(overlap.max()), 3**p)

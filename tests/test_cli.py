@@ -30,6 +30,17 @@ def test_build_writes_artifacts(tmp_path):
     assert sidecar["p"] == 7
 
 
+def test_build_files_read_back_as_the_enumerated_model(tmp_path, dense7, tilde7):
+    # the .sprm files are the model's one dense form: read_perm gives back
+    # each implicit image enumerated by materialize, and each K image
+    out = tmp_path / "build7"
+    assert main(["build", "--p", "7", "--out", str(out)]) == 0
+    for name, perm in dense7.images.items():
+        assert read_perm(out / f"sigma_{name}.sprm") == perm, name
+    for name, perm in tilde7.images.items():
+        assert read_perm(out / f"tilde_{name}_second_factor.sprm") == perm, name
+
+
 # sha256 of every file `build --p 7` writes, whatever the seed: the seed
 # reaches only the JSON sidecars.
 BUILD_P7_DIGESTS = {
@@ -247,6 +258,13 @@ def test_measure_spectra_csv(tmp_path):
     # operators, each solved densely at p = 7
     assert abs(float(rows[0]["lambda2"]) - 0.9044822283320535) <= 1e-12
     assert float(rows[0]["residual"]) <= 1e-8
+
+
+def test_measure_without_seed_keeps_each_table_default(tmp_path):
+    # no --seed passes none, so spectra runs at measure_spectra's seed 2
+    out = tmp_path / "spectra.csv"
+    assert main(["measure", "spectra", "--primes", "7", "--out", str(out)]) == 0
+    assert [row["seed"] for row in csv.DictReader(open(out))] == ["2"]
 
 
 def test_measure_defect_refuses_p_past_int64_indices(capsys):

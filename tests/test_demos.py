@@ -32,6 +32,22 @@ PINNED_STDOUT = {
         '  q=11: worst nontrivial fraction 1/55 <= 1/(2(q-1)) = 1/20: True\n'
         '  q=13: worst nontrivial fraction 1/84 <= 1/(2(q-1)) = 1/24: True\n'
     ),
+    "04_permutation_model": (
+        'domain size 367416, mode exact\n'
+        'fixed fraction of the t image: 593/729 (= 0.8134, at least 1/3)\n'
+        'worst defect over 20 t-free word pairs: 0\n'
+        '\n'
+        'commutators of t with the right generators:\n'
+        '  against b1: defect 0 = 0.0000\n'
+        '  against b2: defect 0 = 0.0000\n'
+        '  against b3: defect 1075/5103 = 0.2107\n'
+        '\n'
+        'four-condition report:\n'
+        '  (1) max t-free defect: 0\n'
+        '  (2) t fixed fraction:  593/729\n'
+        '  (3) witness word: b3 with defect 1075/5103\n'
+        '  (4) min slice displacement: 272/729 >= 1/243: True\n'
+    ),
     "05_product_model": (
         'product domain size: 242,494,560\n'
         'fixed-point budget 1/(2(r-1)) = 1/20\n'

@@ -14,13 +14,14 @@ from soficlab.perms import (
     FlatDomain,
     ImplicitPerm,
     commutator_count,
-    commutator_defects,
     d_hamming,
     hoeffding_radius,
     read_perm,
     write_perm,
 )
 from soficlab.report import sha256_file
+
+from conftest import array_commutator_count, commutator_defects
 
 
 def random_exact(rng, n):
@@ -226,15 +227,23 @@ def test_support_commutator_defect_matches_dense(perms):
 def test_commutator_count_matches_dense(perms):
     a, b = (ExactPerm(np.array(x, dtype=np.int64)) for x in perms)
     assert Fraction(commutator_count(a, b), a.size) == d_hamming(a * b, b * a).value
+    assert commutator_count(a, b) == array_commutator_count(a, b)
 
 
 def test_commutator_count_across_blocks():
+    # the domain's blocks are SAMPLE_BLOCK slices; an implicit map counts
+    # against an exact one on the same domain
     rng = np.random.default_rng(3)
     n = 2 * SAMPLE_BLOCK + 5
     a, b = random_exact(rng, n), random_exact(rng, n)
     swap = ExactPerm(np.arange(n)[::-1].copy())
-    for x, y in ((a, b), (a, a), (a, a.inverse()), (swap, b)):
+    shift = ImplicitPerm(FlatDomain(n), lambda x: (x + 3) % n, lambda x: (x - 3) % n)
+    b_map, swap_map = (ImplicitPerm(FlatDomain(n), x.apply, x.apply_inverse)
+                       for x in (b, swap))
+    for x, y in ((a, b), (a, a), (a, a.inverse()), (swap, b), (shift, b_map),
+                 (shift, swap_map)):
         assert Fraction(commutator_count(x, y), n) == d_hamming(x * y, y * x).value
+    assert commutator_count(shift, b) == commutator_count(shift, b_map)
     with pytest.raises(ValueError):
         commutator_count(a, random_exact(rng, 7))
 

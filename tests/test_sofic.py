@@ -21,7 +21,14 @@ from soficlab.f3vectors import (
 )
 from soficlab import sofic
 from soficlab.groups import GenerationCheckError, GpElement, build_hom_specs, hom_eval
-from soficlab.perms import SAMPLE_BLOCK, ExactPerm, commutator_defects, d_hamming, materialize
+from soficlab.perms import (
+    SAMPLE_BLOCK,
+    ExactPerm,
+    ImplicitPerm,
+    commutator_count,
+    d_hamming,
+    materialize,
+)
 from soficlab.sofic import (
     WORD_SEARCH_CAP,
     GpContext,
@@ -31,10 +38,20 @@ from soficlab.sofic import (
     four_condition_report,
     t_commutator_defect,
 )
-from soficlab.suites import _random_nontrivial_word, suite_soficity
+from soficlab.suites import _random_nontrivial_word, suite_four_conditions, suite_soficity
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
 
-from conftest import GpIndexer, ap_index, coords_matrix, shifted_index_map, slab_mask
+from conftest import (
+    GpIndexer,
+    ap_index,
+    array_commutator_count,
+    commutator_defects,
+    coords_matrix,
+    image_overlap_displacement,
+    refuse_materialize,
+    shifted_index_map,
+    slab_mask,
+)
 
 GAMMA = ("a1", "a2", "a3", "a4")
 LAMBDA = ("b1", "b2", "b3")
@@ -44,13 +61,13 @@ def pw(left=None, right=None):
     return ProductWord(left or ReducedWord(), right or ReducedWord())
 
 
-def test_sigma_matches_two_sided_translation(sigma7, family7):
+def test_sigma_matches_two_sided_translation(dense7, family7):
     idxr = GpIndexer(7)
     rng = random.Random(0)
     for _ in range(20):
         u = random_reduced_word(rng, GAMMA, rng.randint(0, 4))
         v = random_reduced_word(rng, LAMBDA, rng.randint(0, 4))
-        perm = sigma7.eval(pw(u, v))
+        perm = dense7.eval(pw(u, v))
         g = hom_eval(family7["phi"], u)
         r = hom_eval(family7["rho"], v)
         for _ in range(50):
@@ -59,23 +76,23 @@ def test_sigma_matches_two_sided_translation(sigma7, family7):
 
 
 def test_identity_evaluates_to_identity(sigma7):
-    assert sigma7.eval(pw()).is_identity()
+    assert materialize(sigma7.eval(pw())).is_identity()
 
 
-def test_t_image_is_involution(sigma7):
-    t = sigma7.images["t"]
+def test_t_image_is_involution(dense7):
+    t = dense7.images["t"]
     assert t.compose(t).is_identity()
 
 
-def test_t_fixed_fraction_formula(sigma7):
+def test_t_fixed_fraction_formula(dense7):
     expected = Fraction(3**7 - 2 * sp_count_exact(7), 3**7)
-    assert sigma7.images["t"].fixed_fraction() == expected
+    assert dense7.images["t"].fixed_fraction() == expected
     assert expected >= Fraction(1, 3)
 
 
-def test_t_maps_slab_onto_shifted_slab(sigma7):
+def test_t_maps_slab_onto_shifted_slab(dense7):
     mask_t = slab_mask(7)
-    images = sigma7.images["t"].images
+    images = dense7.images["t"].images
     hit = np.zeros(len(mask_t), dtype=bool)
     hit[images[mask_t]] = True
     # the image of the slab is disjoint from the slab and has its size
@@ -87,7 +104,7 @@ def test_t_maps_slab_onto_shifted_slab(sigma7):
     assert np.array_equal(back, mask_t)
 
 
-def test_no_t_defect_is_exactly_zero(sigma7):
+def test_no_t_defect_is_exactly_zero(dense7):
     # the sampled oracle for condition 1's generator commutators
     rng = random.Random(1)
     for _ in range(100):
@@ -95,7 +112,7 @@ def test_no_t_defect_is_exactly_zero(sigma7):
                random_reduced_word(rng, LAMBDA, rng.randint(0, 4)))
         v = pw(random_reduced_word(rng, GAMMA, rng.randint(0, 4)),
                random_reduced_word(rng, LAMBDA, rng.randint(0, 4)))
-        assert hom_defect(sigma7, u, v).value == 0
+        assert hom_defect(dense7, u, v).value == 0
 
 
 def test_t_commutes_with_undecorated_right(sigma7):
@@ -171,58 +188,71 @@ def test_word_search_reports_its_cap(sigma7, family7, monkeypatch):
     assert (check["word_cap"], check["cap_reached"]) == (20_000, False)
 
 
-def test_apply_matches_eval(sigma7):
-    rng = random.Random(8)
-    np_rng = np.random.default_rng(8)
-    for _ in range(10):
-        w = pw(random_reduced_word(rng, GAMMA + ("t",), rng.randint(0, 4)),
-               random_reduced_word(rng, LAMBDA, rng.randint(0, 4)))
-        pts = np_rng.integers(0, sigma7.domain.size, size=500)
-        assert np.array_equal(sigma7.apply(w, pts), sigma7.eval(w).apply(pts))
+def _apply_word(model, word: ReducedWord, points):
+    """A right word's letter images at a batch of points, right letter
+    first, with no word permutation built."""
+    for g, sign in reversed(word.letters):
+        image = model.images[g]
+        points = image.apply(points) if sign == 1 else image.apply_inverse(points)
+    return points
 
 
-def test_support_commutator_defect_matches_dense_model(sigma7):
-    # condition 3's defect, read on supp(t), against both sides of the
-    # commutator evaluated in full
-    defect = commutator_defects(sigma7.images["t"])
+def test_support_commutator_defect_matches_dense_model(dense7):
+    # condition 3's defect, the region count on supp(t), against the dense
+    # count on supp(t) and against both sides of the commutator in full
+    defect = commutator_defects(dense7.images["t"])
     t_word = pw(ReducedWord.gen("t"))
     for word in itertools.islice(sofic._lambda_words_bfs(3, 8), 200):
         w = pw(right=word)
-        dense = d_hamming(sigma7.eval(t_word, then=w), sigma7.eval(w, then=t_word))
-        assert defect(lambda pts: sigma7.apply(w, pts)) == dense.value
+        dense = d_hamming(dense7.eval(t_word, then=w), dense7.eval(w, then=t_word))
+        assert defect(lambda pts: _apply_word(dense7, word, pts)) == dense.value
+        assert t_commutator_defect(dense7.family, word).value == dense.value
 
 
-def test_four_condition_report_composes_nothing(sigma7, monkeypatch):
-    # condition 1 counts each generator pair's commutator on slices of the
-    # two image arrays, and condition 3 builds no word permutation
-    calls = []
-    compose = ExactPerm.compose
-    monkeypatch.setattr(ExactPerm, "compose",
-                        lambda self, other: calls.append(1) or compose(self, other))
+def test_four_condition_report_composes_nothing(sigma7, dense7, monkeypatch):
+    # the report counts on the implicit maps and enumerates nothing, builds
+    # no product, and agrees with the image-array routes: the commutator
+    # count, t's fixed points, the slice overlap and condition 3's defects
+    # read on supp(t)
+    composed = []
+    for cls in (ExactPerm, ImplicitPerm):
+        compose = cls.compose
+        monkeypatch.setattr(cls, "compose", lambda self, other, compose=compose:
+                            composed.append(1) or compose(self, other))
+    refuse_materialize(monkeypatch)
+    assert all(isinstance(image, ImplicitPerm) for image in sigma7.images.values())
     rep = four_condition_report(sigma7)
-    assert len(calls) == 0
     monkeypatch.undo()
-    left = [sigma7.images[n] for n in sigma7.left_names if n != "t"]
-    right = [sigma7.images[n] for n in sigma7.right_names]
-    oracle = [d_hamming(a * b, b * a).value for a in left for b in right]
-    assert len(oracle) == rep["cond1_pairs"] == 12
-    assert rep["cond1_defect_max"] == max(oracle)
+    assert composed == []
+    assert rep["t_involution"] is True
+    pairs = [(a, b) for a in GAMMA for b in LAMBDA]
+    counts = [commutator_count(sigma7.images[a], sigma7.images[b]) for a, b in pairs]
+    oracle = [array_commutator_count(dense7.images[a], dense7.images[b]) for a, b in pairs]
+    assert counts == oracle
+    assert rep["cond1_pairs"] == 12
+    assert rep["cond1_defect_max"] == Fraction(max(oracle), 367_416)
+    assert rep["cond2_fixed_fraction"] == dense7.images["t"].fixed_fraction()
+    assert rep["cond4_min_displacement"] == image_overlap_displacement(dense7.images["t"], 7)
+    defect = commutator_defects(dense7.images["t"])
+    words = itertools.islice(sofic._lambda_words_bfs(3, 8), len(rep["cond3_tested"]))
+    for tested, word in zip(rep["cond3_tested"], words):
+        assert tested["word"] == repr(word)
+        assert tested["defect"] == defect(lambda pts: _apply_word(dense7, word, pts))
 
 
-def test_four_condition_report_peaks_below_two_image_arrays(sigma7):
-    # a G(7) image array is 2.9 MB: condition 1 builds no product and
-    # condition 4 no whole-domain index, so once the inverses condition 3
-    # reads are cached a report peaks near one such array (condition 2's
-    # fixed-point test, or supp(t) and its per-letter gathers)
-    four_condition_report(sigma7)
+def test_four_condition_suite_peaks_far_below_the_dense_model(monkeypatch):
+    # eight dense G(7) image arrays would be 23 MiB; the report holds a few
+    # blocks of GpContext.blocks() at a time and enumerates no image
+    refuse_materialize(monkeypatch)
+    suite_four_conditions(7)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        four_condition_report(sigma7)
+        suite_four_conditions(7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 4 * 2**20
+    assert peak - start <= 8 * 2**20
 
 
 def full_soficity_values(sigma, tilde, family, seed):
@@ -254,22 +284,20 @@ def full_soficity_values(sigma, tilde, family, seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_soficity_k_factor_shortcut_matches_full_products(sigma7, tilde7, family7,
+def test_soficity_k_factor_shortcut_matches_full_products(dense7, tilde7, family7,
                                                          seed, monkeypatch):
-    import soficlab.perms as perms
     import soficlab.suites as suites
 
-    worst, displaced, k_fixing = full_soficity_values(sigma7, tilde7, family7, seed)
+    worst, displaced, k_fixing = full_soficity_values(dense7, tilde7, family7, seed)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the soficity suite builds no dense G(p) model")
+        raise AssertionError("the soficity suite builds no G(p) model")
 
     # f_G is counted on the implicit maps: no model is built or enumerated
     monkeypatch.setattr(suites, "build_hom_specs", lambda *args: family7)
     monkeypatch.setattr(suites, "build_tilde_sigma", lambda family: tilde7)
     monkeypatch.setattr(suites, "build_sigma", refuse)
-    monkeypatch.setattr(perms, "materialize", refuse)
-    monkeypatch.setattr(sofic, "materialize", refuse)
+    refuse_materialize(monkeypatch)
     checks = {c["name"]: c for c in suite_soficity(7, seed).checks}
     # the shortcut is not taken everywhere: some words reach the G(p) factor
     assert k_fixing > 0
@@ -309,11 +337,11 @@ _right_words = st.lists(st.tuples(st.sampled_from(LAMBDA), st.sampled_from((1, -
 @given(word=_right_words)
 @example(word=ReducedWord())
 @example(word=ReducedWord.gen("b3"))
-def test_region_count_matches_exact_hom_defect(sigma7, word):
+def test_region_count_matches_exact_hom_defect(dense7, word):
     # the lemma, on the dense p = 7 model: t o r and r o t differ exactly
     # where r changes the slab region
-    expected = hom_defect(sigma7, pw(right=word), pw(ReducedWord.gen("t")))
-    assert t_commutator_defect(sigma7.family, word) == expected
+    expected = hom_defect(dense7, pw(right=word), pw(ReducedWord.gen("t")))
+    assert t_commutator_defect(dense7.family, word) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,9 +350,10 @@ def test_region_count_matches_exact_hom_defect(sigma7, word):
        seed=st.integers(0, 2**32 - 1))
 @example(word=ReducedWord(), p=13, samples=997, seed=0)
 @example(word=ReducedWord.gen("b3"), p=37, samples=997, seed=54)
-def test_region_count_samples_like_hom_defect(sigma7, word, p, samples, seed):
-    # the same points as d_hamming on the model's domain, so the same float
-    sigma = sigma7 if p == 7 else _implicit_model(p)
+def test_region_count_samples_like_hom_defect(dense7, word, p, samples, seed):
+    # the same points as d_hamming on the enumerated model's flat domain at
+    # p = 7 and on the implicit model's domain past it, so the same float
+    sigma = dense7 if p == 7 else _implicit_model(p)
     expected = hom_defect(sigma, pw(right=word), pw(ReducedWord.gen("t")),
                           samples=samples, seed=seed)
     assert t_commutator_defect(sigma.family, word, samples=samples, seed=seed) == expected
@@ -352,10 +381,10 @@ _T = ReducedWord.gen("t")
 # criterion 05's worst word: 11 fixed points
 @example(left=ReducedWord((("a2", 1), ("a2", 1), ("a4", -1), ("t", -1))),
          right=ReducedWord((("b2", -1), ("b1", -1), ("b1", -1), ("b3", -1))))
-def test_fixed_count_matches_dense_model(sigma7, left, right):
+def test_fixed_count_matches_dense_model(dense7, left, right):
     # x is fixed by L o R exactly when R(x) = L^-1(x), read block by block
     word = pw(left, right)
-    assert sofic.fixed_count(sigma7.family, word) == sigma7.eval(word).fixed_count()
+    assert sofic.fixed_count(dense7.family, word) == dense7.eval(word).fixed_count()
 
 
 def test_soficity_suite_peaks_far_below_the_dense_model():
@@ -372,11 +401,11 @@ def test_soficity_suite_peaks_far_below_the_dense_model():
     assert peak - start <= 8 * 2**20
 
 
-def test_sampled_defect_agrees_with_exact(sigma7):
+def test_sampled_defect_agrees_with_exact(dense7):
     u = pw(right=ReducedWord.gen("b3"))
     v = pw(ReducedWord.gen("t"))
-    exact = hom_defect(sigma7, u, v).value
-    est = hom_defect(sigma7, u, v, samples=40_000, seed=4)
+    exact = hom_defect(dense7, u, v).value
+    est = hom_defect(dense7, u, v, samples=40_000, seed=4)
     assert abs(est.value - float(exact)) <= est.radius
 
 
@@ -425,13 +454,12 @@ def test_tilde_matches_sigma_defect(tilde7, sigma7):
     assert 1 - (1 - d_g) * (1 - d_k) == d_g == Fraction(1075, 5103)
 
 
-def test_implicit_mode_agrees_with_exact_at_p7(sigma7, family7, monkeypatch):
-    # the implicit construction is exercised at p = 7 where the exact one
-    # can arbitrate; with no exact budget, build_sigma builds it
-    exact = sigma7
-    monkeypatch.setattr(sofic, "EXACT_DOMAIN_BUDGET", 0)
-    implicit = build_sigma(family7)
-    assert (exact.mode, implicit.mode) == ("exact", "implicit")
+def test_implicit_mode_agrees_with_exact_at_p7(sigma7, dense7):
+    # build_sigma returns the implicit maps at every p; at p = 7 its mode
+    # records that G(7) is enumerable, and the maps enumerated once arbitrate
+    implicit, exact = sigma7, dense7
+    assert implicit.mode == "exact"
+    assert all(isinstance(image, ImplicitPerm) for image in implicit.images.values())
     rng = np.random.default_rng(7)
     pts = implicit.domain.sample(rng, 2000)
     flat = implicit.domain.index(pts)
