@@ -6,9 +6,9 @@ point batches; they exist because the domains here grow like 3^p * |H|
 and stop being materializable long before they stop being samplable.
 
 The normalized Hamming distance between two permutations is the fraction
-of points where they disagree: exact as a Fraction where the operands
-allow it, otherwise estimated from seeded uniform samples with a two-sided
-Hoeffding radius.
+of points where they disagree: exact as a Fraction on a domain of at
+most EXACT_DOMAIN_BUDGET points, otherwise estimated from seeded uniform
+samples with a two-sided Hoeffding radius; neither builds an image array.
 """
 
 from __future__ import annotations
@@ -137,31 +137,37 @@ class ImplicitPerm:
 
     def __init__(self, domain, forward, backward):
         self.domain = domain
-        self.forward = forward
-        self.backward = backward
+        self.apply = forward
+        self.apply_inverse = backward
 
     @property
     def size(self):
         return self.domain.size
 
-    def apply(self, points):
-        return self.forward(points)
-
-    def apply_inverse(self, points):
-        return self.backward(points)
-
     def inverse(self) -> "ImplicitPerm":
-        return ImplicitPerm(self.domain, self.backward, self.forward)
+        return ImplicitPerm(self.domain, self.apply_inverse, self.apply)
 
     def compose(self, other) -> "ImplicitPerm":
-        return ImplicitPerm(
-            self.domain,
-            lambda pts: self.apply(other.apply(pts)),
-            lambda pts: other.apply_inverse(self.apply_inverse(pts)),
-        )
+        """self after other: x -> self(other(x)), run as one chain of maps."""
+        return ImplicitPerm(self.domain, _Chain(other.apply, self.apply),
+                            _Chain(self.apply_inverse, other.apply_inverse))
 
     def __mul__(self, other):
         return self.compose(other)
+
+
+class _Chain:
+    """Batch maps run one after another, chains of chains flattened: each
+    intermediate batch is freed once the next map has read it, where
+    nested calls would hold all of them until the outermost returned."""
+
+    def __init__(self, *maps):
+        self.maps = [m for fn in maps for m in getattr(fn, "maps", (fn,))]
+
+    def __call__(self, pts):
+        for fn in self.maps:
+            pts = fn(pts)
+        return pts
 
 
 @dataclass(frozen=True)
@@ -185,16 +191,20 @@ def hoeffding_radius(samples: int, confidence: float) -> float:
     return sqrt(log(2.0 / delta) / (2.0 * samples))
 
 
+def check_enumerable(domain):
+    """Refuse, with ValueError, a domain of more than EXACT_DOMAIN_BUDGET
+    points: too large to enumerate exactly."""
+    if domain.size > EXACT_DOMAIN_BUDGET:
+        raise ValueError(f"domain of size {domain.size} is too large to enumerate exactly")
+
+
 def materialize(perm) -> ExactPerm:
     """The dense image array of a permutation on the flat index of its
     domain: an implicit map is run once over the domain's blocks."""
     if isinstance(perm, ExactPerm):
         return perm
-    if not isinstance(perm, ImplicitPerm):
-        raise ValueError("operand cannot be enumerated for exact comparison")
-    if perm.size > EXACT_DOMAIN_BUDGET:
-        raise ValueError(f"domain of size {perm.size} is too large to enumerate exactly")
     domain = perm.domain
+    check_enumerable(domain)
     images = np.empty(perm.size, dtype=np.int64)
     for rows, pts in domain.blocks():
         images[rows] = domain.index(perm.apply(pts)).ravel()
@@ -211,50 +221,36 @@ def _point_block(points, rows: slice):
 def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     """Normalized Hamming distance between two permutations of one domain.
 
-    Exact mode returns a Fraction with radius 0.  Sampled mode requires an
-    explicit seed (estimates must be reproducible) and returns the
-    empirical disagreement fraction over uniform points together with the
-    Hoeffding radius at CONFIDENCE; the points are drawn at once and
-    compared in blocks of SAMPLE_BLOCK.
+    Both modes compare the two maps block by block, so only a block of
+    each operand's images exists at a time.  Exact mode counts over the
+    domain's blocks (check_enumerable refuses a domain too large) and
+    returns a Fraction with radius 0.  Sampled mode requires an explicit
+    seed (estimates must be reproducible) and returns the empirical
+    disagreement fraction over uniform points, drawn at once and compared
+    in blocks of SAMPLE_BLOCK, with the Hoeffding radius at CONFIDENCE.
     """
     if sigma.domain != tau.domain:
         raise ValueError("domain mismatch")
+    domain = sigma.domain
     if mode == "exact":
-        s, t = materialize(sigma), materialize(tau)
-        diff = int(np.count_nonzero(s.images != t.images))
-        return DHEstimate(Fraction(diff, s.size), 0.0, 1.0, "exact")
-    if mode == "sampled":
+        check_enumerable(domain)
+        n, blocks = domain.size, (pts for _, pts in domain.blocks())
+    elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires an explicit seed")
         if not samples:
             raise ValueError("sampled mode requires a sample count")
-        rng = np.random.default_rng(seed)
-        pts = sigma.domain.sample(rng, samples)
-        agree = 0
-        for start in range(0, samples, SAMPLE_BLOCK):
-            block = _point_block(pts, slice(start, start + SAMPLE_BLOCK))
-            eq = sigma.domain.points_equal(sigma.apply(block), tau.apply(block))
-            agree += int(np.count_nonzero(eq))
-        value = 1.0 - float(agree) / samples
-        return DHEstimate(
-            value, hoeffding_radius(samples, CONFIDENCE), CONFIDENCE, "sampled",
-            samples=samples, seed=seed,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def commutator_count(a, b) -> int:
-    """#{x : a(b(x)) != b(a(x))}, counted over the blocks of the two
-    permutations' domain, so that neither product is built; d_hamming(a * b,
-    b * a) is this count over the domain size."""
-    if a.domain != b.domain:
-        raise ValueError("domain mismatch")
-    domain = a.domain
-    count = 0
-    for _, pts in domain.blocks():
-        count += int(np.count_nonzero(
-            ~domain.points_equal(a.apply(b.apply(pts)), b.apply(a.apply(pts)))))
-    return count
+        n, pts = samples, domain.sample(np.random.default_rng(seed), samples)
+        blocks = (_point_block(pts, slice(start, start + SAMPLE_BLOCK))
+                  for start in range(0, n, SAMPLE_BLOCK))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    agree = sum(int(np.count_nonzero(domain.points_equal(sigma.apply(b), tau.apply(b))))
+                for b in blocks)
+    if mode == "exact":
+        return DHEstimate(Fraction(n - agree, n), 0.0, 1.0, "exact")
+    return DHEstimate(1.0 - float(agree) / n, hoeffding_radius(n, CONFIDENCE), CONFIDENCE,
+                      "sampled", samples=n, seed=seed)
 
 
 # -- binary exchange format ----------------------------------------------

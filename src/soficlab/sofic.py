@@ -69,7 +69,7 @@ from .perms import (
     ExactPerm,
     FlatDomain,
     ImplicitPerm,
-    commutator_count,
+    check_enumerable,
     d_hamming,
     hoeffding_radius,
 )
@@ -104,9 +104,9 @@ class GpContext:
     (f3vectors.act_rows), so no table of every matrix's positions is
     built.  Every builder returns the map and its inverse as an
     ImplicitPerm on this domain.  These maps are the model at every p; an
-    enumerable G(p) is read on them block by block (blocks), and
-    perms.materialize enumerates one into an image array only where a
-    file or an exact distance asks for it.
+    enumerable G(p) is read on them block by block (blocks), exact
+    distances included, and perms.materialize enumerates one into an image
+    array only where a file asks for it.
     """
 
     def __init__(self, p: int):
@@ -236,12 +236,6 @@ def gp_mode(p: int) -> str:
     return "exact" if 3**p * psl2_order(p) <= EXACT_DOMAIN_BUDGET else "implicit"
 
 
-def _check_enumerable(ctx: GpContext):
-    """Refuse, with ValueError, a G(p) too large to be read block by block."""
-    if gp_mode(ctx.p) != "exact":
-        raise ValueError(f"domain of size {ctx.size} is too large to enumerate exactly")
-
-
 def slab_translation(p: int):
     """The model's slab translation g0 = (a0, h0): a0 = (0,0,1,...,1) and h0
     the image of [[1,1],[0,1]]."""
@@ -357,9 +351,12 @@ def hom_defect(sigma: AsymptoticHom, u: ProductWord, v: ProductWord,
 def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
                         seed=None) -> DHEstimate:
     """d_H(t o r, r o t) in the family's G(p) model, for the right word map
-    r = sigma((e, word)) = x -> x rho(word)^-1: the value of
-    hom_defect(build_sigma(family), (e, word), (t, e)), read as a count of
-    slab-region changes.
+    r = sigma((e, word)) = x -> x rho(word)^-1, read as a count of
+    slab-region changes.  An exact value is that of hom_defect(
+    build_sigma(family), (e, word), (t, e)); a sampled one is hom_defect's
+    on the model whose domain draws the same points: on an enumerable G(p)
+    the enumerated model (its images on a FlatDomain), not build_sigma's
+    implicit maps, and past it build_sigma(family).
 
     Right maps commute with left translations, and e, g0 and g0^-1 are
     distinct because g0^2 != e, so t o r and r o t differ exactly at the
@@ -394,7 +391,7 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
 
     exact = gp_mode(p) == "exact"
     if samples is None:
-        _check_enumerable(ctx)
+        check_enumerable(ctx)
         # the slab vectors against each distinct shift, weighted by the
         # number of matrices h that give it
         vectors = decode_indices(np.arange(3**p, dtype=np.int64), p)
@@ -430,21 +427,22 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
 def fixed_count(family: HomFamily, pw: ProductWord) -> int:
     """The number of points of an enumerable G(p) that sigma(pw) fixes in
     the family's model, the fixed_count() of materialize(build_sigma(family)
-    .eval(pw)), counted on the implicit maps over GpContext.blocks() with
-    no image array.
+    .eval(pw)), counted on the implicit maps by an exact d_hamming with no
+    image array.
 
     sigma(pw) = L o R with R(x) = x rho(right)^-1, so x is fixed exactly when
-    R(x) = L^-1(x).  L^-1 runs the left word's letters from the left, each
-    inverted: a maximal t-free run is one left translation by phi(run)^-1,
-    and t is the slab involution, its own inverse, so adjacent t letters
-    (after trivial runs drop out) cancel.  Neither expands a block's vector
-    axis, so only R's output grows to the block's grid.  With an empty left
-    word sigma(pw) is a right translation, which is free: it fixes every
-    point when rho(right) = e and none otherwise.
+    R(x) = L^-1(x): the count is |G| (1 - d_H(R, L^-1)).  L^-1 runs the left
+    word's letters from the left, each inverted: a maximal t-free run is one
+    left translation by phi(run)^-1, and t is the slab involution, its own
+    inverse, so adjacent t letters (after trivial runs drop out) cancel.
+    Neither expands a block's vector axis, so only R's output grows to the
+    block's grid.  With an empty left word sigma(pw) is a right
+    translation, which is free: it fixes every point when rho(right) = e
+    and none otherwise.
     """
     p = family.p
     ctx = GpContext(p)
-    _check_enumerable(ctx)
+    check_enumerable(ctx)
     r = hom_eval(family["rho"], pw.right)
     if pw.left.is_identity():
         return ctx.size if r.is_identity() else 0
@@ -462,16 +460,12 @@ def fixed_count(family: HomFamily, pw: ProductWord) -> int:
             img = pieces.pop() * img
         if not img.is_identity():
             pieces.append(img)
-    t_fn = ctx.t_perm(*slab_translation(p)).forward if None in pieces else None
-    inverse_left = [t_fn if g is None else ctx._left_fn(g.inverse()) for g in pieces]
-    right = ctx._right_fn(r.inverse())
-    fixed = 0
-    for _, pts in ctx.blocks():
-        image = pts
-        for fn in inverse_left:
-            image = fn(image)
-        fixed += int(np.count_nonzero(ctx.points_equal(right(pts), image)))
-    return fixed
+    t = ctx.t_perm(*slab_translation(p)) if None in pieces else None
+    inverse_left = ctx.identity_perm()
+    for g in pieces:
+        inverse_left = (t if g is None else ctx.left_mult(g.inverse())) * inverse_left
+    moved = d_hamming(ctx.right_mult_inv(r), inverse_left).value
+    return int(ctx.size * (1 - moved))
 
 
 # -- the four-condition report --------------------------------------------
@@ -511,8 +505,9 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
         letter images with exact inverses, so this holds on every such
         pair exactly when each t-free left letter's image commutes with
         each right letter's image; the maximum commutator defect over
-        these generator pairs is reported, each counted block by block by
-        perms.commutator_count (no product built);
+        these generator pairs is reported, each an exact d_hamming(a * b,
+        b * a) counted block by block on the lazily composed maps (no
+        product array built);
     (2) fixed-point fraction of the t image;
     (3) search for a right word whose commutator with t has large defect,
         scoring words by the exact slab displacement 2|T \\ T r(h)| / |G|
@@ -530,13 +525,13 @@ def four_condition_report(sigma: AsymptoticHom) -> dict:
     family = sigma.family
     p = family.p
     ctx = sigma.domain
-    _check_enumerable(ctx)
+    check_enumerable(ctx)
     report = {"p": p}
 
     # (1): exact homomorphism away from t
     left = [sigma.images[n] for n in sigma.left_names if n != "t"]
     right = [sigma.images[n] for n in sigma.right_names]
-    report["cond1_defect_max"] = max(Fraction(commutator_count(a, b), ctx.size)
+    report["cond1_defect_max"] = max(d_hamming(a * b, b * a).value
                                      for a in left for b in right)
     report["cond1_pairs"] = len(left) * len(right)
 

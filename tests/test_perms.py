@@ -13,7 +13,6 @@ from soficlab.perms import (
     ExactPerm,
     FlatDomain,
     ImplicitPerm,
-    commutator_count,
     d_hamming,
     hoeffding_radius,
     read_perm,
@@ -21,7 +20,7 @@ from soficlab.perms import (
 )
 from soficlab.report import sha256_file
 
-from conftest import array_commutator_count, commutator_defects
+from conftest import array_commutator_count, commutator_defects, refuse_materialize
 
 
 def random_exact(rng, n):
@@ -224,28 +223,47 @@ def test_support_commutator_defect_matches_dense(perms):
 
 @settings(max_examples=200, deadline=None)
 @given(perms=_two_perms)
-def test_commutator_count_matches_dense(perms):
+def test_exact_distance_matches_image_arrays(perms):
+    # exact and implicit operands count alike, against the image arrays
     a, b = (ExactPerm(np.array(x, dtype=np.int64)) for x in perms)
-    assert Fraction(commutator_count(a, b), a.size) == d_hamming(a * b, b * a).value
-    assert commutator_count(a, b) == array_commutator_count(a, b)
+    a_map, b_map = (ImplicitPerm(a.domain, x.apply, x.apply_inverse) for x in (a, b))
+    n = a.size
+    assert d_hamming(a, b).value == Fraction(int(np.count_nonzero(a.images != b.images)), n)
+    assert d_hamming(a_map, b).value == d_hamming(a, b).value
+    commutator = Fraction(array_commutator_count(a, b), n)
+    assert d_hamming(a * b, b * a).value == commutator
+    assert d_hamming(a_map * b_map, b_map * a_map).value == commutator
 
 
-def test_commutator_count_across_blocks():
-    # the domain's blocks are SAMPLE_BLOCK slices; an implicit map counts
-    # against an exact one on the same domain
+def test_exact_distance_counts_across_blocks(monkeypatch):
+    # the domain's blocks are SAMPLE_BLOCK slices: implicit maps are run on
+    # one block at a time and nothing is enumerated
+    refuse_materialize(monkeypatch)
     rng = np.random.default_rng(3)
     n = 2 * SAMPLE_BLOCK + 5
     a, b = random_exact(rng, n), random_exact(rng, n)
     swap = ExactPerm(np.arange(n)[::-1].copy())
-    shift = ImplicitPerm(FlatDomain(n), lambda x: (x + 3) % n, lambda x: (x - 3) % n)
-    b_map, swap_map = (ImplicitPerm(FlatDomain(n), x.apply, x.apply_inverse)
-                       for x in (b, swap))
-    for x, y in ((a, b), (a, a), (a, a.inverse()), (swap, b), (shift, b_map),
-                 (shift, swap_map)):
-        assert Fraction(commutator_count(x, y), n) == d_hamming(x * y, y * x).value
-    assert commutator_count(shift, b) == commutator_count(shift, b_map)
-    with pytest.raises(ValueError):
-        commutator_count(a, random_exact(rng, 7))
+    shift = ExactPerm((np.arange(n) + 3) % n)
+    batches = []
+
+    def implicit(x):
+        def forward(pts):
+            batches.append(len(pts))
+            return x.apply(pts)
+        return ImplicitPerm(FlatDomain(n), forward, x.apply_inverse)
+
+    for x, y in ((a, b), (a, a), (a, a.inverse()), (swap, b), (shift, b), (shift, swap)):
+        count = Fraction(array_commutator_count(x, y), n)
+        assert d_hamming(x * y, y * x).value == count
+        x_map, y_map = implicit(x), implicit(y)
+        assert d_hamming(x_map * y_map, y_map * x_map).value == count
+        assert d_hamming(x_map, y).value == Fraction(
+            int(np.count_nonzero(x.images != y.images)), n)
+    # each pair runs four maps over the domain for its commutator and one
+    # for its distance
+    assert max(batches) == SAMPLE_BLOCK and sum(batches) == 6 * 5 * n
+    with pytest.raises(ValueError, match="domain mismatch"):
+        d_hamming(a, random_exact(rng, 7))
 
 
 # -- binary files as properties ----------------------------------------------

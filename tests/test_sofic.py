@@ -19,13 +19,12 @@ from soficlab.f3vectors import (
     sp_mask,
     v_vector,
 )
-from soficlab import sofic
+from soficlab import f3vectors, sofic
 from soficlab.groups import GenerationCheckError, GpElement, build_hom_specs, hom_eval
 from soficlab.perms import (
     SAMPLE_BLOCK,
     ExactPerm,
     ImplicitPerm,
-    commutator_count,
     d_hamming,
     materialize,
 )
@@ -211,14 +210,14 @@ def test_support_commutator_defect_matches_dense_model(dense7):
 
 def test_four_condition_report_composes_nothing(sigma7, dense7, monkeypatch):
     # the report counts on the implicit maps and enumerates nothing, builds
-    # no product, and agrees with the image-array routes: the commutator
-    # count, t's fixed points, the slice overlap and condition 3's defects
-    # read on supp(t)
+    # no product array (its commutators are lazy ImplicitPerm compositions),
+    # and agrees with the image-array routes: the commutator counts, t's
+    # fixed points, the slice overlap and condition 3's defects read on
+    # supp(t)
     composed = []
-    for cls in (ExactPerm, ImplicitPerm):
-        compose = cls.compose
-        monkeypatch.setattr(cls, "compose", lambda self, other, compose=compose:
-                            composed.append(1) or compose(self, other))
+    compose = ExactPerm.compose
+    monkeypatch.setattr(ExactPerm, "compose", lambda self, other:
+                        composed.append(1) or compose(self, other))
     refuse_materialize(monkeypatch)
     assert all(isinstance(image, ImplicitPerm) for image in sigma7.images.values())
     rep = four_condition_report(sigma7)
@@ -226,9 +225,10 @@ def test_four_condition_report_composes_nothing(sigma7, dense7, monkeypatch):
     assert composed == []
     assert rep["t_involution"] is True
     pairs = [(a, b) for a in GAMMA for b in LAMBDA]
-    counts = [commutator_count(sigma7.images[a], sigma7.images[b]) for a, b in pairs]
+    defects = [d_hamming(sigma7.images[a] * sigma7.images[b],
+                         sigma7.images[b] * sigma7.images[a]).value for a, b in pairs]
     oracle = [array_commutator_count(dense7.images[a], dense7.images[b]) for a, b in pairs]
-    assert counts == oracle
+    assert defects == [Fraction(count, 367_416) for count in oracle]
     assert rep["cond1_pairs"] == 12
     assert rep["cond1_defect_max"] == Fraction(max(oracle), 367_416)
     assert rep["cond2_fixed_fraction"] == dense7.images["t"].fixed_fraction()
@@ -387,6 +387,38 @@ def test_fixed_count_matches_dense_model(dense7, left, right):
     assert sofic.fixed_count(dense7.family, word) == dense7.eval(word).fixed_count()
 
 
+# a dense image array of G(7): 367,416 int64 images
+DENSE_IMAGE_BYTES = 367_416 * 8
+
+
+@settings(max_examples=10, deadline=None)
+@given(u=st.builds(pw, _left_words, _right_words), v=st.builds(pw, _left_words, _right_words))
+@example(u=pw(right=ReducedWord.gen("b3")), v=pw(ReducedWord.gen("t")))
+# a long pair: every map of both chains runs on the block's full grid
+@example(u=pw(ReducedWord((("a4", -1), ("t", -1))),
+              ReducedWord((("b2", -1), ("b1", 1), ("b2", -1), ("b2", -1)))),
+         v=pw(ReducedWord((("t", 1), ("t", 1), ("a2", 1), ("a1", 1), ("a3", 1), ("a2", -1))),
+              ReducedWord((("b3", 1), ("b2", -1), ("b3", -1), ("b3", -1)))))
+def test_exact_hom_defect_counts_blocks_on_the_implicit_model(sigma7, dense7, u, v):
+    # the two composed word maps are compared block by block and neither is
+    # enumerated: the peak is each side's batch of one block (65,520 points,
+    # 24 B each) and one map's temporaries, whatever the words' lengths,
+    # where materializing both sides would hold two dense image arrays and
+    # a block's working set besides
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        refuse_materialize(monkeypatch)
+        hom_defect(sigma7, u, v)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            value = hom_defect(sigma7, u, v).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert value == hom_defect(dense7, u, v).value
+    assert peak - start < 3 * DENSE_IMAGE_BYTES
+
+
 def test_soficity_suite_peaks_far_below_the_dense_model():
     # eight dense G(7) image arrays would be 23 MiB; counting f_G on the
     # implicit maps holds a few blocks of GpContext.blocks() at a time
@@ -488,6 +520,32 @@ def test_implicit_mode_selected_beyond_budget():
 def test_exact_mode_refused_beyond_budget():
     with pytest.raises(ValueError):
         materialize(build_sigma(build_hom_specs(13, 5, 3)).images["t"])
+
+
+def test_exact_routes_refuse_past_budget_before_enumerating(monkeypatch):
+    # each exact route refuses G(13) by its size, before it reads a block
+    # or decodes a vector
+    sigma13 = _implicit_model(13)
+    family = sigma13.family
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("G(13) was enumerated")
+
+    monkeypatch.setattr(GpContext, "blocks", refuse)
+    for module in (sofic, f3vectors):
+        monkeypatch.setattr(module, "decode_indices", refuse)
+    refuse_materialize(monkeypatch)
+    t, b3 = sigma13.images["t"], sigma13.images["b3"]
+    routes = [
+        lambda: d_hamming(t * b3, b3 * t),
+        lambda: hom_defect(sigma13, pw(right=ReducedWord.gen("b3")), pw(ReducedWord.gen("t"))),
+        lambda: four_condition_report(sigma13),
+        lambda: sofic.fixed_count(family, pw(ReducedWord.gen("t"), ReducedWord.gen("b3"))),
+        lambda: t_commutator_defect(family, ReducedWord.gen("b3")),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="too large to enumerate exactly"):
+            route()
 
 
 def test_implicit_slab_overlap_refused():
