@@ -8,7 +8,8 @@ and stop being materializable long before they stop being samplable.
 The normalized Hamming distance between two permutations is the fraction
 of points where they disagree: exact as a Fraction on a domain of at
 most EXACT_DOMAIN_BUDGET points, otherwise estimated from seeded uniform
-samples with a two-sided Hoeffding radius; neither builds an image array.
+samples, each block drawn and compared before the next one is drawn, with a
+two-sided Hoeffding radius; neither builds an image array.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from math import log, sqrt
 import numpy as np
 
 EXACT_DOMAIN_BUDGET = 5_000_000
-# Implicit maps run on at most about this many points at a time (sampled
-# distances and domain enumeration alike), which bounds their temporaries.
+# Implicit maps enumerate a domain at most about this many points at a
+# time, which bounds their temporaries.
 SAMPLE_BLOCK = 1 << 16
+# A sampled read draws, decodes and compares at most this many points at a
+# time, so that its memory does not grow with the sample count.
+DRAW_BLOCK = 1 << 14
 # the confidence of every sampled distance's Hoeffding radius
 CONFIDENCE = 0.99
 
@@ -35,8 +39,10 @@ class FlatDomain:
     def __init__(self, size: int):
         self.size = size
 
-    def sample(self, rng, n):
-        return rng.integers(0, self.size, size=n, dtype=np.int64)
+    def sample_blocks(self, rng, n):
+        """The points of rng.integers(0, size, n), drawn DRAW_BLOCK at a time."""
+        for start in range(0, n, DRAW_BLOCK):
+            yield rng.integers(0, self.size, size=min(DRAW_BLOCK, n - start), dtype=np.int64)
 
     def points_equal(self, x, y):
         return x == y
@@ -211,11 +217,10 @@ def materialize(perm) -> ExactPerm:
     return ExactPerm(images)
 
 
-def _point_block(points, rows: slice):
-    """The given rows of a point batch (an array or nested tuples of them)."""
-    if isinstance(points, tuple):
-        return tuple(_point_block(x, rows) for x in points)
-    return points[rows]
+def check_sample_count(samples):
+    """Refuse, with ValueError, a sample count that is not a positive int."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples <= 0:
+        raise ValueError(f"sampled mode requires a positive int sample count, not {samples!r}")
 
 
 def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
@@ -225,9 +230,10 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     each operand's images exists at a time.  Exact mode counts over the
     domain's blocks (check_enumerable refuses a domain too large) and
     returns a Fraction with radius 0.  Sampled mode requires an explicit
-    seed (estimates must be reproducible) and returns the empirical
-    disagreement fraction over uniform points, drawn at once and compared
-    in blocks of SAMPLE_BLOCK, with the Hoeffding radius at CONFIDENCE.
+    seed (estimates must be reproducible) and a positive int sample count,
+    and returns the empirical disagreement fraction over the domain's
+    sample_blocks, each block compared before the next is drawn, with the
+    Hoeffding radius at CONFIDENCE.
     """
     if sigma.domain != tau.domain:
         raise ValueError("domain mismatch")
@@ -238,11 +244,8 @@ def d_hamming(sigma, tau, mode="exact", samples=None, seed=None):
     elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires an explicit seed")
-        if not samples:
-            raise ValueError("sampled mode requires a sample count")
-        n, pts = samples, domain.sample(np.random.default_rng(seed), samples)
-        blocks = (_point_block(pts, slice(start, start + SAMPLE_BLOCK))
-                  for start in range(0, n, SAMPLE_BLOCK))
+        check_sample_count(samples)
+        n, blocks = samples, domain.sample_blocks(np.random.default_rng(seed), samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     agree = sum(int(np.count_nonzero(domain.points_equal(sigma.apply(b), tau.apply(b))))

@@ -25,6 +25,7 @@ finite-index subgroup through a Schreier coset system.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -37,7 +38,6 @@ from .f3vectors import (
     a_shift_vector,
     act_rows,
     decode_indices,
-    empty_points,
     encode_coords,
     f3_add,
     h_position_perm,
@@ -70,6 +70,7 @@ from .perms import (
     FlatDomain,
     ImplicitPerm,
     check_enumerable,
+    check_sample_count,
     d_hamming,
     hoeffding_radius,
 )
@@ -77,9 +78,6 @@ from .words import ProductWord, ReducedWord, evaluate
 
 
 # -- the G(p) domain and its permutations ---------------------------------
-
-DECODE_BLOCK = 1 << 14
-
 
 def _built_on_first_call(make):
     """make()'s batch map, built when it is first applied: most reads of a
@@ -104,9 +102,9 @@ class GpContext:
     (f3vectors.act_rows), so no table of every matrix's positions is
     built.  Every builder returns the map and its inverse as an
     ImplicitPerm on this domain.  These maps are the model at every p; an
-    enumerable G(p) is read on them block by block (blocks), exact
-    distances included, and perms.materialize enumerates one into an image
-    array only where a file asks for it.
+    enumerable G(p) is read on them block by block (blocks), a sample on
+    those of sample_blocks, and perms.materialize enumerates one into an
+    image array only where a file asks for it.
     """
 
     def __init__(self, p: int):
@@ -119,15 +117,16 @@ class GpContext:
         self.h_order = psl2_order(p)
         self.size = 3**p * self.h_order
 
-    def sample(self, rng, n):
-        a = rng.integers(0, 3**self.p, size=n, dtype=np.int64)
-        h = rng.integers(0, self.h_order, size=n, dtype=np.int64)
-        # decoded in blocks, so that the decoder's temporaries stay in cache
-        points = empty_points((n,))
-        for start in range(0, n, DECODE_BLOCK):
-            rows = slice(start, start + DECODE_BLOCK)
-            points[rows] = decode_indices(a[rows], self.p)
-        return (points, h)
+    def sample_blocks(self, rng, n):
+        """The points of n vector indices drawn from rng and then n matrix
+        indices, in decoded blocks of at most DRAW_BLOCK: the matrix indices
+        come from a copy of rng advanced past the n vector draws."""
+        vectors, matrices = FlatDomain(3**self.p), FlatDomain(self.h_order)
+        h_rng = copy.deepcopy(rng)
+        for _ in vectors.sample_blocks(h_rng, n):
+            pass
+        for a, h in zip(vectors.sample_blocks(rng, n), matrices.sample_blocks(h_rng, n)):
+            yield decode_indices(a, self.p), h
 
     def index(self, points):
         """The flat indices of a batch of points."""
@@ -252,6 +251,15 @@ def _check_slab_translation(a0: ApVector, h0: PSL2Element):
         raise GenerationCheckError("slab and shifted slab are not disjoint")
 
 
+@cache
+def _slab_vectors(a0: ApVector, h0: PSL2Element):
+    """The vectors of S(p) u (S(p) + a0) for a checked translation, decoded
+    once for every exact t_commutator_defect."""
+    _check_slab_translation(a0, h0)
+    vectors = decode_indices(np.arange(3**a0.p, dtype=np.int64), a0.p)
+    return vectors[np.logical_or(*_slab_regions(vectors, vector_points(-a0), a0.p))]
+
+
 def _slab_regions(points, neg_a0, p: int):
     """The slab region of each vector of a point array, as two masks: in S
     and in S + a0 (disjoint, by _check_slab_translation).  A vector in
@@ -368,16 +376,14 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
     exactly as many as the points of supp(t) that r sends to the rest, and
     the count is #{x in supp(t) : region changes} + #{x in supp(t) : r(x)
     in the rest}.  Sampled, the points are the ones d_hamming draws, so the
-    estimate is d_hamming's bit for bit: on an enumerable G(p) uniform flat
-    indices, as on the enumerated model's FlatDomain, read from one table
-    of region changes over the flat domain; otherwise GpContext.sample
-    points, as on the implicit model's domain, compared in blocks of
-    SAMPLE_BLOCK.
+    estimate is d_hamming's bit for bit: on an enumerable G(p) those of the
+    enumerated model's FlatDomain.sample_blocks, read from one table of
+    region changes over the flat domain; otherwise those of
+    GpContext.sample_blocks, each block counted before the next is drawn.
     """
     p = family.p
     ctx = GpContext(p)
     a0, h0 = slab_translation(p)
-    _check_slab_translation(a0, h0)
     neg_a0 = vector_points(-a0)
     shifts = act_rows(ctx.table.entries, hom_eval(family["rho"], word).inverse().a)
 
@@ -394,8 +400,7 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
         check_enumerable(ctx)
         # the slab vectors against each distinct shift, weighted by the
         # number of matrices h that give it
-        vectors = decode_indices(np.arange(3**p, dtype=np.int64), p)
-        slab = vectors[np.logical_or(*_slab_regions(vectors, neg_a0, p))]
+        slab = _slab_vectors(a0, h0)
         distinct, weight = np.unique(shifts, axis=0, return_counts=True)
         changed, in_support = region_change(slab[:, None], distinct[None, :])
         count = (np.count_nonzero(changed, axis=0)
@@ -403,22 +408,18 @@ def t_commutator_defect(family: HomFamily, word: ReducedWord, samples=None,
         return DHEstimate(Fraction(int(count), ctx.size), 0.0, 1.0, "exact")
     if seed is None:
         raise ValueError("sampled mode requires an explicit seed")
-    if samples <= 0:
-        raise ValueError("sampled mode requires a sample count")
+    check_sample_count(samples)
+    _check_slab_translation(a0, h0)
+    rng = np.random.default_rng(seed)
     if exact:
         table = np.empty(ctx.size, dtype=bool)
         for rows, (vectors, h_idx) in ctx.blocks():
             table[rows] = region_change(vectors, take_points(shifts, h_idx))[0].ravel()
-        rng = np.random.default_rng(seed)
-        differ = np.count_nonzero(table[rng.integers(0, ctx.size, size=samples,
-                                                     dtype=np.int64)])
+        differ = sum(np.count_nonzero(table[flat])
+                     for flat in FlatDomain(ctx.size).sample_blocks(rng, samples))
     else:
-        vectors, h_idx = ctx.sample(np.random.default_rng(seed), samples)
-        differ = 0
-        for start in range(0, samples, SAMPLE_BLOCK):
-            rows = slice(start, start + SAMPLE_BLOCK)
-            differ += np.count_nonzero(
-                region_change(vectors[rows], take_points(shifts, h_idx[rows]))[0])
+        differ = sum(np.count_nonzero(region_change(vectors, take_points(shifts, h_idx))[0])
+                     for vectors, h_idx in ctx.sample_blocks(rng, samples))
     agree = samples - int(differ)
     return DHEstimate(1.0 - float(agree) / samples, hoeffding_radius(samples, CONFIDENCE),
                       CONFIDENCE, "sampled", samples=samples, seed=seed)

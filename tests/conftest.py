@@ -19,7 +19,7 @@ from soficlab.f3vectors import (
     vector_points,
 )
 from soficlab.groups import GpElement, build_hom_specs
-from soficlab.perms import SAMPLE_BLOCK, ExactPerm, FlatDomain, materialize
+from soficlab.perms import DRAW_BLOCK, SAMPLE_BLOCK, ExactPerm, FlatDomain, materialize
 from soficlab.smallgroups import identity_index
 from soficlab.sofic import build_sigma, build_tilde_sigma
 
@@ -46,6 +46,19 @@ def dense7(sigma7):
 @pytest.fixture(scope="session")
 def tilde7(family7):
     return build_tilde_sigma(family7)
+
+
+# sample counts around the sampled block size, for the stream identity tests
+DRAW_COUNTS = (1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 5)
+
+
+def sample_points(domain, rng, n):
+    """The points of domain.sample_blocks(rng, n) as one batch: its blocks
+    concatenated (each part of a tuple of arrays separately)."""
+    blocks = list(domain.sample_blocks(rng, n))
+    if isinstance(blocks[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return np.concatenate(blocks)
 
 
 def refuse_materialize(monkeypatch):

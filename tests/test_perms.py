@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from soficlab.perms import (
+    DRAW_BLOCK,
     SAMPLE_BLOCK,
     ExactPerm,
     FlatDomain,
@@ -20,7 +21,13 @@ from soficlab.perms import (
 )
 from soficlab.report import sha256_file
 
-from conftest import array_commutator_count, commutator_defects, refuse_materialize
+from conftest import (
+    DRAW_COUNTS,
+    array_commutator_count,
+    commutator_defects,
+    refuse_materialize,
+    sample_points,
+)
 
 
 def random_exact(rng, n):
@@ -155,10 +162,35 @@ def test_sampled_within_hoeffding_radius():
 def test_implicit_round_trip_and_materialization():
     n = 1000
     shift = ImplicitPerm(FlatDomain(n), lambda x: (x + 3) % n, lambda x: (x - 3) % n)
-    pts = FlatDomain(n).sample(np.random.default_rng(6), 64)
+    pts = sample_points(FlatDomain(n), np.random.default_rng(6), 64)
     assert np.array_equal(shift.apply_inverse(shift.apply(pts)), pts)
     d = d_hamming(shift, FlatDomain(n).identity_perm())
     assert d.value == 1
+
+
+@pytest.mark.parametrize("size", [2187, 367_416, 3**13, 25_308, 3**37])
+@pytest.mark.parametrize("n", DRAW_COUNTS)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_flat_sample_blocks_draw_the_one_shot_points(size, n, seed):
+    # one draw per block, concatenating to one draw of n: the bounds take
+    # numpy's 32-bit and 64-bit bounded paths
+    domain = FlatDomain(size)
+    assert max(map(len, domain.sample_blocks(np.random.default_rng(seed), n))) <= DRAW_BLOCK
+    expected = np.random.default_rng(seed).integers(0, size, size=n, dtype=np.int64)
+    assert np.array_equal(sample_points(domain, np.random.default_rng(seed), n), expected)
+
+
+@pytest.mark.parametrize("samples", [-3, 0, 2.5, True, None, "10"])
+def test_sampled_distance_refuses_a_bad_sample_count_before_drawing(monkeypatch, samples):
+    def refuse(*args, **kwargs):
+        raise AssertionError("points were drawn")
+
+    perm = ExactPerm([1, 0, 2])
+    assert d_hamming(perm, perm, mode="sampled", samples=np.int64(5), seed=1).value == 0
+    monkeypatch.setattr(FlatDomain, "sample_blocks", refuse)
+    with pytest.raises(ValueError, match="positive int sample count"):
+        d_hamming(perm, perm, mode="sampled", samples=samples, seed=1)
 
 
 def test_hoeffding_radius_value():

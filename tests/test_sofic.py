@@ -22,8 +22,10 @@ from soficlab.f3vectors import (
 from soficlab import f3vectors, sofic
 from soficlab.groups import GenerationCheckError, GpElement, build_hom_specs, hom_eval
 from soficlab.perms import (
+    DRAW_BLOCK,
     SAMPLE_BLOCK,
     ExactPerm,
+    FlatDomain,
     ImplicitPerm,
     d_hamming,
     materialize,
@@ -41,6 +43,7 @@ from soficlab.suites import _random_nontrivial_word, suite_four_conditions, suit
 from soficlab.words import ProductWord, ReducedWord, random_reduced_word
 
 from conftest import (
+    DRAW_COUNTS,
     GpIndexer,
     ap_index,
     array_commutator_count,
@@ -48,6 +51,7 @@ from conftest import (
     coords_matrix,
     image_overlap_displacement,
     refuse_materialize,
+    sample_points,
     shifted_index_map,
     slab_mask,
 )
@@ -493,7 +497,7 @@ def test_implicit_mode_agrees_with_exact_at_p7(sigma7, dense7):
     assert implicit.mode == "exact"
     assert all(isinstance(image, ImplicitPerm) for image in implicit.images.values())
     rng = np.random.default_rng(7)
-    pts = implicit.domain.sample(rng, 2000)
+    pts = sample_points(implicit.domain, rng, 2000)
     flat = implicit.domain.index(pts)
     words = [
         pw(ReducedWord.gen("t")),
@@ -512,7 +516,7 @@ def test_implicit_mode_selected_beyond_budget():
     assert sigma13.mode == "implicit"
     rng = np.random.default_rng(8)
     perm = sigma13.eval(pw(ReducedWord.gen("t"), ReducedWord.gen("b3")))
-    pts = sigma13.domain.sample(rng, 500)
+    pts = sample_points(sigma13.domain, rng, 500)
     back = perm.apply_inverse(perm.apply(pts))
     assert bool(np.all(sigma13.domain.points_equal(back, pts)))
 
@@ -560,17 +564,75 @@ def test_sampled_blocks_count_like_one_pass(samples):
     sigma13 = build_sigma(build_hom_specs(13, 5, 3))
     t, b3 = sigma13.images["t"], sigma13.images["b3"]
     lhs, rhs = b3.compose(t), t.compose(b3)
-    pts = sigma13.domain.sample(np.random.default_rng(5), samples)
+    pts = sample_points(sigma13.domain, np.random.default_rng(5), samples)
     agree = np.count_nonzero(sigma13.domain.points_equal(lhs.apply(pts), rhs.apply(pts)))
     est = d_hamming(lhs, rhs, mode="sampled", samples=samples, seed=5)
     assert est.value == 1.0 - float(agree) / samples
+
+
+@pytest.mark.parametrize("p", [7, 13, 37])
+@pytest.mark.parametrize("n", DRAW_COUNTS)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sample_blocks_draw_the_one_shot_points(p, n, seed):
+    # the blocks are the points of one draw of n vector indices, then n
+    # matrix indices, decoded: so every sampled value is what a one-shot
+    # draw gives.  A numpy that drew a split count differently from the
+    # whole would fail here
+    ctx = GpContext(p)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 3**p, size=n, dtype=np.int64)
+    h = rng.integers(0, ctx.h_order, size=n, dtype=np.int64)
+    blocks = ctx.sample_blocks(np.random.default_rng(seed), n)
+    assert max(len(h_idx) for _, h_idx in blocks) <= DRAW_BLOCK
+    vectors, h_idx = sample_points(ctx, np.random.default_rng(seed), n)
+    assert np.array_equal(vectors, decode_indices(a, p))
+    assert np.array_equal(h_idx, h)
+
+
+@pytest.mark.parametrize("samples", [663_000, 5_000_000])
+def test_sampled_reads_hold_one_block_at_a_time(samples):
+    # the region count at p = 37 and d_hamming at p = 13 draw, decode and
+    # compare one block before drawing the next, so their peak does not
+    # grow with the sample count (a one-shot draw held 32 B per sample:
+    # 21.6 and 154 MiB for the region count)
+    sigma13 = _implicit_model(13)
+    t, b3 = sigma13.images["t"], sigma13.images["b3"]
+    family37 = _implicit_model(37).family
+    reads = [
+        lambda n: t_commutator_defect(family37, ReducedWord.gen("b3"), samples=n, seed=1),
+        lambda n: d_hamming(t * b3, b3 * t, mode="sampled", samples=n, seed=1),
+    ]
+    for read in reads:
+        read(10)  # tables and caches
+        tracemalloc.start()
+        try:
+            read(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("samples", [-3, 0, 2.5, True, "10"])
+@pytest.mark.parametrize("p", [7, 13])
+def test_region_count_refuses_a_bad_sample_count_before_drawing(family7, monkeypatch,
+                                                                  p, samples):
+    def refuse(*args, **kwargs):
+        raise AssertionError("points were drawn")
+
+    for domain in (FlatDomain, GpContext):
+        monkeypatch.setattr(domain, "sample_blocks", refuse)
+    family = family7 if p == 7 else _implicit_model(13).family
+    with pytest.raises(ValueError, match="positive int sample count"):
+        t_commutator_defect(family, ReducedWord.gen("b3"), samples=samples, seed=1)
 
 
 def test_every_generator_inverts_at_p37():
     sigma37 = build_sigma(build_hom_specs(37, 5, 3))
     assert sigma37.mode == "implicit"
     domain = sigma37.domain
-    pts = domain.sample(np.random.default_rng(37), 2000)
+    pts = sample_points(domain, np.random.default_rng(37), 2000)
     for name, image in sigma37.images.items():
         moved = image.apply(pts)
         assert not np.all(domain.points_equal(moved, pts)), name
